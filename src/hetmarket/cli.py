@@ -20,6 +20,7 @@ from .engine import (
     MetricsReport,
     SimulationConfig,
     SimulationReport,
+    UeRoundRecord,
     run_simulation,
 )
 from .llm_agent import ChatCompletionClient, LlmError
@@ -181,6 +182,11 @@ def write_summary_json(path: str, config: SimulationConfig, report: SimulationRe
         handle.write("\n")
 
 
+# Every field of a UE record holds an immutable scalar, so reading the fields
+# gives what ``dataclasses.asdict`` would without its recursive deep copy.
+_UE_FIELDS = tuple(f.name for f in dataclasses.fields(UeRoundRecord))
+
+
 def write_rounds_jsonl(path: str, report: SimulationReport) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for result in report.results:
@@ -189,7 +195,7 @@ def write_rounds_jsonl(path: str, report: SimulationReport) -> None:
                     "run": result.run_index,
                     "seed": result.seed,
                     "round": log.round_index,
-                    "ues": [dataclasses.asdict(r) for r in log.ues],
+                    "ues": [{name: getattr(r, name) for name in _UE_FIELDS} for r in log.ues],
                     "stations": [
                         {
                             "station_id": s.station_id,

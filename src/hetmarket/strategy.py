@@ -10,12 +10,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .netmodel import SBS
 from .valuation import UrgencyState, channel_valuation
 
 GRID_SIZE = 11
+# One run needs tens to a few thousand distinct (cdf, competitors, capacity)
+# keys: the CDF takes at most history-length + 1 values per station.
+WIN_PROBABILITY_CACHE_SIZE = 4096
 
 
 class NoPriceData(ValueError):
@@ -25,16 +29,18 @@ class NoPriceData(ValueError):
 class EmpiricalPriceModel:
     """Clearing prices heard from one station, kept in broadcast order."""
 
-    __slots__ = ("_history", "_sorted")
+    __slots__ = ("_history", "_sorted", "_mean")
 
     def __init__(self, prices: Iterable[float] = ()):
         self._history: list[float] = [float(p) for p in prices]
         self._sorted: list[float] = sorted(self._history)
+        self._mean: float | None = None
 
     def append(self, price: float) -> None:
         price = float(price)
         self._history.append(price)
         insort(self._sorted, price)
+        self._mean = None
 
     def __len__(self) -> int:
         return len(self._history)
@@ -56,9 +62,12 @@ class EmpiricalPriceModel:
         return bisect_right(self._sorted, x) / len(self._sorted)
 
     def mean(self) -> float:
-        if not self._history:
-            raise NoPriceData("no clearing prices observed yet")
-        return math.fsum(self._history) / len(self._history)
+        """``fsum`` of the history over its length, kept until the next ``append``."""
+        if self._mean is None:
+            if not self._history:
+                raise NoPriceData("no clearing prices observed yet")
+            self._mean = math.fsum(self._history) / len(self._history)
+        return self._mean
 
 
 def empirical_cdf(prices: EmpiricalPriceModel, x: float) -> float:
@@ -69,11 +78,14 @@ def expected_payment(prices: EmpiricalPriceModel) -> float:
     return prices.mean()
 
 
+@lru_cache(maxsize=WIN_PROBABILITY_CACHE_SIZE)
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
     """Chance that fewer than ``capacity`` of ``competitors`` outbid us.
 
     Competitor bids are modeled as independent draws from the observed price
     distribution; a draw counts against us only when strictly above our bid.
+    The binomial terms are summed directly; only when a coefficient is too
+    large for a float does the sum move to log space.
     """
     if not 0.0 <= cdf_at_bid <= 1.0:
         raise ValueError("cdf value must lie in [0, 1]")
@@ -84,9 +96,37 @@ def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int
     p_leq = cdf_at_bid
     p_above = 1.0 - cdf_at_bid
     total = 0.0
-    for j in range(min(capacity - 1, competitors) + 1):
-        total += math.comb(competitors, j) * p_above**j * p_leq ** (competitors - j)
+    try:
+        for j in range(min(capacity - 1, competitors) + 1):
+            total += math.comb(competitors, j) * p_above**j * p_leq ** (competitors - j)
+    except OverflowError:
+        total = _log_space_tail(p_leq, p_above, competitors, capacity)
     return min(1.0, total)
+
+
+def _log_space_tail(p_leq: float, p_above: float, competitors: int, capacity: int) -> float:
+    """P(Binomial(competitors, p_above) < capacity), each term formed from lgamma.
+
+    Terms are at most 1, so they never overflow; those below the smallest
+    float vanish, as they would in the direct sum.
+    """
+    top = min(capacity - 1, competitors)
+    if p_above == 0.0:
+        return 1.0
+    if p_leq == 0.0:
+        return 1.0 if top == competitors else 0.0
+    log_leq, log_above = math.log(p_leq), math.log(p_above)
+    log_n = math.lgamma(competitors + 1)
+    return math.fsum(
+        math.exp(
+            log_n
+            - math.lgamma(j + 1)
+            - math.lgamma(competitors - j + 1)
+            + j * log_above
+            + (competitors - j) * log_leq
+        )
+        for j in range(top + 1)
+    )
 
 
 def win_probability(

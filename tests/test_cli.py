@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from hetmarket.cli import METRICS_COLUMNS, main
+from hetmarket.cli import METRICS_COLUMNS, main, write_rounds_jsonl
+from hetmarket.engine import UeRoundRecord, run_simulation
 from hetmarket.llm_agent import ChatCompletionClient
+from hetmarket.scenario import preset
 
 
 def run_cli(*argv):
@@ -58,6 +61,23 @@ class TestRunCommand:
                     "per_unit_payments", "seller_utility_terms",
                     "fees_collected", "revenue",
                 }
+
+    def test_ue_objects_carry_every_record_field(self, tmp_path):
+        # A field added to UeRoundRecord must reach rounds.jsonl unchanged.
+        config = dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
+        report = run_simulation(config)
+        path = tmp_path / "rounds.jsonl"
+        write_rounds_jsonl(str(path), report)
+        fields = {f.name for f in dataclasses.fields(UeRoundRecord)}
+        logs = [log for result in report.results for log in result.rounds]
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(logs) == 8
+        for line, log in zip(lines, logs):
+            ues = json.loads(line)["ues"]
+            assert len(ues) == len(log.ues)
+            for obj, record in zip(ues, log.ues):
+                assert set(obj) == fields
+                assert obj == dataclasses.asdict(record)
 
     def test_summary_json_contents(self, tmp_path):
         out = tmp_path / "out"
@@ -142,6 +162,20 @@ class TestExitCodes:
                        "--episodes", "0", "--out", str(tmp_path / "out"))
         assert code == 2
         assert "episodes" in capsys.readouterr().err
+
+    def test_thousand_rivals_for_hundreds_of_channels_is_exit_zero(self, tmp_path):
+        # 1100 UEs per station and 600 channels: binomial coefficients of the
+        # win probability exceed the float range.
+        path = tmp_path / "big.ini"
+        path.write_text(
+            "[topology]\nchannels_per_station = 600\n"
+            "[population]\nnum_ues = 3300\nbudget = 1000000.0\n"
+            "greedy = 1650\nmyopic = 1650\n"
+            "[simulation]\nepisodes = 1\nruns = 1\njobs = 1\n"
+        )
+        code = run_cli("run", "--config", str(path), "--offline", "--seed", "1",
+                       "--out", str(tmp_path / "out"))
+        assert code == 0
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):

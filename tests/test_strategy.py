@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,10 +25,26 @@ from hetmarket.strategy import (
     per_unit_budget_cap,
     win_probability,
     win_probability_given_cdf,
+    _log_space_tail,
 )
 from hetmarket.valuation import UrgencyState
 
 from oracles import simulate_win_probability
+
+
+def exact_tail(cdf_at_bid, competitors, capacity):
+    """P(fewer than capacity of competitors draw above the bid), in rationals.
+
+    With cdf = leq / den, the sum is an integer over den**competitors, so
+    only one fraction is reduced however large the coefficients grow.
+    """
+    leq, den = Fraction(cdf_at_bid).as_integer_ratio()
+    above = den - leq
+    numerator = sum(
+        math.comb(competitors, j) * above**j * leq ** (competitors - j)
+        for j in range(min(capacity - 1, competitors) + 1)
+    )
+    return Fraction(numerator, den**competitors)
 
 
 def flat_urgency(value_per_mbps=1.0):
@@ -83,6 +102,25 @@ class TestPriceModel:
         with pytest.raises(NoPriceData):
             model.last
 
+    @given(steps=st.lists(st.one_of(st.floats(0.0, 10.0), st.none()),
+                          min_size=1, max_size=40))
+    def test_mean_follows_every_append(self, steps):
+        # A float appends a price, None asks for the mean; a stale cached
+        # mean would disagree with the exact sum of the prices so far.
+        model = EmpiricalPriceModel()
+        prices = []
+        for step in steps:
+            if step is None:
+                if prices:
+                    exact = sum(Fraction(p) for p in prices)
+                    assert model.mean() == float(exact) / len(prices)
+                else:
+                    with pytest.raises(NoPriceData):
+                        model.mean()
+            else:
+                model.append(step)
+                prices.append(step)
+
     def test_wrappers_delegate(self):
         model = EmpiricalPriceModel([2.0, 4.0])
         assert empirical_cdf(model, 2.0) == 0.5
@@ -109,6 +147,31 @@ class TestWinProbability:
         assert win_probability_given_cdf(0.0, 3, 4) == 1.0
         assert win_probability_given_cdf(1.0, 8, 1) == 1.0
         assert win_probability_given_cdf(0.0, 4, 2) == 0.0
+
+    @given(cdf=st.floats(0.0, 1.0), competitors=st.integers(0, 12),
+           capacity=st.integers(1, 14))
+    def test_matches_exact_binomial_sum(self, cdf, competitors, capacity):
+        exact = float(exact_tail(cdf, competitors, capacity))
+        assert win_probability_given_cdf(cdf, competitors, capacity) == pytest.approx(
+            exact, abs=1e-12)
+
+    @given(cdf=st.floats(0.0, 1.0), competitors=st.integers(0, 12),
+           capacity=st.integers(1, 14))
+    def test_log_space_tail_matches_exact_binomial_sum(self, cdf, competitors, capacity):
+        exact = float(exact_tail(cdf, competitors, capacity))
+        assert _log_space_tail(cdf, 1.0 - cdf, competitors, capacity) == pytest.approx(
+            exact, abs=1e-12)
+
+    def test_coefficients_too_large_for_a_float(self):
+        # comb(1100, 550) is about 1e329; the direct sum would overflow.
+        for cdf in (0.25, 0.5, 0.55, 0.75):
+            prob = win_probability_given_cdf(cdf, 1100, 600)
+            assert 0.0 <= prob <= 1.0
+            assert prob == pytest.approx(float(exact_tail(cdf, 1100, 600)),
+                                         rel=1e-10, abs=1e-300)
+        assert win_probability_given_cdf(0.0, 1100, 600) == 0.0
+        assert win_probability_given_cdf(1.0, 1100, 600) == 1.0
+        assert win_probability_given_cdf(0.0, 1100, 1101) == 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
