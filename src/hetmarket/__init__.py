@@ -39,8 +39,6 @@ from .strategy import (
     MarketObservation,
     StationView,
     candidate_bids,
-    empirical_cdf,
-    expected_payment,
     expected_utility,
     greedy_decide,
     myopic_decide,

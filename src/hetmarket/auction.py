@@ -38,6 +38,7 @@ class AuctionOutcome:
     allocations: dict[int, int] = field(default_factory=dict)
     per_unit_payments: dict[int, float] = field(default_factory=dict)
     clearing_price: float = 0.0
+    # station margin per winner: units sold times payment above the reserve
     seller_utility_terms: dict[int, float] = field(default_factory=dict)
 
 
@@ -87,25 +88,20 @@ def run_vcg(
     bids_by_id = {r.bidder_id: r.per_unit_bid for r in eligible}
 
     per_unit_payments: dict[int, float] = {}
+    seller_utility_terms: dict[int, float] = {}
     for bidder_id, won in allocations.items():
         others = [bid for bid, owner in claims if owner != bidder_id]
         value_without = sum(others[:capacity])
         others_value_with = winning_value - won * bids_by_id[bidder_id]
         externality = value_without - others_value_with
-        per_unit_payments[bidder_id] = max(reserve, externality / won)
+        payment = max(reserve, externality / won)
+        per_unit_payments[bidder_id] = payment
+        seller_utility_terms[bidder_id] = won * (payment - reserve)
 
-    outcome = AuctionOutcome(
+    return AuctionOutcome(
         allocations=allocations,
         per_unit_payments=per_unit_payments,
         clearing_price=clearing_price,
+        seller_utility_terms=seller_utility_terms,
     )
-    outcome.seller_utility_terms.update(seller_utility(outcome, reserve))
-    return outcome
 
-
-def seller_utility(outcome: AuctionOutcome, reserve: float) -> dict[int, float]:
-    """Station margin per winner: units sold times payment above energy cost."""
-    return {
-        bidder_id: won * (outcome.per_unit_payments[bidder_id] - reserve)
-        for bidder_id, won in outcome.allocations.items()
-    }

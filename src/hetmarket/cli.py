@@ -22,9 +22,10 @@ from .engine import (
     SimulationReport,
     UeRoundRecord,
     run_simulation,
+    run_simulations,
 )
 from .llm_agent import ChatCompletionClient, LlmError
-from .scenario import PRESETS, ScenarioError, load_scenario_file, preset
+from .scenario import PRESETS, load_scenario_file, preset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,6 +46,8 @@ METRICS_COLUMNS = [
     "payments_paid",
     "fallbacks",
 ]
+# sweep.csv holds ``<strategy>_<field>`` from ``StrategySummary.avg_<field>``
+SWEEP_FIELDS = ("gross_utility", "net_utility", "channels_won", "bid_precision")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--preset", choices=PRESETS, help="built-in scenario")
         p.add_argument("--seed", type=int, help="override master seed")
         p.add_argument("--episodes", type=int, help="override rounds per run")
-        p.add_argument("--jobs", type=int, help="parallel worker processes for runs")
+        p.add_argument("--jobs", type=int, help="worker processes for runs and sweep cells")
         p.add_argument(
             "--offline",
             action="store_true",
@@ -96,7 +99,10 @@ def _load_config(args: argparse.Namespace) -> SimulationConfig:
     if args.preset:
         config = preset(args.preset)
     else:
-        config = load_scenario_file(args.config)
+        try:
+            config = load_scenario_file(args.config)
+        except OSError as exc:
+            raise ConfigurationError([str(exc)]) from exc
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -125,6 +131,8 @@ def _check_endpoint(config: SimulationConfig) -> str | None:
         client.complete("Reply with the single word: ready")
     except LlmError as exc:
         return f"LLM endpoint unreachable ({exc}); pass --offline to use the stand-in"
+    finally:
+        client.close()
     return None
 
 
@@ -232,29 +240,8 @@ def _print_strategy_table(metrics: MetricsReport) -> None:
         )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args)
-    except (ScenarioError, ConfigurationError) as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    endpoint_problem = _check_endpoint(config)
-    if endpoint_problem is not None:
-        print(endpoint_problem, file=sys.stderr)
-        return EXIT_ENDPOINT
-
-    try:
-        report = run_simulation(config)
-    except ConfigurationError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-
+def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
+    report = run_simulation(config)
     os.makedirs(args.out, exist_ok=True)
     write_rounds_jsonl(os.path.join(args.out, "rounds.jsonl"), report)
     if args.format in ("csv", "both"):
@@ -263,87 +250,66 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_summary_json(os.path.join(args.out, "summary.json"), config, report)
     _print_strategy_table(report.metrics)
     print(f"wrote {args.out}/")
-    return EXIT_OK
 
 
-def _sweep_columns() -> list[str]:
-    columns = ["episodes", "seed"]
-    for name in STRATEGIES:
-        columns.extend(
-            [
-                f"{name}_gross_utility",
-                f"{name}_net_utility",
-                f"{name}_channels_won",
-                f"{name}_bid_precision",
-            ]
-        )
-    return columns
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
+def _sweep_cells(args: argparse.Namespace, config: SimulationConfig) -> list[SimulationConfig]:
+    """One single-run config per (horizon, seed), horizons outermost."""
     try:
-        config = _load_config(args)
         horizons = [int(part) for part in args.horizons.split(",") if part.strip()]
-    except (ScenarioError, ConfigurationError) as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigurationError([f"bad --horizons value: {exc}"]) from exc
     if not horizons or any(h < 1 for h in horizons):
-        print("config error: horizons must be positive integers", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(["horizons must be positive integers"])
     if args.seeds < 1:
-        print("config error: seeds must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(["seeds must be at least 1"])
+    return [
+        dataclasses.replace(config, episodes=horizon, seed=config.seed + offset, runs=1)
+        for horizon in horizons
+        for offset in range(args.seeds)
+    ]
 
-    endpoint_problem = _check_endpoint(config)
-    if endpoint_problem is not None:
-        print(endpoint_problem, file=sys.stderr)
-        return EXIT_ENDPOINT
 
-    rows = []
-    base_seed = config.seed
-    for horizon in horizons:
-        for offset in range(args.seeds):
-            cell = dataclasses.replace(
-                config, episodes=horizon, seed=base_seed + offset, runs=1
-            )
-            try:
-                report = run_simulation(cell)
-            except ConfigurationError as exc:
-                for problem in exc.problems:
-                    print(f"config error: {problem}", file=sys.stderr)
-                return EXIT_CONFIG
-            row: dict[str, object] = {"episodes": horizon, "seed": cell.seed}
-            for name in STRATEGIES:
-                summary = report.metrics.per_strategy.get(name)
-                row[f"{name}_gross_utility"] = None if summary is None else summary.avg_gross_utility
-                row[f"{name}_net_utility"] = None if summary is None else summary.avg_net_utility
-                row[f"{name}_channels_won"] = None if summary is None else summary.avg_channels_won
-                row[f"{name}_bid_precision"] = None if summary is None else summary.avg_bid_precision
-            rows.append(row)
-
+def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
+    reports = run_simulations(cells)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        columns = _sweep_columns()
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+        writer.writerow(
+            ["episodes", "seed"] + [f"{name}_{f}" for name in STRATEGIES for f in SWEEP_FIELDS]
+        )
+        for cell, report in zip(cells, reports):
+            row: list[object] = [cell.episodes, cell.seed]
+            for name in STRATEGIES:
+                summary = report.metrics.per_strategy.get(name)
+                row.extend(
+                    None if summary is None else getattr(summary, f"avg_{f}")
+                    for f in SWEEP_FIELDS
+                )
+            writer.writerow([_fmt(value) for value in row])
+    print(f"wrote {path} ({len(cells)} rows)")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_sweep(args)
+    try:
+        config = _load_config(args)
+        cells = _sweep_cells(args, config) if args.command == "sweep" else None
+        endpoint_problem = _check_endpoint(config)
+        if endpoint_problem is not None:
+            print(endpoint_problem, file=sys.stderr)
+            return EXIT_ENDPOINT
+        if cells is None:
+            cmd_run(args, config)
+        else:
+            cmd_sweep(args, cells)
+    except ConfigurationError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -211,7 +212,27 @@ class SimulationConfig:
         ):
             if len(values) not in (1, len(self.population.qos_classes_mbps)):
                 problems.append(f"{name} must have 1 entry or one per service class")
-        return problems
+        # the constructors of the stations and of the urgency states hold the
+        # physical rules; building them once here stops a run before round one
+        topo = self.topology
+        try:
+            topo.build()
+        except ValueError as exc:
+            problems.append(
+                f"station settings rejected ({exc}): mbs_power_watts = {topo.mbs_power_watts},"
+                f" sbs_power_watts = {topo.sbs_power_watts},"
+                f" channels_per_station = {topo.channels_per_station},"
+                f" power_unit_price = {topo.power_unit_price}"
+            )
+        num_classes = len(self.population.qos_classes_mbps)
+        for class_index in range(num_classes):
+            try:
+                self.urgency.for_class(class_index, num_classes)
+            except ConfigurationError:
+                break  # the entry count is reported above
+            except ValueError as exc:
+                problems.append(str(exc))
+        return list(dict.fromkeys(problems))
 
 
 @dataclass(frozen=True)
@@ -515,10 +536,14 @@ class SimulationRun:
 
     def execute(self) -> RunResult:
         logs: list[RoundLog] = []
-        for t in range(1, self.config.episodes + 1):
-            if self._market_exhausted():
-                break
-            logs.append(self.run_round(t))
+        try:
+            for t in range(1, self.config.episodes + 1):
+                if self._market_exhausted():
+                    break
+                logs.append(self.run_round(t))
+        finally:
+            if self._client is not None:
+                self._client.close()
         return RunResult(
             run_index=self.run_index,
             seed=self.seed,
@@ -538,19 +563,38 @@ def _execute_run(args: tuple[SimulationConfig, int, int]) -> RunResult:
     return SimulationRun(config, run_index, run_seed).execute()
 
 
-def run_simulation(config: SimulationConfig) -> SimulationReport:
-    """Execute every run and aggregate metrics; raises before round one on bad config."""
-    problems = config.validate()
+def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationReport]:
+    """Execute every run of every config and aggregate metrics per config.
+
+    All configs are validated before round one.  The runs of all configs form
+    one task list, run in order, or on a pool of as many worker processes as
+    the largest ``jobs`` among the configs; either way the reports are the same.
+    """
+    problems = [problem for config in configs for problem in config.validate()]
     if problems:
-        raise ConfigurationError(problems)
-    seeds = spawn_run_seeds(config.seed, config.runs)
-    tasks = [(config, i, seeds[i]) for i in range(config.runs)]
-    if config.jobs > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        raise ConfigurationError(list(dict.fromkeys(problems)))
+    tasks = [
+        (config, run_index, seed)
+        for config in configs
+        for run_index, seed in enumerate(spawn_run_seeds(config.seed, config.runs))
+    ]
+    jobs = min(max((config.jobs for config in configs), default=1), len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_execute_run, tasks))
     else:
         results = [_execute_run(task) for task in tasks]
-    return SimulationReport(results=tuple(results), metrics=compute_metrics(results))
+    in_order = iter(results)
+    reports = []
+    for config in configs:
+        runs = tuple(islice(in_order, config.runs))
+        reports.append(SimulationReport(results=runs, metrics=compute_metrics(runs)))
+    return reports
+
+
+def run_simulation(config: SimulationConfig) -> SimulationReport:
+    """Execute every run of one config; raises before round one on bad config."""
+    return run_simulations([config])[0]
 
 
 def compute_metrics(results: Sequence[RunResult]) -> MetricsReport:

@@ -12,11 +12,12 @@ starvation forces its hand.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
 from dataclasses import dataclass, replace
-
-import requests
+from urllib.parse import urlsplit
 
 from .strategy import (
     BidDecision,
@@ -71,15 +72,61 @@ class ParsedLlmReply:
 
 
 class ChatCompletionClient:
-    """Minimal JSON client for ``POST <base_url>/chat/completions``."""
+    """Minimal JSON client for ``POST <base_url>/chat/completions``.
+
+    The client keeps one connection alive across requests; ``close`` ends it.
+    Every socket operation times out after ``timeout_ms``.
+    """
 
     def __init__(self, config: LlmEndpointConfig):
         self.config = config
+        self._conn: http.client.HTTPConnection | None = None
+        self._path = ""
+
+    def _connection(self) -> http.client.HTTPConnection:
+        if self._conn is None:
+            url = urlsplit(self.config.base_url.rstrip("/"))
+            if url.scheme not in ("http", "https") or not url.netloc:
+                raise LlmError(f"unsupported base_url {self.config.base_url!r}")
+            https = url.scheme == "https"
+            kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            try:
+                self._conn = kind(url.netloc, timeout=self.config.timeout_ms / 1000.0)
+            except http.client.InvalidURL as exc:
+                raise LlmError(f"unsupported base_url: {exc}") from exc
+            self._path = url.path + "/chat/completions"
+        return self._conn
+
+    def close(self) -> None:
+        """End the kept-alive connection; a later request opens a new one."""
+        if self._conn is not None:
+            self._conn.close()
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Send one request and read the whole reply, so the connection stays usable.
+
+        A kept-alive connection that the server has since closed fails on
+        first use; only then is the request sent again, on a new connection.
+        """
+        conn = self._connection()
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, body=body, headers=headers)
+                response = conn.getresponse()
+                return response.status, response.read()
+            # RemoteDisconnected is a ConnectionResetError
+            except (ConnectionResetError, BrokenPipeError) as exc:
+                conn.close()
+                if not reused:
+                    raise LlmError(f"request failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise LlmError(f"request failed: {exc}") from exc
 
     def complete(self, prompt: str) -> str:
         if not self.config.base_url:
             raise LlmError("no endpoint base_url configured")
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env_var, "")
         if api_key:
@@ -89,16 +136,11 @@ class ChatCompletionClient:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.config.temperature,
         }
+        status, reply = self._post(json.dumps(body).encode("utf-8"), headers)
+        if status != 200:
+            raise LlmError(f"endpoint returned HTTP {status}")
         try:
-            response = requests.post(
-                url, json=body, headers=headers, timeout=self.config.timeout_ms / 1000.0
-            )
-        except requests.RequestException as exc:
-            raise LlmError(f"request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise LlmError(f"endpoint returned HTTP {response.status_code}")
-        try:
-            payload = response.json()
+            payload = json.loads(reply)
             return payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError(f"malformed completion payload: {exc}") from exc
@@ -189,13 +231,11 @@ def _clamped_decision(
 def llm_decide(
     observation: MarketObservation,
     endpoint: LlmEndpointConfig,
-    client: ChatCompletionClient | None = None,
+    client: ChatCompletionClient,
 ) -> BidDecision:
     """Ask the endpoint for a decision; degrade to greedy after failed retries."""
     if not observation.stations:
         return abstain("no serving station")
-    if client is None:
-        client = ChatCompletionClient(endpoint)
     station_ids = {v.station_id for v in observation.stations}
     base_prompt = render_prompt(observation)
     prompt = base_prompt

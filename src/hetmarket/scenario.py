@@ -18,6 +18,7 @@ from .engine import (
     LLM,
     MYOPIC,
     AuctionConfig,
+    ConfigurationError,
     PopulationConfig,
     SimulationConfig,
     TopologyConfig,
@@ -29,14 +30,6 @@ from .netmodel import ChannelModel
 log = logging.getLogger(__name__)
 
 PRESETS = ("scenario1", "scenario2")
-
-
-class ScenarioError(ValueError):
-    """Scenario file problems; ``problems`` lists one message per issue."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 def _float(text: str) -> float:
@@ -114,12 +107,12 @@ _SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
-    """Parse and validate scenario text; raises ScenarioError listing problems."""
+    """Parse and validate scenario text; raises ConfigurationError listing problems."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ScenarioError([str(exc)]) from exc
+        raise ConfigurationError([str(exc)]) from exc
 
     problems: list[str] = []
     values: dict[str, dict[str, object]] = {}
@@ -145,7 +138,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
             if not parser.has_option(section, key) and default is not None:
                 log.info("%s: [%s] %s defaulted to %r", source, section, key, default)
     if problems:
-        raise ScenarioError(problems)
+        raise ConfigurationError(problems)
 
     pop = values["population"]
     if pop["myopic"] is None:
@@ -164,7 +157,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
             interference_mode=topo["interference_mode"],
         )
     except ValueError as exc:
-        raise ScenarioError([f"{source}: {exc}"]) from exc
+        raise ConfigurationError([f"{source}: {exc}"]) from exc
 
     sim = values["simulation"]
     llm = values["llm"]
@@ -246,4 +239,4 @@ def preset(name: str) -> SimulationConfig:
         return scenario1()
     if name == "scenario2":
         return scenario2()
-    raise ScenarioError([f"unknown preset {name!r}"])
+    raise ConfigurationError([f"unknown preset {name!r}"])

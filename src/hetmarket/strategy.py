@@ -70,14 +70,6 @@ class EmpiricalPriceModel:
         return self._mean
 
 
-def empirical_cdf(prices: EmpiricalPriceModel, x: float) -> float:
-    return prices.cdf(x)
-
-
-def expected_payment(prices: EmpiricalPriceModel) -> float:
-    return prices.mean()
-
-
 @lru_cache(maxsize=WIN_PROBABILITY_CACHE_SIZE)
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
     """Chance that fewer than ``capacity`` of ``competitors`` outbid us.

@@ -11,7 +11,6 @@ from hetmarket.auction import (
     AuctionRequest,
     reservation_price,
     run_vcg,
-    seller_utility,
 )
 from hetmarket.netmodel import BaseStation
 
@@ -131,14 +130,14 @@ class TestSellerUtility:
             AuctionRequest(bidder_id=3, quantity=1, per_unit_bid=3.0),
         ]
         outcome = run_vcg(requests, capacity=3, reserve=1.0)
-        margins = seller_utility(outcome, reserve=1.0)
+        margins = outcome.seller_utility_terms
         assert margins[1] == pytest.approx(5.0)
         assert margins[2] == pytest.approx(2.0)
 
     def test_margins_never_negative(self):
         requests = make_requests([(2, 3.0), (2, 2.0)])
         outcome = run_vcg(requests, capacity=4, reserve=1.0)
-        for margin in seller_utility(outcome, reserve=1.0).values():
+        for margin in outcome.seller_utility_terms.values():
             assert margin >= 0.0
 
 

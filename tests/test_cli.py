@@ -7,7 +7,7 @@ import json
 import pytest
 
 from hetmarket.cli import METRICS_COLUMNS, main, write_rounds_jsonl
-from hetmarket.engine import UeRoundRecord, run_simulation
+from hetmarket.engine import SimulationRun, UeRoundRecord, run_simulation
 from hetmarket.llm_agent import ChatCompletionClient
 from hetmarket.scenario import preset
 
@@ -177,6 +177,29 @@ class TestExitCodes:
                        "--out", str(tmp_path / "out"))
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("topology", "channels_per_station", "0"),
+            ("topology", "mbs_power_watts", "0"),
+            ("valuation", "base_value_per_mbps", "0"),
+            ("valuation", "max_value_per_mbps", "0.1"),
+            ("valuation", "saturation_losses", "0"),
+        ],
+    )
+    def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
+                                                section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        extra = ["--episodes", "3"] if command == "run" else ["--horizons", "3", "--seeds", "2"]
+        code = run_cli(command, "--config", str(path), "--offline",
+                       "--out", str(tmp_path / "out"), *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key in err
+
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             run_cli()
@@ -218,3 +241,27 @@ class TestSweepCommand:
         assert run_cli("sweep", "--preset", "scenario1", "--offline",
                        "--seeds", "0", "--out", str(tmp_path / "o")) == 2
         capsys.readouterr()
+
+    def test_parallel_sweep_matches_serial(self, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            code = run_cli("sweep", "--preset", "scenario1", "--offline",
+                           "--horizons", "3,5", "--seeds", "3", "--jobs", jobs,
+                           "--out", str(outs[jobs]))
+            assert code == 0
+        assert (outs["1"] / "sweep.csv").read_bytes() == (outs["2"] / "sweep.csv").read_bytes()
+
+    def test_invalid_config_exits_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        def explode(self):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(SimulationRun, "execute", explode)
+        path = tmp_path / "bad.ini"
+        path.write_text("[population]\nnum_ues = 10\nmyopic = 3\ngreedy = 1\n")
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--config", str(path), "--offline",
+                       "--horizons", "2,3", "--seeds", "2", "--out", str(out))
+        assert code == 2
+        assert "strategy counts" in capsys.readouterr().err
+        assert not out.exists()

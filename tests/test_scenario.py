@@ -4,9 +4,8 @@ import logging
 
 import pytest
 
-from hetmarket.engine import FORESIGHT, GREEDY, LLM, MYOPIC, run_simulation
+from hetmarket.engine import FORESIGHT, GREEDY, LLM, MYOPIC, ConfigurationError, run_simulation
 from hetmarket.scenario import (
-    ScenarioError,
     load_scenario_file,
     parse_scenario_text,
     preset,
@@ -134,35 +133,35 @@ class TestParsing:
 
 class TestRejection:
     def test_unknown_section_named_with_source(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ConfigurationError) as err:
             parse_scenario_text("[turbo]\nboost = 1\n", source="bad.ini")
         assert "bad.ini" in str(err.value)
         assert "[turbo]" in str(err.value)
 
     def test_unknown_key_named(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ConfigurationError) as err:
             parse_scenario_text("[population]\nqos = 2\n")
         assert "'qos'" in str(err.value)
         assert "[population]" in str(err.value)
 
     def test_bad_value_named(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ConfigurationError) as err:
             parse_scenario_text("[population]\nnum_ues = many\n")
         assert "'num_ues'" in str(err.value)
         assert "many" in str(err.value)
 
     def test_problems_accumulate(self):
         text = "[population]\nnum_ues = many\nqos = 2\n\n[turbo]\nboost = 1\n"
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ConfigurationError) as err:
             parse_scenario_text(text)
         assert len(err.value.problems) == 3
 
     def test_broken_ini_syntax(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ConfigurationError):
             parse_scenario_text("num_ues = 40\n")
 
     def test_bad_interference_mode(self):
-        with pytest.raises(ScenarioError, match="interference_mode"):
+        with pytest.raises(ConfigurationError, match="interference_mode"):
             parse_scenario_text("[topology]\ninterference_mode = partial\n")
 
 
@@ -177,7 +176,7 @@ class TestFiles:
     def test_load_reports_path_in_errors(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[population]\nqos = 2\n")
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ConfigurationError) as err:
             load_scenario_file(str(path))
         assert "broken.ini" in str(err.value)
 
@@ -202,5 +201,5 @@ class TestPresets:
     def test_preset_lookup(self):
         assert preset("scenario1") == scenario1()
         assert preset("scenario2") == scenario2()
-        with pytest.raises(ScenarioError, match="unknown preset"):
+        with pytest.raises(ConfigurationError, match="unknown preset"):
             preset("scenario9")

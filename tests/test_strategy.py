@@ -16,8 +16,6 @@ from hetmarket.strategy import (
     abstain,
     candidate_bids,
     effective_prices,
-    empirical_cdf,
-    expected_payment,
     expected_utility,
     greedy_decide,
     grid_argmax,
@@ -121,10 +119,10 @@ class TestPriceModel:
                 model.append(step)
                 prices.append(step)
 
-    def test_wrappers_delegate(self):
+    def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
-        assert empirical_cdf(model, 2.0) == 0.5
-        assert expected_payment(model) == 3.0
+        assert model.cdf(2.0) == 0.5
+        assert model.mean() == 3.0
 
     @given(prices=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
            x=st.floats(-1.0, 11.0))

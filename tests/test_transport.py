@@ -1,0 +1,315 @@
+"""The chat-completion client against a real HTTP/1.1 server on localhost."""
+
+from __future__ import annotations
+
+import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+import pytest
+
+from hetmarket.cli import main
+from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig, LlmError, llm_decide
+from hetmarket.netmodel import MBS
+from hetmarket.strategy import (
+    EmpiricalPriceModel,
+    MarketObservation,
+    StationView,
+    greedy_decide,
+)
+from hetmarket.valuation import UrgencyState
+
+GOOD_REPLY = 'Selected BS and bid value: BS 0, 1.50\nExplanation: "steady"'
+
+
+class LocalEndpoint:
+    """Threaded HTTP/1.1 endpoint that plays a script of replies.
+
+    Each request takes the next step of ``script`` (``"ok"`` once it runs
+    out): ``ok``, ``http500``, ``bad_json``, ``bad_shape``, ``slow`` (replies
+    after ``slow_s``) or ``drop`` (replies, then closes the connection without
+    saying so).  It counts requests, connections and finished connections.
+    """
+
+    def __init__(self, script=(), slow_s=1.0):
+        self.script = list(script)
+        self.requests = 0
+        self.connections = 0
+        self.finished = 0
+        self.prompts: list[str] = []
+        self.headers: list[dict[str, str]] = []
+        self.paths: list[str] = []
+        self._lock = threading.Condition()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with endpoint._lock:
+                    endpoint.connections += 1
+
+            def finish(self):
+                super().finish()
+                with endpoint._lock:
+                    endpoint.finished += 1
+                    endpoint._lock.notify_all()
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", "0"))
+                payload = json.loads(self.rfile.read(length))
+                with endpoint._lock:
+                    endpoint.requests += 1
+                    endpoint.prompts.append(payload["messages"][0]["content"])
+                    endpoint.headers.append(dict(self.headers))
+                    endpoint.paths.append(self.path)
+                    step = endpoint.script.pop(0) if endpoint.script else "ok"
+                status = 200
+                body = json.dumps({"choices": [{"message": {"content": GOOD_REPLY}}]})
+                if step == "http500":
+                    status, body = 500, "internal error"
+                elif step == "bad_json":
+                    body = "{not json"
+                elif step == "bad_shape":
+                    body = json.dumps({"choices": []})
+                elif step == "slow":
+                    time.sleep(slow_s)
+                elif step == "drop":
+                    self.close_connection = True
+                data = body.encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, format, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def handle_error(self, request, client_address):
+                pass  # a client that gave up on a slow reply closed the socket
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+    @property
+    def base_url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def wait_all_finished(self, timeout_s=5.0) -> bool:
+        with self._lock:
+            return self._lock.wait_for(
+                lambda: self.finished == self.connections, timeout=timeout_s
+            )
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join()
+
+
+@pytest.fixture
+def endpoint_factory():
+    started = []
+
+    def start(*args, **kwargs):
+        endpoint = LocalEndpoint(*args, **kwargs).__enter__()
+        started.append(endpoint)
+        return endpoint
+
+    yield start
+    for endpoint in started:
+        endpoint.__exit__(None, None, None)
+
+
+def client_for(endpoint, suffix="", **options):
+    return ChatCompletionClient(
+        LlmEndpointConfig(base_url=endpoint.base_url + suffix, model_name="m", **options)
+    )
+
+
+def test_ok_reply_returns_the_content(endpoint_factory):
+    endpoint = endpoint_factory()
+    client = client_for(endpoint)
+    try:
+        assert client.complete("hello") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.prompts == ["hello"]
+    assert endpoint.paths == ["/chat/completions"]
+
+
+def test_path_prefix_and_bearer_token(endpoint_factory, monkeypatch):
+    endpoint = endpoint_factory()
+    monkeypatch.setenv("TRANSPORT_TEST_KEY", "sekrit")
+    with_key = client_for(endpoint, "/v1/", api_key_env_var="TRANSPORT_TEST_KEY")
+    without_key = client_for(endpoint, "/v1", api_key_env_var="TRANSPORT_TEST_UNSET")
+    monkeypatch.delenv("TRANSPORT_TEST_UNSET", raising=False)
+    try:
+        with_key.complete("a")
+        without_key.complete("b")
+    finally:
+        with_key.close()
+        without_key.close()
+    assert endpoint.paths == ["/v1/chat/completions", "/v1/chat/completions"]
+    assert endpoint.headers[0]["Authorization"] == "Bearer sekrit"
+    assert "Authorization" not in endpoint.headers[1]
+
+
+def test_http_500_raises_and_the_connection_stays_usable(endpoint_factory):
+    endpoint = endpoint_factory(script=["http500"])
+    client = client_for(endpoint)
+    try:
+        with pytest.raises(LlmError, match="HTTP 500"):
+            client.complete("first")
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.requests == 2
+    assert endpoint.connections == 1
+
+
+@pytest.mark.parametrize("step", ["bad_json", "bad_shape"])
+def test_malformed_payload_raises(endpoint_factory, step):
+    endpoint = endpoint_factory(script=[step])
+    client = client_for(endpoint)
+    try:
+        with pytest.raises(LlmError, match="malformed completion payload"):
+            client.complete("x")
+    finally:
+        client.close()
+
+
+def test_late_reply_times_out_within_bounded_time(endpoint_factory):
+    endpoint = endpoint_factory(script=["ok", "slow"], slow_s=2.0)
+    client = client_for(endpoint, timeout_ms=200)
+    try:
+        client.complete("warm")
+        start = time.perf_counter()
+        with pytest.raises(LlmError):
+            client.complete("x")
+        elapsed = time.perf_counter() - start
+        # the next call opens a fresh connection rather than reading the late reply
+        assert client.complete("y") == GOOD_REPLY
+    finally:
+        client.close()
+    assert elapsed < 1.5
+    # a timeout on a kept-alive connection is one attempt, not resent
+    assert endpoint.prompts == ["warm", "x", "y"]
+
+
+def test_good_calls_share_one_connection(endpoint_factory):
+    endpoint = endpoint_factory()
+    client = client_for(endpoint)
+    try:
+        for i in range(5):
+            assert client.complete(f"call {i}") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.requests == 5
+    assert endpoint.connections == 1
+
+
+def test_dropped_kept_alive_connection_is_resent_once(endpoint_factory):
+    endpoint = endpoint_factory(script=["drop"])
+    client = client_for(endpoint)
+    try:
+        assert client.complete("first") == GOOD_REPLY
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    # the server saw each prompt once, the second on a new connection
+    assert endpoint.prompts == ["first", "second"]
+    assert endpoint.connections == 2
+
+
+def test_refused_connection_raises():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    client = ChatCompletionClient(LlmEndpointConfig(base_url=f"http://127.0.0.1:{port}"))
+    with pytest.raises(LlmError, match="request failed"):
+        client.complete("x")
+    client.close()
+
+
+def test_close_lets_the_server_handler_finish(endpoint_factory):
+    endpoint = endpoint_factory()
+    client = client_for(endpoint)
+    client.complete("x")
+    assert endpoint.finished == 0
+    client.close()
+    assert endpoint.wait_all_finished()
+
+
+def observation():
+    view = StationView(
+        station_id=0, tier=MBS, capacity=4, reserve_price=1.0, rate_mbps=3.0,
+        demand=1, competitors=2, price_history=EmpiricalPriceModel([1.5, 2.0]),
+    )
+    urgency = UrgencyState(base_value_per_mbps=1.0, max_value_per_mbps=1.0)
+    return MarketObservation(
+        round_index=3, rounds_total=10, budget=10.0, entrance_fee=0.1,
+        urgency=urgency, stations=(view,),
+    )
+
+
+def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory):
+    endpoint = endpoint_factory(script=["http500", "bad_shape"])
+    config = LlmEndpointConfig(base_url=endpoint.base_url, max_retries=1)
+    client = ChatCompletionClient(config)
+    try:
+        decision = llm_decide(observation(), config, client=client)
+    finally:
+        client.close()
+    greedy = greedy_decide(observation())
+    assert decision.fallback
+    assert (decision.station_id, decision.per_unit_bid, decision.quantity) == (
+        greedy.station_id, greedy.per_unit_bid, greedy.quantity,
+    )
+    assert endpoint.requests == 2
+
+
+def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
+    endpoint = endpoint_factory()
+    scenario = tmp_path / "live.ini"
+    scenario.write_text(
+        "[population]\nnum_ues = 4\nqos_classes_mbps = 2.0\nllm = 2\ngreedy = 2\n"
+        f"[llm]\nbase_url = {endpoint.base_url}\n"
+        "[simulation]\nepisodes = 3\nruns = 2\n"
+    )
+    code = main(["run", "--config", str(scenario), "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    # the probe and each run's client, every one closed
+    assert endpoint.connections == 3
+    assert endpoint.wait_all_finished()
+
+
+def test_cli_import_leaves_out_third_party_http():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, hetmarket.cli; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
