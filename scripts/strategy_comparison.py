@@ -5,9 +5,12 @@ summary table (mean and standard error for utility, channel access, and
 bid precision), and reports per-seed win counts of the endpoint-driven
 agent against the myopic and greedy field with a binomial sign test.
 
+The seeds run as one batch, on ``--jobs`` worker processes like
+``hetmarket run``; the output does not depend on the job count.
+
 Usage:
     python3 scripts/strategy_comparison.py --preset scenario1 --seeds 20
-    python3 scripts/strategy_comparison.py --preset scenario2 --episodes 10
+    python3 scripts/strategy_comparison.py --preset scenario2 --episodes 10 --jobs 2
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import dataclasses
 import math
 import statistics
 
-from hetmarket.engine import LLM, run_simulation
+from hetmarket.engine import LLM, run_simulations
 from hetmarket.scenario import PRESETS, preset
 
 FIELDS = ("gross_utility", "net_utility", "channels_won", "bid_precision")
@@ -28,6 +31,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--preset", default="scenario1", choices=PRESETS)
     parser.add_argument("--episodes", type=int, default=40)
     parser.add_argument("--seeds", type=int, default=20)
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for the seeds")
     return parser.parse_args()
 
 
@@ -44,9 +48,12 @@ def main() -> None:
     per_strategy: dict[str, dict[str, list[float]]] = {}
     agent_wins: dict[str, dict[str, int]] = {}
 
-    for seed in range(args.seeds):
-        config = dataclasses.replace(base, episodes=args.episodes, seed=seed)
-        metrics = run_simulation(config).metrics.per_ue
+    configs = [
+        dataclasses.replace(base, episodes=args.episodes, seed=seed, jobs=args.jobs)
+        for seed in range(args.seeds)
+    ]
+    for report in run_simulations(configs):
+        metrics = report.metrics.per_ue
         agent = next((m for m in metrics if m.strategy == LLM), None)
 
         for strategy in sorted({m.strategy for m in metrics}):

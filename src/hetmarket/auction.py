@@ -12,6 +12,7 @@ its units and never below the reservation price.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .netmodel import BaseStation
 
@@ -76,7 +77,9 @@ def run_vcg(
 
     winning = claims[:capacity]
     allocations: dict[int, int] = {}
-    for _, bidder_id in winning:
+    starts: dict[int, int] = {}
+    for index, (_, bidder_id) in enumerate(winning):
+        starts.setdefault(bidder_id, index)
         allocations[bidder_id] = allocations.get(bidder_id, 0) + 1
 
     if len(claims) > capacity:
@@ -85,14 +88,19 @@ def run_vcg(
         clearing_price = reserve
 
     winning_value = sum(bid for bid, _ in winning)
-    bids_by_id = {r.bidder_id: r.per_unit_bid for r in eligible}
+    by_id = {r.bidder_id: r for r in eligible}
 
     per_unit_payments: dict[int, float] = {}
     seller_utility_terms: dict[int, float] = {}
     for bidder_id, won in allocations.items():
-        others = [bid for bid, owner in claims if owner != bidder_id]
-        value_without = sum(others[:capacity])
-        others_value_with = winning_value - won * bids_by_id[bidder_id]
+        # equal sort keys keep a bidder's claims contiguous, so the best
+        # ``capacity`` claims of the others skip just its block
+        start = starts[bidder_id]
+        end = start + by_id[bidder_id].quantity
+        value_without = sum(
+            bid for bid, _ in chain(claims[:start], claims[end : end + capacity - start])
+        )
+        others_value_with = winning_value - won * by_id[bidder_id].per_unit_bid
         externality = value_without - others_value_with
         payment = max(reserve, externality / won)
         per_unit_payments[bidder_id] = payment

@@ -11,8 +11,10 @@ pure function of its configuration.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -38,15 +40,17 @@ from .netmodel import (
     channel_demand,
 )
 from .strategy import (
+    ENTRANCE_FEE_UNAFFORDABLE,
     BidDecision,
     EmpiricalPriceModel,
     MarketObservation,
     StationView,
-    abstain,
     greedy_decide,
     myopic_decide,
 )
-from .valuation import UrgencyState, record_outcome, urgency_factor
+from .valuation import UrgencyState, urgency_factor
+
+log = logging.getLogger(__name__)
 
 MYOPIC = "myopic"
 GREEDY = "greedy"
@@ -135,7 +139,9 @@ class UrgencyConfig:
     max_value_per_mbps: tuple[float, ...] = (1.0,)
     saturation_losses: tuple[int, ...] = (5,)
 
-    def for_class(self, class_index: int, num_classes: int) -> UrgencyState:
+    def for_class(
+        self, class_index: int, num_classes: int, consecutive_losses: int = 0
+    ) -> UrgencyState:
         def pick(values, name):
             if len(values) == 1:
                 return values[0]
@@ -148,7 +154,7 @@ class UrgencyConfig:
         return UrgencyState(
             base_value_per_mbps=pick(self.base_value_per_mbps, "base_value_per_mbps"),
             max_value_per_mbps=pick(self.max_value_per_mbps, "max_value_per_mbps"),
-            consecutive_losses=0,
+            consecutive_losses=consecutive_losses,
             saturation_losses=pick(self.saturation_losses, "saturation_losses"),
         )
 
@@ -326,10 +332,15 @@ class _UeRuntime:
     ue: UserEquipment
     strategy: str
     budget: float
-    urgency: UrgencyState
+    class_index: int
     # static per-run market data keyed by station id
     rate_mbps: dict[int, float]
     demand: dict[int, int]
+    # shared by every user of the class with the same loss streak
+    urgency: UrgencyState
+    value_factor: float
+    # candidate stations in id order; rebuilt only when competitor counts change
+    views: tuple[StationView, ...] = ()
 
 
 class SimulationRun:
@@ -346,7 +357,9 @@ class SimulationRun:
         self.price_models = {bs.id: EmpiricalPriceModel() for bs in self.stations}
         self.prev_request_counts: dict[int, int] | None = None
         self._client: ChatCompletionClient | None = None
+        self._streaks: dict[tuple[int, int], tuple[UrgencyState, float]] = {}
         self.ues = self._build_population(np.random.default_rng(run_seed))
+        self._build_views()
 
     def _build_population(self, rng: np.random.Generator) -> list[_UeRuntime]:
         pop = self.config.population
@@ -375,17 +388,54 @@ class SimulationRun:
                     continue
                 rates[bs.id] = rate / 1e6
                 demands[bs.id] = need
+            urgency, value_factor = self._streak(class_index, 0)
             ues.append(
                 _UeRuntime(
                     ue=ue,
                     strategy=roster[uid],
                     budget=pop.budget,
-                    urgency=self.config.urgency.for_class(class_index, len(classes)),
+                    class_index=class_index,
                     rate_mbps=rates,
                     demand=demands,
+                    urgency=urgency,
+                    value_factor=value_factor,
                 )
             )
         return ues
+
+    def _streak(self, class_index: int, losses: int) -> tuple[UrgencyState, float]:
+        """The urgency state and value factor of a class and loss streak, built once."""
+        key = (class_index, losses)
+        entry = self._streaks.get(key)
+        if entry is None:
+            num_classes = len(self.config.population.qos_classes_mbps)
+            state = self.config.urgency.for_class(class_index, num_classes, losses)
+            entry = self._streaks[key] = (state, urgency_factor(state))
+        return entry
+
+    def _build_views(self) -> None:
+        """Give every runtime its station views for the current competitor counts.
+
+        A view holds constants of the run and the station's shared price
+        model, which grows in place, so this runs once per run, and again
+        after each round only when competitor counts follow that round.
+        """
+        competitors = {bs.id: self._competitors(bs.id) for bs in self.stations}
+        for runtime in self.ues:
+            runtime.views = tuple(
+                StationView(
+                    station_id=bs.id,
+                    tier=bs.tier,
+                    capacity=bs.num_channels,
+                    reserve_price=self.reserves[bs.id],
+                    rate_mbps=runtime.rate_mbps[bs.id],
+                    demand=runtime.demand[bs.id],
+                    competitors=competitors[bs.id],
+                    price_history=self.price_models[bs.id],
+                )
+                for bs in self.stations
+                if bs.id in runtime.rate_mbps
+            )
 
     def _competitors(self, station_id: int) -> int:
         if (
@@ -396,27 +446,13 @@ class SimulationRun:
         return max(0, self.config.population.num_ues // len(self.stations) - 1)
 
     def observation_for(self, runtime: _UeRuntime, round_index: int) -> MarketObservation:
-        views = tuple(
-            StationView(
-                station_id=bs.id,
-                tier=bs.tier,
-                capacity=bs.num_channels,
-                reserve_price=self.reserves[bs.id],
-                rate_mbps=runtime.rate_mbps[bs.id],
-                demand=runtime.demand[bs.id],
-                competitors=self._competitors(bs.id),
-                price_history=self.price_models[bs.id],
-            )
-            for bs in self.stations
-            if bs.id in runtime.rate_mbps
-        )
         return MarketObservation(
             round_index=round_index,
             rounds_total=self.config.episodes,
             budget=runtime.budget,
             entrance_fee=self.fee,
             urgency=runtime.urgency,
-            stations=views,
+            stations=runtime.views,
         )
 
     def _decide(self, runtime: _UeRuntime, observation: MarketObservation) -> BidDecision:
@@ -439,10 +475,10 @@ class SimulationRun:
         decisions: list[tuple[_UeRuntime, BidDecision, float]] = []
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
-                decision = abstain("entrance fee unaffordable")
+                decision = ENTRANCE_FEE_UNAFFORDABLE
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
-            decisions.append((runtime, decision, urgency_factor(runtime.urgency)))
+            decisions.append((runtime, decision, runtime.value_factor))
 
         requests_by_station: dict[int, list[AuctionRequest]] = {
             bs.id: [] for bs in self.stations
@@ -481,7 +517,9 @@ class SimulationRun:
                     runtime.budget -= won * per_unit_payment
                     value = value_factor * runtime.rate_mbps[decision.station_id]
                     gross = won * (value - per_unit_payment)
-            runtime.urgency = record_outcome(runtime.urgency, won > 0)
+            # valuation.record_outcome, on the shared states
+            losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
+            runtime.urgency, runtime.value_factor = self._streak(runtime.class_index, losses)
             ue_records.append(
                 UeRoundRecord(
                     ue_id=runtime.ue.id,
@@ -524,6 +562,8 @@ class SimulationRun:
         self.prev_request_counts = {
             bs_id: len(reqs) for bs_id, reqs in requests_by_station.items()
         }
+        if self.config.auction.competitor_mode == COMPETITORS_ORACLE:
+            self._build_views()
         return RoundLog(
             round_index=round_index,
             ues=tuple(ue_records),
@@ -569,6 +609,7 @@ def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationRepor
     All configs are validated before round one.  The runs of all configs form
     one task list, run in order, or on a pool of as many worker processes as
     the largest ``jobs`` among the configs; either way the reports are the same.
+    Each finished run is logged at INFO level, in run order.
     """
     problems = [problem for config in configs for problem in config.validate()]
     if problems:
@@ -578,12 +619,21 @@ def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationRepor
         for config in configs
         for run_index, seed in enumerate(spawn_run_seeds(config.seed, config.runs))
     ]
+    config_indices = [i for i, config in enumerate(configs) for _ in range(config.runs)]
     jobs = min(max((config.jobs for config in configs), default=1), len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_execute_run, tasks))
-    else:
-        results = [_execute_run(task) for task in tasks]
+    with ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            finished = pool.map(_execute_run, tasks)
+        else:
+            finished = map(_execute_run, tasks)
+        results = []
+        for config_index, result in zip(config_indices, finished):
+            log.info(
+                "config %d run %d done: seed %d, %d rounds",
+                config_index, result.run_index, result.seed, len(result.rounds),
+            )
+            results.append(result)
     in_order = iter(results)
     reports = []
     for config in configs:

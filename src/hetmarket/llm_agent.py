@@ -29,7 +29,6 @@ from .strategy import (
     greedy_decide,
     grid_argmax,
     per_unit_budget_cap,
-    win_probability,
 )
 from .valuation import channel_valuation
 
@@ -287,7 +286,7 @@ def _most_winnable_bid(
         if not grid:
             continue
         top = grid[-1]
-        prob = win_probability(top, view.competitors, view.capacity, prices)
+        prob = prices.win_probability(top, view.competitors, view.capacity)
         if prob <= 0.0:
             continue
         key = (prob, -top, -view.station_id)

@@ -27,20 +27,29 @@ class NoPriceData(ValueError):
 
 
 class EmpiricalPriceModel:
-    """Clearing prices heard from one station, kept in broadcast order."""
+    """Clearing prices heard from one station, kept in broadcast order.
 
-    __slots__ = ("_history", "_sorted", "_mean")
+    One model is shared by every user of a station, so what it memoises (the
+    mean, win probabilities, the reserve prior) is computed once per station
+    per round; ``append`` clears all of it.
+    """
+
+    __slots__ = ("_history", "_sorted", "_mean", "_win", "_prior")
 
     def __init__(self, prices: Iterable[float] = ()):
         self._history: list[float] = [float(p) for p in prices]
         self._sorted: list[float] = sorted(self._history)
         self._mean: float | None = None
+        self._win: dict[tuple[int, int, int], float] = {}
+        self._prior: EmpiricalPriceModel | None = None
 
     def append(self, price: float) -> None:
         price = float(price)
         self._history.append(price)
         insort(self._sorted, price)
         self._mean = None
+        self._win.clear()
+        self._prior = None
 
     def __len__(self) -> int:
         return len(self._history)
@@ -68,6 +77,34 @@ class EmpiricalPriceModel:
                 raise NoPriceData("no clearing prices observed yet")
             self._mean = math.fsum(self._history) / len(self._history)
         return self._mean
+
+    def win_probability(self, bid: float, competitors: int, capacity: int) -> float:
+        """``win_probability(bid, competitors, capacity, self)``, kept until the next ``append``.
+
+        The memo is keyed on the number of prices at or below the bid, which
+        fixes the CDF value, so every bid between two observed prices shares
+        one entry.
+        """
+        count = bisect_right(self._sorted, bid)
+        key = (count, competitors, capacity)
+        prob = self._win.get(key)
+        if prob is None:
+            if not self._sorted:
+                raise NoPriceData("no clearing prices observed yet")
+            prob = win_probability_given_cdf(count / len(self._sorted), competitors, capacity)
+            self._win[key] = prob
+        return prob
+
+    def or_prior(self, reserve: float) -> EmpiricalPriceModel:
+        """This model, or before any data a one-point prior at ``reserve``.
+
+        The prior is kept until the next ``append`` (or a different reserve).
+        """
+        if self._history:
+            return self
+        if self._prior is None or self._prior.last != reserve:
+            self._prior = EmpiricalPriceModel([reserve])
+        return self._prior
 
 
 @lru_cache(maxsize=WIN_PROBABILITY_CACHE_SIZE)
@@ -208,11 +245,14 @@ def abstain(rationale: str = "", fallback: bool = False) -> BidDecision:
     return BidDecision(station_id=None, rationale=rationale, fallback=fallback)
 
 
+# frequent abstentions, shared because decisions are frozen
+ENTRANCE_FEE_UNAFFORDABLE = abstain("entrance fee unaffordable")
+RESERVE_UNAFFORDABLE = abstain("reserve price unaffordable")
+
+
 def effective_prices(view: StationView) -> EmpiricalPriceModel:
     """Observed history, or a one-point prior at the reserve before any data."""
-    if len(view.price_history) > 0:
-        return view.price_history
-    return EmpiricalPriceModel([view.reserve_price])
+    return view.price_history.or_prior(view.reserve_price)
 
 
 def per_unit_budget_cap(observation: MarketObservation, view: StationView) -> float:
@@ -235,8 +275,12 @@ def grid_argmax(
         cap = per_unit_budget_cap(observation, view)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         grid = candidate_bids(value, prices.last, view.reserve_price, cap)
+        if not grid:
+            continue
+        # expected_utility, with the bid-independent surplus taken out of the loop
+        surplus = value - prices.mean()
         for bid in grid:
-            utility = expected_utility(bid, value, prices, view.competitors, view.capacity)
+            utility = prices.win_probability(bid, view.competitors, view.capacity) * surplus
             key = (utility, -bid, -view.station_id)
             if best_key is None or key > best_key:
                 best_key = key
@@ -275,7 +319,7 @@ def myopic_decide(observation: MarketObservation) -> BidDecision:
     )
     affordable = observation.budget - observation.entrance_fee
     if affordable < view.reserve_price:
-        return abstain("reserve price unaffordable")
+        return RESERVE_UNAFFORDABLE
     value = channel_valuation(observation.urgency, view.rate_mbps)
     bid = min(value, affordable / view.demand)
     return BidDecision(

@@ -65,6 +65,33 @@ def bruteforce_payment(
     return max(reserve, harm / won)
 
 
+def filtered_externality_payments(
+    requests: Sequence[AuctionRequest], capacity: int, reserve: float
+) -> dict[int, float]:
+    """Per-unit payments of every winner, rebuilding the others' claims for each.
+
+    The same arithmetic as ``run_vcg``, in the same order, without relying on
+    a bidder's claims being contiguous in the sorted list.
+    """
+    eligible = [r for r in requests if r.per_unit_bid >= reserve]
+    claims = sorted(
+        ((r.per_unit_bid, r.bidder_id) for r in eligible for _ in range(r.quantity)),
+        key=lambda c: (-c[0], c[1]),
+    )
+    winning = claims[:capacity]
+    allocations: dict[int, int] = {}
+    for _, bidder_id in winning:
+        allocations[bidder_id] = allocations.get(bidder_id, 0) + 1
+    winning_value = sum(bid for bid, _ in winning)
+    bids = {r.bidder_id: r.per_unit_bid for r in eligible}
+    payments = {}
+    for bidder_id, won in allocations.items():
+        others = [bid for bid, owner in claims if owner != bidder_id]
+        externality = sum(others[:capacity]) - (winning_value - won * bids[bidder_id])
+        payments[bidder_id] = max(reserve, externality / won)
+    return payments
+
+
 def simulate_win_probability(
     prices: Sequence[float],
     bid: float,

@@ -14,7 +14,7 @@ from hetmarket.auction import (
 )
 from hetmarket.netmodel import BaseStation
 
-from oracles import bruteforce_payment, bruteforce_welfare
+from oracles import bruteforce_payment, bruteforce_welfare, filtered_externality_payments
 
 
 def make_requests(rows):
@@ -196,6 +196,32 @@ def test_payments_match_externality_with_floor(requests, capacity, reserve):
         expected = bruteforce_payment(bidder, won, bid, best, without, reserve)
         assert paid == pytest.approx(expected, abs=1e-9)
         assert reserve <= paid <= bid + 1e-9
+
+
+# few distinct bids, so ties between bidders are common; quantities above
+# the capacity force partial fills
+tied_request_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=6),
+        st.one_of(st.sampled_from([0.5, 1.25, 2.0, 3.1]), st.floats(0.0, 10.0)),
+    ),
+    min_size=1,
+    max_size=8,
+).map(make_requests)
+
+
+@given(
+    requests=tied_request_lists,
+    capacity=st.integers(min_value=1, max_value=10),
+    reserve=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_payments_equal_the_filtered_claims_formulation(requests, capacity, reserve):
+    # exact equality: skipping the bidder's block sums the same floats in
+    # the same order as filtering every claim
+    outcome = run_vcg(requests, capacity, reserve)
+    assert outcome.per_unit_payments == filtered_externality_payments(
+        requests, capacity, reserve
+    )
 
 
 @given(

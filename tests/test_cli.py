@@ -3,11 +3,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import logging
 
 import pytest
 
 from hetmarket.cli import METRICS_COLUMNS, main, write_rounds_jsonl
-from hetmarket.engine import SimulationRun, UeRoundRecord, run_simulation
+from hetmarket.engine import SimulationRun, UeRoundRecord, run_simulation, spawn_run_seeds
 from hetmarket.llm_agent import ChatCompletionClient
 from hetmarket.scenario import preset
 
@@ -134,6 +135,18 @@ class TestRunCommand:
         code = run_cli("run", "--preset", "scenario1", "--offline",
                        "--episodes", "2", "--out", str(tmp_path / "out"))
         assert code == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verbose_logs_each_finished_run_in_order(self, tmp_path, caplog, jobs):
+        with caplog.at_level(logging.INFO, logger="hetmarket.engine"):
+            code = run_cli("-v", "run", "--preset", "scenario1", "--offline",
+                           "--runs", "3", "--episodes", "4", "--seed", "7",
+                           "--jobs", jobs, "--out", str(tmp_path))
+        assert code == 0
+        seeds = spawn_run_seeds(7, 3)
+        assert [r.getMessage() for r in caplog.records if r.name == "hetmarket.engine"] == [
+            f"config 0 run {i} done: seed {seeds[i]}, 4 rounds" for i in range(3)
+        ]
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hetmarket import engine
 from hetmarket.engine import (
     FORESIGHT,
     GREEDY,
@@ -25,7 +26,7 @@ from hetmarket.engine import (
     spawn_run_seeds,
 )
 from hetmarket.llm_agent import ChatCompletionClient
-from hetmarket.valuation import UrgencyState, urgency_factor
+from hetmarket.valuation import UrgencyState, record_outcome, urgency_factor
 
 
 def config_with(counts, num_ues=None, **overrides):
@@ -265,6 +266,45 @@ class TestUrgencyBookkeeping:
                 assert rec.value_factor == urgency_factor(state)
                 losses[rec.ue_id] = rec.losses_after
 
+    def test_urgency_after_n_losses_is_the_state_with_n_losses(self):
+        # a fee above every budget: each UE abstains, so loses, every round
+        config = config_with(
+            {MYOPIC: 3, GREEDY: 2}, episodes=9,
+            population={"budget": 0.5, "qos_classes_mbps": (2.0, 4.0)},
+            auction=AuctionConfig(entrance_fee=1.0),
+            urgency=UrgencyConfig(base_value_per_mbps=(0.5, 0.6),
+                                  max_value_per_mbps=(1.0, 1.2),
+                                  saturation_losses=(3, 4)),
+        )
+        run = SimulationRun(config, 0, 21)
+        classes = [(2.0, 4.0).index(r.ue.qos_rate_bps / 1e6) for r in run.ues]
+        assert set(classes) == {0, 1}
+        for n in range(1, 10):
+            run.run_round(n)
+            for r, k in zip(run.ues, classes):
+                assert r.urgency == UrgencyState(
+                    base_value_per_mbps=(0.5, 0.6)[k],
+                    max_value_per_mbps=(1.0, 1.2)[k],
+                    consecutive_losses=n,
+                    saturation_losses=(3, 4)[k],
+                )
+
+    def test_shared_streak_states_replay_record_outcome(self):
+        config = config_with({GREEDY: 6, FORESIGHT: 4, MYOPIC: 20}, episodes=25, seed=8)
+        run = SimulationRun(config, 0, 31)
+        expected = {r.ue.id: r.urgency for r in run.ues}
+        outcomes = set()
+        for t in range(1, 26):
+            for rec in run.run_round(t).ues:
+                won = rec.channels_won > 0
+                outcomes.add(won)
+                expected[rec.ue_id] = record_outcome(expected[rec.ue_id], won)
+                assert rec.losses_after == expected[rec.ue_id].consecutive_losses
+            for r in run.ues:
+                assert r.urgency == expected[r.ue.id]
+                assert r.value_factor == urgency_factor(r.urgency)
+        assert outcomes == {True, False}
+
 
 class TestCompetitorEstimates:
     def test_uniform_mode_is_static(self):
@@ -278,6 +318,23 @@ class TestCompetitorEstimates:
         obs = run.observation_for(run.ues[0], 2)
         for view in obs.stations:
             assert view.competitors == 1
+
+    def test_uniform_mode_builds_views_once_per_run(self, monkeypatch):
+        config = config_with({MYOPIC: 6, GREEDY: 3, FORESIGHT: 3}, episodes=4)
+        run = SimulationRun(config, 0, spawn_run_seeds(config.seed, 1)[0])
+        first = {r.ue.id: run.observation_for(r, 1).stations for r in run.ues}
+
+        def no_views(*args, **kwargs):
+            raise AssertionError("a StationView was built after the run was set up")
+
+        monkeypatch.setattr(engine, "StationView", no_views)
+        for t in range(1, 5):
+            run.run_round(t)
+        for r in run.ues:
+            views = run.observation_for(r, 5).stations
+            assert views is first[r.ue.id]
+            assert all(v.price_history is run.price_models[v.station_id] for v in views)
+            assert all(len(v.price_history) == 4 for v in views)
 
     def test_oracle_mode_follows_last_round(self):
         config = config_with(

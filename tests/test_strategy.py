@@ -25,7 +25,7 @@ from hetmarket.strategy import (
     win_probability_given_cdf,
     _log_space_tail,
 )
-from hetmarket.valuation import UrgencyState
+from hetmarket.valuation import UrgencyState, channel_valuation
 
 from oracles import simulate_win_probability
 
@@ -118,6 +118,29 @@ class TestPriceModel:
             else:
                 model.append(step)
                 prices.append(step)
+
+    @given(
+        prices=st.lists(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.0, 10.0),
+                        min_size=1, max_size=20),
+        queries=st.lists(
+            st.tuples(st.sampled_from([0.5, 1.5, 2.5, 3.5]) | st.floats(-1.0, 11.0),
+                      st.integers(0, 12), st.integers(1, 6)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_memoised_win_probability_follows_every_append(self, prices, queries):
+        # The same lookups after every append; a memo entry kept across an
+        # append would disagree with the unmemoised evaluation on the CDF of
+        # the prices so far.
+        model = EmpiricalPriceModel()
+        with pytest.raises(NoPriceData):
+            model.win_probability(*queries[0])
+        for price in prices:
+            model.append(price)
+            for bid, competitors, capacity in queries:
+                assert model.win_probability(bid, competitors, capacity) == (
+                    win_probability_given_cdf(model.cdf(bid), competitors, capacity)
+                )
 
     def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
@@ -248,6 +271,16 @@ class TestObservationHelpers:
         assert prior.history == (2.0,)
         warm = view(history=[3.0])
         assert effective_prices(warm) is warm.price_history
+
+    def test_cold_start_prior_is_shared_until_the_first_price(self):
+        shared = EmpiricalPriceModel()
+        a = StationView(0, MBS, 4, 2.0, 3.0, 1, 2, shared)
+        b = StationView(0, MBS, 4, 2.0, 5.0, 2, 2, shared)
+        assert effective_prices(a) is effective_prices(b)
+        other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, 2, shared)
+        assert effective_prices(other_reserve).history == (1.5,)
+        shared.append(2.5)
+        assert effective_prices(a) is shared
 
     def test_budget_cap_spreads_over_demand(self):
         v = view(demand=2)
@@ -429,3 +462,23 @@ def test_grid_argmax_reports_a_grid_point(obs):
     _, bid, chosen = best
     cap = per_unit_budget_cap(obs, chosen)
     assert chosen.reserve_price <= bid <= cap
+
+
+def reference_grid_argmax(obs):
+    """Every station's grid scored by ``expected_utility``; ties to the
+    cheaper bid, then the lower station id."""
+    scored = []
+    for v in obs.stations:
+        prices = effective_prices(v)
+        value = channel_valuation(obs.urgency, v.rate_mbps)
+        grid = candidate_bids(value, prices.last, v.reserve_price,
+                              per_unit_budget_cap(obs, v))
+        for bid in grid:
+            utility = expected_utility(bid, value, prices, v.competitors, v.capacity)
+            scored.append(((utility, -bid, -v.station_id), (utility, bid, v)))
+    return max(scored, key=lambda item: item[0])[1] if scored else None
+
+
+@given(obs=market_observations())
+def test_grid_argmax_equals_the_reference_argmax(obs):
+    assert grid_argmax(obs) == reference_grid_argmax(obs)
