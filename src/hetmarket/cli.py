@@ -15,6 +15,7 @@ import os
 import sys
 
 from .engine import (
+    LLM,
     STRATEGIES,
     ConfigurationError,
     MetricsReport,
@@ -116,13 +117,9 @@ def _load_config(args: argparse.Namespace) -> SimulationConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _uses_llm(config: SimulationConfig) -> bool:
-    return config.population.strategy_counts.get("llm", 0) > 0
-
-
 def _check_endpoint(config: SimulationConfig) -> str | None:
     """Return an error message when a required live endpoint is unreachable."""
-    if config.offline or not _uses_llm(config):
+    if config.offline or config.population.strategy_counts.get(LLM, 0) < 1:
         return None
     if not config.endpoint.base_url:
         return "no LLM endpoint configured; set [llm] base_url or pass --offline"

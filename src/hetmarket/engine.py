@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
-
-import numpy as np
 
 from .auction import AuctionRequest, reservation_price, run_vcg
 from .llm_agent import (
@@ -187,6 +186,8 @@ class SimulationConfig:
             problems.append("runs must be at least 1")
         if self.jobs < 1:
             problems.append("jobs must be at least 1")
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
         if self.population.num_ues < 1:
             problems.append("num_ues must be at least 1")
         if self.population.budget <= 0:
@@ -358,10 +359,10 @@ class SimulationRun:
         self.prev_request_counts: dict[int, int] | None = None
         self._client: ChatCompletionClient | None = None
         self._streaks: dict[tuple[int, int], tuple[UrgencyState, float]] = {}
-        self.ues = self._build_population(np.random.default_rng(run_seed))
+        self.ues = self._build_population(random.Random(run_seed))
         self._build_views()
 
-    def _build_population(self, rng: np.random.Generator) -> list[_UeRuntime]:
+    def _build_population(self, rng: random.Random) -> list[_UeRuntime]:
         pop = self.config.population
         classes = pop.qos_classes_mbps
         roster = pop.roster()
@@ -370,7 +371,7 @@ class SimulationRun:
             radius = self.config.topology.macro_radius_m * math.sqrt(rng.random())
             theta = 2.0 * math.pi * rng.random()
             position = (radius * math.cos(theta), radius * math.sin(theta))
-            class_index = int(rng.integers(len(classes)))
+            class_index = rng.randrange(len(classes))
             ue = UserEquipment(
                 id=uid,
                 position=position,
@@ -593,9 +594,9 @@ class SimulationRun:
 
 
 def spawn_run_seeds(master_seed: int, runs: int) -> list[int]:
-    """Independent child seeds, stable for a given master seed."""
-    children = np.random.SeedSequence(master_seed).spawn(runs)
-    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
+    """Independent 64-bit child seeds; run i's seed does not depend on ``runs``."""
+    parent = random.Random(master_seed)
+    return [parent.getrandbits(64) for _ in range(runs)]
 
 
 def _execute_run(args: tuple[SimulationConfig, int, int]) -> RunResult:

@@ -113,8 +113,8 @@ def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int
 
     Competitor bids are modeled as independent draws from the observed price
     distribution; a draw counts against us only when strictly above our bid.
-    The binomial terms are summed directly; only when a coefficient is too
-    large for a float does the sum move to log space.
+    Exactly 1.0 with more units than competitors; otherwise the binomial terms
+    are summed directly, in log space only when a coefficient overflows a float.
     """
     if not 0.0 <= cdf_at_bid <= 1.0:
         raise ValueError("cdf value must lie in [0, 1]")
@@ -122,11 +122,13 @@ def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int
         raise ValueError("competitors cannot be negative")
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
+    if capacity > competitors:
+        return 1.0
     p_leq = cdf_at_bid
     p_above = 1.0 - cdf_at_bid
     total = 0.0
     try:
-        for j in range(min(capacity - 1, competitors) + 1):
+        for j in range(capacity):
             total += math.comb(competitors, j) * p_above**j * p_leq ** (competitors - j)
     except OverflowError:
         total = _log_space_tail(p_leq, p_above, competitors, capacity)

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,22 @@ class TestRunCommand:
                        "--episodes", "2", "--out", str(tmp_path / "out"))
         assert code == 0
 
+    def test_runs_with_numpy_blocked(self, tmp_path):
+        # the runtime needs only the standard library
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["run", "--preset", "scenario1", "--offline", "--episodes", "3",
+                "--out", str(tmp_path)]
+        code = (
+            "import sys; sys.modules['numpy'] = None; "
+            f"from hetmarket.cli import main; sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "rounds.jsonl").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_verbose_logs_each_finished_run_in_order(self, tmp_path, caplog, jobs):
         with caplog.at_level(logging.INFO, logger="hetmarket.engine"):
@@ -212,6 +232,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert key in err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("run", ["--episodes", "3"]), ("sweep", ["--horizons", "3", "--seeds", "2"])],
+    )
+    def test_negative_seed_is_exit_two(self, tmp_path, capsys, command, extra):
+        # random.Random(-1) would silently replay seed 1
+        out = tmp_path / "out"
+        code = run_cli(command, "--preset", "scenario1", "--offline", "--seed", "-1",
+                       "--out", str(out), *extra)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: seed must be non-negative\n"
+        assert not out.exists()
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):

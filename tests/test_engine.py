@@ -125,10 +125,13 @@ class TestDeterminism:
         assert run_simulation(serial) == run_simulation(parallel)
 
     def test_child_seeds_are_stable_and_distinct(self):
-        seeds = spawn_run_seeds(123, 4)
-        assert seeds == spawn_run_seeds(123, 4)
-        assert len(set(seeds)) == 4
-        assert seeds != spawn_run_seeds(124, 4)
+        seeds = spawn_run_seeds(123, 5)
+        assert seeds == spawn_run_seeds(123, 5)
+        assert len(set(seeds)) == 5
+        assert all(0 <= seed < 2**64 for seed in seeds)
+        assert seeds != spawn_run_seeds(124, 5)
+        # run i's seed does not depend on how many runs follow it
+        assert spawn_run_seeds(123, 3) == seeds[:3]
 
 
 def assert_round_conserves_money(log: RoundLog) -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,22 @@ class TestParsing:
         assert config.auction.entrance_fee == 0.1
         assert config.episodes == 40
         assert config.seed == 0
+
+    def test_readme_key_set_is_the_defaults_and_its_alternatives_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        lines = block.splitlines()
+        stripped = [line.split(";")[0].rstrip() for line in lines]
+        assert parse_scenario_text("\n".join(stripped)) == parse_scenario_text("")
+        alternatives = [
+            (i, match.groups())
+            for i, line in enumerate(lines)
+            if (match := re.match(r"(\w+) = .*; or (\S+)$", line))
+        ]
+        assert alternatives
+        for i, (key, value) in alternatives:
+            text = "\n".join(stripped[:i] + [f"{key} = {value}"] + stripped[i + 1:])
+            assert parse_scenario_text(text, source=f"README {key}").validate() == []
 
     def test_unfilled_myopic_count_absorbs_remainder(self):
         text = "[population]\nnum_ues = 40\ngreedy = 2\nllm = 1\n"

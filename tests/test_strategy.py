@@ -166,6 +166,8 @@ class TestWinProbability:
     def test_certain_cases(self):
         assert win_probability_given_cdf(0.3, 0, 1) == 1.0
         assert win_probability_given_cdf(0.0, 3, 4) == 1.0
+        # more channels than rivals: certain at any bid, not 1 - ulp
+        assert win_probability_given_cdf(1 / 9, 3, 4) == 1.0
         assert win_probability_given_cdf(1.0, 8, 1) == 1.0
         assert win_probability_given_cdf(0.0, 4, 2) == 0.0
 

@@ -15,9 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = """\
 scenario1: episodes=5, seeds=3
 strategy           gross_utility           net_utility          channels_won         bid_precision
-greedy             0.000 +-0.000        -0.233 +-0.133         0.000 +-0.000         0.000 +-0.000
-llm                0.000 +-0.000         0.000 +-0.000         0.000 +-0.000                     -
-myopic             0.398 +-0.157        -0.090 +-0.162         0.833 +-0.191         0.130 +-0.016
+greedy             0.000 +-0.000        -0.300 +-0.115         0.000 +-0.000         0.000 +-0.000
+llm                0.000 +-0.000        -0.200 +-0.100         0.000 +-0.000         0.000 +-0.000
+myopic             0.378 +-0.021        -0.110 +-0.021         0.702 +-0.175         0.127 +-0.009
 agent vs greedy on bid_precision: 0/3 seeds, sign test p=1.0000
 agent vs greedy on channels_won: 0/3 seeds, sign test p=1.0000
 agent vs myopic on bid_precision: 0/3 seeds, sign test p=1.0000

@@ -302,12 +302,12 @@ def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
     assert endpoint.wait_all_finished()
 
 
-def test_cli_import_leaves_out_third_party_http():
+def test_cli_import_leaves_out_third_party_packages():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys, hetmarket.cli; "
-        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        "print(sorted({'requests', 'urllib3', 'numpy'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
