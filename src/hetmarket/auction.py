@@ -6,7 +6,7 @@ reservation price are discarded.  Remaining requests are expanded into unit
 claims and the highest claims win, so partial fills are possible.  A winner
 pays its externality: the best total value the others could have realized
 without it, minus the value the others actually realized, spread evenly over
-its units and never below the reservation price.
+its units, never below the reservation price nor above its own bid.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def run_vcg(
         )
         others_value_with = winning_value - won * by_id[bidder_id].per_unit_bid
         externality = value_without - others_value_with
-        payment = max(reserve, externality / won)
+        # the clamp to the bid stops float rounding from charging a few ulps above it
+        payment = min(by_id[bidder_id].per_unit_bid, max(reserve, externality / won))
         per_unit_payments[bidder_id] = payment
         seller_utility_terms[bidder_id] = won * (payment - reserve)
 

@@ -132,29 +132,25 @@ class PopulationConfig:
 
 @dataclass(frozen=True)
 class UrgencyConfig:
-    """Per service class valuation factors; scalars broadcast to all classes."""
+    """Per service class valuation factors; scalars broadcast to all classes.
+
+    Each tuple holds 1 entry or one per service class, which
+    ``SimulationConfig.validate`` checks.
+    """
 
     base_value_per_mbps: tuple[float, ...] = (0.5,)
     max_value_per_mbps: tuple[float, ...] = (1.0,)
     saturation_losses: tuple[int, ...] = (5,)
 
-    def for_class(
-        self, class_index: int, num_classes: int, consecutive_losses: int = 0
-    ) -> UrgencyState:
-        def pick(values, name):
-            if len(values) == 1:
-                return values[0]
-            if len(values) != num_classes:
-                raise ConfigurationError(
-                    [f"{name} must have 1 entry or one per service class"]
-                )
-            return values[class_index]
+    def for_class(self, class_index: int, consecutive_losses: int = 0) -> UrgencyState:
+        def pick(values):
+            return values[0] if len(values) == 1 else values[class_index]
 
         return UrgencyState(
-            base_value_per_mbps=pick(self.base_value_per_mbps, "base_value_per_mbps"),
-            max_value_per_mbps=pick(self.max_value_per_mbps, "max_value_per_mbps"),
+            base_value_per_mbps=pick(self.base_value_per_mbps),
+            max_value_per_mbps=pick(self.max_value_per_mbps),
             consecutive_losses=consecutive_losses,
-            saturation_losses=pick(self.saturation_losses, "saturation_losses"),
+            saturation_losses=pick(self.saturation_losses),
         )
 
 
@@ -212,13 +208,13 @@ class SimulationConfig:
             problems.append(f"unknown competitor_mode {self.auction.competitor_mode!r}")
         if self.topology.num_small_cells < 0:
             problems.append("num_small_cells cannot be negative")
-        for name, values in (
-            ("base_value_per_mbps", self.urgency.base_value_per_mbps),
-            ("max_value_per_mbps", self.urgency.max_value_per_mbps),
-            ("saturation_losses", self.urgency.saturation_losses),
-        ):
-            if len(values) not in (1, len(self.population.qos_classes_mbps)):
-                problems.append(f"{name} must have 1 entry or one per service class")
+        num_classes = len(self.population.qos_classes_mbps)
+        miscounted = [
+            name
+            for name in ("base_value_per_mbps", "max_value_per_mbps", "saturation_losses")
+            if len(getattr(self.urgency, name)) not in (1, num_classes)
+        ]
+        problems.extend(f"{n} must have 1 entry or one per service class" for n in miscounted)
         # the constructors of the stations and of the urgency states hold the
         # physical rules; building them once here stops a run before round one
         topo = self.topology
@@ -231,12 +227,9 @@ class SimulationConfig:
                 f" channels_per_station = {topo.channels_per_station},"
                 f" power_unit_price = {topo.power_unit_price}"
             )
-        num_classes = len(self.population.qos_classes_mbps)
-        for class_index in range(num_classes):
+        for class_index in range(0 if miscounted else num_classes):
             try:
-                self.urgency.for_class(class_index, num_classes)
-            except ConfigurationError:
-                break  # the entry count is reported above
+                self.urgency.for_class(class_index)
             except ValueError as exc:
                 problems.append(str(exc))
         return list(dict.fromkeys(problems))
@@ -409,8 +402,7 @@ class SimulationRun:
         key = (class_index, losses)
         entry = self._streaks.get(key)
         if entry is None:
-            num_classes = len(self.config.population.qos_classes_mbps)
-            state = self.config.urgency.for_class(class_index, num_classes, losses)
+            state = self.config.urgency.for_class(class_index, losses)
             entry = self._streaks[key] = (state, urgency_factor(state))
         return entry
 

@@ -2,14 +2,15 @@
 
 Scenario files are flat INI-style text with six known sections.  Parsing is
 strict: an unknown section or key is an error with its location spelled out,
-while a missing key silently takes the documented default (reported once at
-INFO level so quiet runs stay quiet).
+while a missing key silently takes the default of the config field it sets
+(reported once at INFO level so quiet runs stay quiet).
 """
 
 from __future__ import annotations
 
 import configparser
 import logging
+from dataclasses import replace
 from typing import Callable
 
 from .engine import (
@@ -17,93 +18,91 @@ from .engine import (
     GREEDY,
     LLM,
     MYOPIC,
-    AuctionConfig,
     ConfigurationError,
     PopulationConfig,
     SimulationConfig,
-    TopologyConfig,
-    UrgencyConfig,
 )
-from .llm_agent import ForesightPolicy, LlmEndpointConfig
-from .netmodel import ChannelModel
 
 log = logging.getLogger(__name__)
 
-PRESETS = ("scenario1", "scenario2")
+_COUNTS = "population.strategy_counts."
 
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _str(text: str) -> str:
-    return text.strip()
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-# section -> key -> (parser, default); None default means "derived later"
-_SCHEMA: dict[str, dict[str, tuple[Callable, object]]] = {
+# section -> key -> dotted path of the SimulationConfig field it sets.  A key's
+# default is that field's value in SimulationConfig(), and its text is read as
+# the default's type (a tuple as comma-separated items of its first item's
+# type), so float fields keep float defaults such as 40.0.
+_KEYS: dict[str, dict[str, str]] = {
     "topology": {
-        "num_sbs": (_int, 2),
-        "mbs_power_watts": (_float, 40.0),
-        "sbs_power_watts": (_float, 4.0),
-        "channels_per_station": (_int, 4),
-        "power_unit_price": (_float, 0.05),
-        "macro_radius_m": (_float, 500.0),
-        "sbs_ring_radius_m": (_float, 250.0),
-        "bandwidth_hz": (_float, 1e6),
-        "noise_density_w_per_hz": (_float, 4e-21),
-        "mbs_pathloss_exponent": (_float, 3.0),
-        "sbs_pathloss_exponent": (_float, 3.5),
-        "reference_distance_m": (_float, 1.0),
-        "interference_mode": (_str, "full_cochannel"),
+        "num_sbs": "topology.num_small_cells",
+        "mbs_power_watts": "topology.mbs_power_watts",
+        "sbs_power_watts": "topology.sbs_power_watts",
+        "channels_per_station": "topology.channels_per_station",
+        "power_unit_price": "topology.power_unit_price",
+        "macro_radius_m": "topology.macro_radius_m",
+        "sbs_ring_radius_m": "topology.sbs_ring_radius_m",
+        "bandwidth_hz": "topology.channel.bandwidth_hz",
+        "noise_density_w_per_hz": "topology.channel.noise_density_w_per_hz",
+        "mbs_pathloss_exponent": "topology.channel.mbs_pathloss_exponent",
+        "sbs_pathloss_exponent": "topology.channel.sbs_pathloss_exponent",
+        "reference_distance_m": "topology.channel.reference_distance_m",
+        "interference_mode": "topology.channel.interference_mode",
     },
     "population": {
-        "num_ues": (_int, 40),
-        "budget": (_float, 15.0),
-        "qos_classes_mbps": (_float_list, (2.0, 4.0, 8.0)),
-        "myopic": (_int, None),
-        "greedy": (_int, 0),
-        "llm": (_int, 0),
-        "foresight": (_int, 0),
+        "num_ues": "population.num_ues",
+        "budget": "population.budget",
+        "qos_classes_mbps": "population.qos_classes_mbps",
+        # an omitted myopic count absorbs the UEs the other counts leave
+        **{s: _COUNTS + s for s in (MYOPIC, GREEDY, LLM, FORESIGHT)},
     },
     "auction": {
-        "entrance_fee": (_float, 0.1),
-        "competitor_mode": (_str, "uniform"),
+        "entrance_fee": "auction.entrance_fee",
+        "competitor_mode": "auction.competitor_mode",
     },
     "valuation": {
-        "base_value_per_mbps": (_float_list, (0.5,)),
-        "max_value_per_mbps": (_float_list, (1.0,)),
-        "saturation_losses": (_int_list, (5,)),
+        "base_value_per_mbps": "urgency.base_value_per_mbps",
+        "max_value_per_mbps": "urgency.max_value_per_mbps",
+        "saturation_losses": "urgency.saturation_losses",
     },
     "llm": {
-        "base_url": (_str, ""),
-        "model_name": (_str, ""),
-        "api_key_env_var": (_str, "LLM_API_KEY"),
-        "timeout_ms": (_int, 10000),
-        "max_retries": (_int, 1),
-        "temperature": (_float, 0.0),
-        "foresight_threshold": (_float, 0.5),
-        "foresight_pacing": (_float, 0.5),
+        "base_url": "endpoint.base_url",
+        "model_name": "endpoint.model_name",
+        "api_key_env_var": "endpoint.api_key_env_var",
+        "timeout_ms": "endpoint.timeout_ms",
+        "max_retries": "endpoint.max_retries",
+        "temperature": "endpoint.temperature",
+        "foresight_threshold": "foresight.threshold_fraction",
+        "foresight_pacing": "foresight.pacing_fraction",
     },
     "simulation": {
-        "episodes": (_int, 40),
-        "runs": (_int, 1),
-        "seed": (_int, 0),
-        "jobs": (_int, 1),
+        "episodes": "episodes",
+        "runs": "runs",
+        "seed": "seed",
+        "jobs": "jobs",
     },
 }
+
+
+def _field(config: object, path: str) -> object:
+    """The value at a dotted path of attributes and dict keys."""
+    for name in path.split("."):
+        config = config[name] if isinstance(config, dict) else getattr(config, name)
+    return config
+
+
+def _parse(text: str, default: object) -> object:
+    """``text`` (stripped by configparser) read as a value of the type of ``default``."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part) for part in text.split(",") if part.strip())
+    return type(default)(text)
+
+
+def _replaced(config: object, changes: dict) -> object:
+    """``config`` with ``changes`` applied: field name -> value, or -> nested changes."""
+    values = {
+        name: _replaced(_field(config, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    }
+    return {**config, **values} if isinstance(config, dict) else replace(config, **values)
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
@@ -114,101 +113,51 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
     except configparser.Error as exc:
         raise ConfigurationError([str(exc)]) from exc
 
+    defaults = SimulationConfig()
     problems: list[str] = []
-    values: dict[str, dict[str, object]] = {}
-    for section, keys in _SCHEMA.items():
-        values[section] = {key: default for key, (_, default) in keys.items()}
-
+    values: dict[str, object] = {}  # dotted path -> parsed value
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = _KEYS.get(section)
+        if keys is None:
             problems.append(f"{source}: unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 problems.append(f"{source}: unknown key '{key}' in [{section}]")
                 continue
-            convert = _SCHEMA[section][key][0]
             try:
-                values[section][key] = convert(raw)
+                values[keys[key]] = _parse(raw, _field(defaults, keys[key]))
             except ValueError:
                 problems.append(
                     f"{source}: bad value {raw!r} for '{key}' in [{section}]"
                 )
-        for key, (_, default) in _SCHEMA[section].items():
-            if not parser.has_option(section, key) and default is not None:
-                log.info("%s: [%s] %s defaulted to %r", source, section, key, default)
+        for key, path in keys.items():
+            if not parser.has_option(section, key) and key != MYOPIC:
+                log.info(
+                    "%s: [%s] %s defaulted to %r", source, section, key, _field(defaults, path)
+                )
     if problems:
         raise ConfigurationError(problems)
 
-    pop = values["population"]
-    if pop["myopic"] is None:
-        explicit = sum(pop[s] for s in (GREEDY, LLM, FORESIGHT))
-        pop["myopic"] = max(0, pop["num_ues"] - explicit)
-        log.info("%s: [population] myopic defaulted to %d", source, pop["myopic"])
+    def value(path: str):
+        return values[path] if path in values else _field(defaults, path)
 
-    topo = values["topology"]
+    if _COUNTS + MYOPIC not in values:
+        explicit = sum(value(_COUNTS + s) for s in (GREEDY, LLM, FORESIGHT))
+        myopic = values[_COUNTS + MYOPIC] = max(0, value("population.num_ues") - explicit)
+        log.info("%s: [population] myopic defaulted to %d", source, myopic)
+
+    changes: dict = {}
+    for path, parsed in values.items():
+        *parents, name = path.split(".")
+        node = changes
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[name] = parsed
     try:
-        channel = ChannelModel(
-            bandwidth_hz=topo["bandwidth_hz"],
-            noise_density_w_per_hz=topo["noise_density_w_per_hz"],
-            mbs_pathloss_exponent=topo["mbs_pathloss_exponent"],
-            sbs_pathloss_exponent=topo["sbs_pathloss_exponent"],
-            reference_distance_m=topo["reference_distance_m"],
-            interference_mode=topo["interference_mode"],
-        )
-    except ValueError as exc:
+        return _replaced(defaults, changes)
+    except ValueError as exc:  # the channel model checks its physical values
         raise ConfigurationError([f"{source}: {exc}"]) from exc
-
-    sim = values["simulation"]
-    llm = values["llm"]
-    return SimulationConfig(
-        topology=TopologyConfig(
-            num_small_cells=topo["num_sbs"],
-            mbs_power_watts=topo["mbs_power_watts"],
-            sbs_power_watts=topo["sbs_power_watts"],
-            channels_per_station=topo["channels_per_station"],
-            power_unit_price=topo["power_unit_price"],
-            macro_radius_m=topo["macro_radius_m"],
-            sbs_ring_radius_m=topo["sbs_ring_radius_m"],
-            channel=channel,
-        ),
-        population=PopulationConfig(
-            num_ues=pop["num_ues"],
-            budget=pop["budget"],
-            qos_classes_mbps=pop["qos_classes_mbps"],
-            strategy_counts={
-                MYOPIC: pop["myopic"],
-                GREEDY: pop["greedy"],
-                LLM: pop["llm"],
-                FORESIGHT: pop["foresight"],
-            },
-        ),
-        auction=AuctionConfig(
-            entrance_fee=values["auction"]["entrance_fee"],
-            competitor_mode=values["auction"]["competitor_mode"],
-        ),
-        urgency=UrgencyConfig(
-            base_value_per_mbps=values["valuation"]["base_value_per_mbps"],
-            max_value_per_mbps=values["valuation"]["max_value_per_mbps"],
-            saturation_losses=values["valuation"]["saturation_losses"],
-        ),
-        endpoint=LlmEndpointConfig(
-            base_url=llm["base_url"],
-            model_name=llm["model_name"],
-            api_key_env_var=llm["api_key_env_var"],
-            timeout_ms=llm["timeout_ms"],
-            max_retries=llm["max_retries"],
-            temperature=llm["temperature"],
-        ),
-        foresight=ForesightPolicy(
-            threshold_fraction=llm["foresight_threshold"],
-            pacing_fraction=llm["foresight_pacing"],
-        ),
-        episodes=sim["episodes"],
-        runs=sim["runs"],
-        seed=sim["seed"],
-        jobs=sim["jobs"],
-    )
 
 
 def load_scenario_file(path: str) -> SimulationConfig:
@@ -234,9 +183,14 @@ def scenario2() -> SimulationConfig:
     )
 
 
+PRESETS: dict[str, Callable[[], SimulationConfig]] = {
+    "scenario1": scenario1,
+    "scenario2": scenario2,
+}
+
+
 def preset(name: str) -> SimulationConfig:
-    if name == "scenario1":
-        return scenario1()
-    if name == "scenario2":
-        return scenario2()
-    raise ConfigurationError([f"unknown preset {name!r}"])
+    factory = PRESETS.get(name)
+    if factory is None:
+        raise ConfigurationError([f"unknown preset {name!r}"])
+    return factory()

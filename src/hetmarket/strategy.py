@@ -10,16 +10,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .netmodel import SBS
 from .valuation import UrgencyState, channel_valuation
 
 GRID_SIZE = 11
-# One run needs tens to a few thousand distinct (cdf, competitors, capacity)
-# keys: the CDF takes at most history-length + 1 values per station.
-WIN_PROBABILITY_CACHE_SIZE = 4096
 
 
 class NoPriceData(ValueError):
@@ -107,7 +103,6 @@ class EmpiricalPriceModel:
         return self._prior
 
 
-@lru_cache(maxsize=WIN_PROBABILITY_CACHE_SIZE)
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
     """Chance that fewer than ``capacity`` of ``competitors`` outbid us.
 
@@ -139,13 +134,13 @@ def _log_space_tail(p_leq: float, p_above: float, competitors: int, capacity: in
     """P(Binomial(competitors, p_above) < capacity), each term formed from lgamma.
 
     Terms are at most 1, so they never overflow; those below the smallest
-    float vanish, as they would in the direct sum.
+    float vanish, as they would in the direct sum.  Needs ``capacity <=
+    competitors``, which its caller ensures.
     """
-    top = min(capacity - 1, competitors)
     if p_above == 0.0:
         return 1.0
     if p_leq == 0.0:
-        return 1.0 if top == competitors else 0.0
+        return 0.0
     log_leq, log_above = math.log(p_leq), math.log(p_above)
     log_n = math.lgamma(competitors + 1)
     return math.fsum(
@@ -156,7 +151,7 @@ def _log_space_tail(p_leq: float, p_above: float, competitors: int, capacity: in
             + j * log_above
             + (competitors - j) * log_leq
         )
-        for j in range(top + 1)
+        for j in range(capacity)
     )
 
 
@@ -258,8 +253,16 @@ def effective_prices(view: StationView) -> EmpiricalPriceModel:
 
 
 def per_unit_budget_cap(observation: MarketObservation, view: StationView) -> float:
-    """Highest per-unit bid that keeps fee plus worst-case payment affordable."""
-    return (observation.budget - observation.entrance_fee) / view.demand
+    """Highest per-unit bid that keeps fee plus worst-case payment affordable.
+
+    The quotient is stepped down until ``demand * cap <= budget - fee`` holds
+    in floats, so paying the cap on every unit never takes a budget below 0.
+    """
+    affordable = observation.budget - observation.entrance_fee
+    cap = affordable / view.demand
+    while view.demand * cap > affordable:
+        cap = math.nextafter(cap, -math.inf)
+    return cap
 
 
 def grid_argmax(
@@ -323,7 +326,7 @@ def myopic_decide(observation: MarketObservation) -> BidDecision:
     if affordable < view.reserve_price:
         return RESERVE_UNAFFORDABLE
     value = channel_valuation(observation.urgency, view.rate_mbps)
-    bid = min(value, affordable / view.demand)
+    bid = min(value, per_unit_budget_cap(observation, view))
     return BidDecision(
         station_id=view.station_id,
         per_unit_bid=bid,

@@ -88,7 +88,7 @@ def filtered_externality_payments(
     for bidder_id, won in allocations.items():
         others = [bid for bid, owner in claims if owner != bidder_id]
         externality = sum(others[:capacity]) - (winning_value - won * bids[bidder_id])
-        payments[bidder_id] = max(reserve, externality / won)
+        payments[bidder_id] = min(bids[bidder_id], max(reserve, externality / won))
     return payments
 
 

@@ -195,7 +195,14 @@ def test_payments_match_externality_with_floor(requests, capacity, reserve):
         paid = outcome.per_unit_payments[bidder]
         expected = bruteforce_payment(bidder, won, bid, best, without, reserve)
         assert paid == pytest.approx(expected, abs=1e-9)
-        assert reserve <= paid <= bid + 1e-9
+        assert reserve <= paid <= bid
+
+
+def test_rounding_never_charges_above_the_bid():
+    # bidder 0's externality, the others' 19.1 without it minus their
+    # 19.1 - 3.1 alongside it, is 3.1000000000000014 in floats
+    outcome = run_vcg(make_requests([(1, 3.1), (1, 3.1), (4, 4.0)]), capacity=5, reserve=0.0)
+    assert outcome.per_unit_payments[0] == 3.1
 
 
 # few distinct bids, so ties between bidders are common; quantities above

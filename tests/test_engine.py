@@ -188,6 +188,26 @@ class TestAccounting:
                 assert rec.budget_after >= 0.0
                 budgets[rec.ue_id] = rec.budget_after
 
+    @pytest.mark.parametrize(
+        "config",
+        [config_with({LLM: 1, GREEDY: 1, MYOPIC: 38}, episodes=40, runs=4, seed=seed)
+         for seed in range(1, 6)]
+        + [config_with({GREEDY: 100, MYOPIC: 100}, population={"budget": 1e6},
+                       topology=TopologyConfig(channels_per_station=16),
+                       episodes=10, seed=seed)
+           for seed in range(1, 4)],
+        ids=[f"scenario1-seed{s}" for s in range(1, 6)]
+        + [f"crowd-seed{s}" for s in range(1, 4)],
+    )
+    def test_no_payment_above_its_bid_and_no_budget_below_zero(self, config):
+        # exact comparisons: one ulp above the bid or below zero is a fault
+        for result in run_simulation(config).results:
+            for log in result.rounds:
+                for rec in log.ues:
+                    assert rec.budget_after >= 0.0
+                    if rec.channels_won > 0:
+                        assert rec.per_unit_payment <= rec.per_unit_bid
+
     def test_requests_are_sized_to_qos_demand(self):
         config = config_with(
             {FORESIGHT: 1, GREEDY: 3, MYOPIC: 8}, episodes=8, seed=7

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 import re
 from pathlib import Path
 
 import pytest
 
-from hetmarket.engine import FORESIGHT, GREEDY, LLM, MYOPIC, ConfigurationError, run_simulation
+from hetmarket.engine import (
+    FORESIGHT,
+    GREEDY,
+    LLM,
+    MYOPIC,
+    ConfigurationError,
+    SimulationConfig,
+    run_simulation,
+)
+from hetmarket import scenario
 from hetmarket.scenario import (
     load_scenario_file,
     parse_scenario_text,
@@ -114,6 +124,29 @@ class TestParsing:
         assert config.auction.entrance_fee == 0.1
         assert config.episodes == 40
         assert config.seed == 0
+
+    def test_empty_text_is_the_default_config(self):
+        # file runs and preset runs start from the same defaults
+        assert parse_scenario_text("") == SimulationConfig()
+
+    def test_every_key_default_has_its_field_type(self):
+        # a key's text is read as its default's type, so a float field with
+        # the default 40 would turn its key into an int key
+        config = SimulationConfig()
+        for keys in scenario._KEYS.values():
+            for path in keys.values():
+                owner_path, _, name = path.rpartition(".")
+                owner = scenario._field(config, owner_path) if owner_path else config
+                if isinstance(owner, dict):
+                    continue  # strategy counts, ints in a dict[str, int]
+                default = getattr(owner, name)
+                expected = (
+                    f"tuple[{type(default[0]).__name__}, ...]"
+                    if isinstance(default, tuple)
+                    else type(default).__name__
+                )
+                types = {f.name: f.type for f in dataclasses.fields(owner)}
+                assert types[name] == expected, path
 
     def test_readme_key_set_is_the_defaults_and_its_alternatives_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -178,9 +178,11 @@ class TestWinProbability:
         assert win_probability_given_cdf(cdf, competitors, capacity) == pytest.approx(
             exact, abs=1e-12)
 
-    @given(cdf=st.floats(0.0, 1.0), competitors=st.integers(0, 12),
-           capacity=st.integers(1, 14))
-    def test_log_space_tail_matches_exact_binomial_sum(self, cdf, competitors, capacity):
+    # the tail's contract: 1 <= capacity <= competitors
+    @given(cdf=st.floats(0.0, 1.0),
+           sizes=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    def test_log_space_tail_matches_exact_binomial_sum(self, cdf, sizes):
+        competitors, capacity = sizes
         exact = float(exact_tail(cdf, competitors, capacity))
         assert _log_space_tail(cdf, 1.0 - cdf, competitors, capacity) == pytest.approx(
             exact, abs=1e-12)
@@ -288,6 +290,21 @@ class TestObservationHelpers:
         v = view(demand=2)
         obs = observation([v], budget=1.5, fee=0.1)
         assert per_unit_budget_cap(obs, v) == pytest.approx(0.7)
+
+    def test_budget_cap_is_affordable_in_floats(self):
+        # 3 * (0.053 / 3) is 0.053000000000000005
+        v = view(demand=3)
+        cap = per_unit_budget_cap(observation([v], budget=0.053, fee=0.0), v)
+        assert 3 * cap <= 0.053
+        assert 3 * math.nextafter(cap, math.inf) > 0.053
+
+    @given(budget=st.floats(0.0, 1e6), fee=st.floats(0.0, 1.0), demand=st.integers(1, 64))
+    def test_budget_cap_is_affordable_and_one_step_from_the_quotient(self, budget, fee, demand):
+        v = view(demand=demand)
+        cap = per_unit_budget_cap(observation([v], budget=budget, fee=fee), v)
+        quotient = (budget - fee) / demand
+        assert demand * cap <= budget - fee
+        assert cap in (quotient, math.nextafter(quotient, -math.inf))
 
     def test_rounds_remaining_counts_current(self):
         obs = observation([view()], round_index=3, rounds_total=40)
@@ -407,6 +424,13 @@ class TestMyopic:
 
     def test_no_stations_means_abstention(self):
         assert myopic_decide(observation([])).abstained
+
+    def test_clamped_bid_is_affordable_in_floats(self):
+        v = view(reserve=0.0, demand=3)
+        obs = observation([v], budget=0.053, fee=0.0)
+        decision = myopic_decide(obs)
+        assert decision.per_unit_bid == per_unit_budget_cap(obs, v)
+        assert 3 * decision.per_unit_bid <= 0.053
 
 
 @st.composite
