@@ -1,4 +1,5 @@
-"""Command-line front end: run one scenario or sweep an horizon grid.
+"""Command-line front end: run one scenario, or sweep and compare strategies
+over a horizon-by-seed grid.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a live LLM
 endpoint is required but unreachable.
@@ -11,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -21,6 +23,7 @@ from .engine import (
     MetricsReport,
     SimulationConfig,
     SimulationReport,
+    StrategySummary,
     UeRoundRecord,
     run_simulation,
     run_simulations,
@@ -83,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="which metrics artifacts to write (rounds.jsonl is always written)",
     )
 
-    sweep_p = sub.add_parser("sweep", help="run a horizon-by-seed grid")
+    sweep_p = sub.add_parser(
+        "sweep", help="run a horizon-by-seed grid and compare the strategies"
+    )
     add_common(sweep_p)
     sweep_p.add_argument(
         "--horizons",
@@ -284,7 +289,64 @@ def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
                     for f in SWEEP_FIELDS
                 )
             writer.writerow([_fmt(value) for value in row])
+    source = args.preset or args.config
+    for start in range(0, len(cells), args.seeds):
+        _print_comparison(
+            f"{source}: episodes={cells[start].episodes}, seeds={args.seeds}",
+            [report.metrics.per_strategy for report in reports[start:start + args.seeds]],
+        )
     print(f"wrote {path} ({len(cells)} rows)")
+
+
+def _sign_test_p(successes: int, trials: int) -> float:
+    """One-sided binomial tail: P[X >= successes] under a fair coin."""
+    total = sum(math.comb(trials, k) for k in range(successes, trials + 1))
+    return total / 2.0 ** trials
+
+
+def _print_comparison(title: str, seeds: list[dict[str, StrategySummary]]) -> None:
+    """Each strategy's mean +- standard error over seeds of every SWEEP_FIELDS
+    average, then the seeds in which the llm summary beats each rival's on
+    channels won and on bid precision, with a sign test."""
+    # imported here: a cold ``run`` never needs it, and it costs ~6 ms
+    import statistics
+
+    print(title)
+    print(f"{'strategy':<10}" + "".join(f"{field:>22}" for field in SWEEP_FIELDS))
+    for name in sorted({name for per in seeds for name in per}):
+        cells = [f"{name:<10}"]
+        for field in SWEEP_FIELDS:
+            averages = [getattr(per[name], f"avg_{field}") for per in seeds if name in per]
+            points = [value for value in averages if value is not None]
+            if not points:
+                cells.append(f"{'-':>22}")
+                continue
+            stderr = (
+                statistics.stdev(points) / math.sqrt(len(points)) if len(points) > 1 else 0.0
+            )
+            cells.append(f"{statistics.mean(points):>14.3f} +-{stderr:>5.3f}")
+        print("".join(cells))
+
+    wins: dict[str, dict[str, int]] = {}
+    for per in seeds:
+        agent = per.get(LLM)
+        if agent is None:
+            continue
+        for rival, summary in per.items():
+            if rival == LLM:
+                continue
+            counts = wins.setdefault(rival, {"bid_precision": 0, "channels_won": 0})
+            for metric in counts:
+                ours = getattr(agent, f"avg_{metric}")
+                theirs = getattr(summary, f"avg_{metric}")
+                if ours is not None and theirs is not None and ours > theirs:
+                    counts[metric] += 1
+    for rival in sorted(wins):
+        for metric, won in wins[rival].items():
+            print(
+                f"agent vs {rival} on {metric}: "
+                f"{won}/{len(seeds)} seeds, sign test p={_sign_test_p(won, len(seeds)):.4f}"
+            )
 
 
 def main(argv: list[str] | None = None) -> int:

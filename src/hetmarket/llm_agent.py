@@ -209,21 +209,18 @@ def parse_reply(text: str, station_ids: set[int]) -> ParsedLlmReply:
     return ParsedLlmReply(station_id=station_id, per_unit_bid=bid, explanation=explanation)
 
 
-def _clamped_decision(
-    parsed: ParsedLlmReply, observation: MarketObservation, fallback: bool = False
-) -> BidDecision:
+def _clamped_decision(parsed: ParsedLlmReply, observation: MarketObservation) -> BidDecision:
     """Force the parsed reply into budget feasibility, abstaining if impossible."""
     view = next(v for v in observation.stations if v.station_id == parsed.station_id)
     cap = per_unit_budget_cap(observation, view)
     if cap < view.reserve_price:
-        return abstain(rationale=parsed.explanation or "reserve unaffordable", fallback=fallback)
+        return abstain(rationale=parsed.explanation or "reserve unaffordable")
     bid = max(view.reserve_price, min(parsed.per_unit_bid, cap))
     return BidDecision(
         station_id=view.station_id,
         per_unit_bid=bid,
         quantity=view.demand,
         rationale=parsed.explanation,
-        fallback=fallback,
     )
 
 
@@ -278,7 +275,9 @@ def _most_winnable_bid(
     """
     best = None
     best_key = None
-    for view in sorted(observation.stations, key=lambda v: v.station_id):
+    # station ids are distinct, so no two keys tie and the best does not
+    # depend on the order of the stations
+    for view in observation.stations:
         prices = effective_prices(view)
         cap = min(per_unit_budget_cap(observation, view), pace_cap)
         value = channel_valuation(observation.urgency, view.rate_mbps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 from dataclasses import replace
 from typing import Callable
 
@@ -90,10 +91,16 @@ def _field(config: object, path: str) -> object:
 
 
 def _parse(text: str, default: object) -> object:
-    """``text`` (stripped by configparser) read as a value of the type of ``default``."""
+    """``text`` (stripped by configparser) read as a value of the type of ``default``.
+
+    A float must be finite: ``nan`` and ``inf`` raise ValueError like any bad text.
+    """
     if isinstance(default, tuple):
-        return tuple(type(default[0])(part) for part in text.split(",") if part.strip())
-    return type(default)(text)
+        return tuple(_parse(part, default[0]) for part in text.split(",") if part.strip())
+    value = type(default)(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _replaced(config: object, changes: dict) -> object:

@@ -275,7 +275,9 @@ def grid_argmax(
     """
     best: tuple[float, float, StationView] | None = None
     best_key: tuple[float, float, float] | None = None
-    for view in sorted(observation.stations, key=lambda v: v.station_id):
+    # no two keys tie (distinct station ids, distinct bids per grid), so the
+    # best does not depend on the order of the stations
+    for view in observation.stations:
         prices = effective_prices(view)
         cap = per_unit_budget_cap(observation, view)
         value = channel_valuation(observation.urgency, view.rate_mbps)

@@ -234,6 +234,33 @@ class TestExitCodes:
         assert key in err
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("topology", "mbs_power_watts", "nan"),
+            ("topology", "macro_radius_m", "nan"),
+            ("topology", "bandwidth_hz", "inf"),
+            ("population", "budget", "nan"),
+            ("population", "budget", "inf"),
+            ("population", "qos_classes_mbps", "1.0, nan, 4.0"),
+            ("auction", "entrance_fee", "inf"),
+            ("auction", "entrance_fee", "-inf"),
+        ],
+    )
+    def test_non_finite_number_is_exit_two(self, tmp_path, capsys, section, key, value):
+        # nan and inf parse as floats; unchecked, they crash the demand model
+        # or write bare NaN tokens into rounds.jsonl
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "3",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: bad value {value!r} for {key!r} in [{section}]\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, extra",
         [("run", ["--episodes", "3"]), ("sweep", ["--horizons", "3", "--seeds", "2"])],
     )
@@ -270,6 +297,22 @@ class TestSweepCommand:
             # No foresight-labeled users in this preset; llm cells are filled.
             assert row[foresight_gross] == ""
             assert row[llm_gross] != ""
+
+    def test_comparison_block_per_horizon_without_an_agent(self, tmp_path, capsys):
+        # an empty [population] is all myopic: a table, but nothing to compare
+        path = tmp_path / "myopic.ini"
+        path.write_text("[population]\n")
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--config", str(path), "--offline",
+                       "--horizons", "2,3", "--seeds", "2", "--out", str(out))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith(("strategy", "myopic"))] == [
+            f"{path}: episodes=2, seeds=2",
+            f"{path}: episodes=3, seeds=2",
+            f"wrote {out / 'sweep.csv'} (4 rows)",
+        ]
+        assert len(lines) == 7
 
     def test_sweep_is_deterministic(self, tmp_path):
         first = tmp_path / "a"

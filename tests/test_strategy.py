@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hetmarket.llm_agent import _most_winnable_bid
 from hetmarket.netmodel import MBS, SBS
 from hetmarket.strategy import (
     BidDecision,
@@ -508,3 +510,10 @@ def reference_grid_argmax(obs):
 @given(obs=market_observations())
 def test_grid_argmax_equals_the_reference_argmax(obs):
     assert grid_argmax(obs) == reference_grid_argmax(obs)
+
+
+@given(obs=market_observations(), pace_cap=st.floats(0.0, 20.0))
+def test_argmaxes_do_not_depend_on_station_order(obs, pace_cap):
+    backwards = dataclasses.replace(obs, stations=obs.stations[::-1])
+    assert grid_argmax(backwards) == grid_argmax(obs)
+    assert _most_winnable_bid(backwards, pace_cap) == _most_winnable_bid(obs, pace_cap)

@@ -1,15 +1,10 @@
-"""The strategy comparison script, run as a user runs it."""
+"""The head-to-head comparison block that `hetmarket sweep` prints."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from hetmarket.cli import main
 
 # stdout of the same comparison run one seed at a time through run_simulation
 EXPECTED = """\
@@ -26,17 +21,9 @@ agent vs myopic on channels_won: 0/3 seeds, sign test p=1.0000
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_output_does_not_depend_on_jobs(jobs):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "scripts" / "strategy_comparison.py"),
-            "--preset", "scenario1", "--seeds", "3", "--episodes", "5", "--jobs", jobs,
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == EXPECTED
+def test_output_does_not_depend_on_jobs(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    code = main(["sweep", "--preset", "scenario1", "--offline", "--horizons", "5",
+                 "--seeds", "3", "--jobs", jobs, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == EXPECTED + f"wrote {out / 'sweep.csv'} (3 rows)\n"
