@@ -39,11 +39,9 @@ from .strategy import (
     MarketObservation,
     StationView,
     candidate_bids,
-    expected_utility,
     greedy_decide,
     myopic_decide,
-    win_probability,
 )
-from .valuation import UrgencyState, channel_valuation, record_outcome, urgency_factor
+from .valuation import UrgencyState, channel_valuation, urgency_factor
 
 __version__ = "0.1.0"

@@ -262,6 +262,8 @@ def _sweep_cells(args: argparse.Namespace, config: SimulationConfig) -> list[Sim
         raise ConfigurationError([f"bad --horizons value: {exc}"]) from exc
     if not horizons or any(h < 1 for h in horizons):
         raise ConfigurationError(["horizons must be positive integers"])
+    if len(set(horizons)) != len(horizons):
+        raise ConfigurationError(["horizons must be distinct"])
     if args.seeds < 1:
         raise ConfigurationError(["seeds must be at least 1"])
     return [

@@ -44,6 +44,7 @@ from .strategy import (
     EmpiricalPriceModel,
     MarketObservation,
     StationView,
+    clear_win_memo,
     greedy_decide,
     myopic_decide,
 )
@@ -510,7 +511,7 @@ class SimulationRun:
                     runtime.budget -= won * per_unit_payment
                     value = value_factor * runtime.rate_mbps[decision.station_id]
                     gross = won * (value - per_unit_payment)
-            # valuation.record_outcome, on the shared states
+            # a win resets the loss streak, anything else extends it
             losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
             runtime.urgency, runtime.value_factor = self._streak(runtime.class_index, losses)
             ue_records.append(
@@ -613,6 +614,7 @@ def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationRepor
         for run_index, seed in enumerate(spawn_run_seeds(config.seed, config.runs))
     ]
     config_indices = [i for i, config in enumerate(configs) for _ in range(config.runs)]
+    clear_win_memo()
     jobs = min(max((config.jobs for config in configs), default=1), len(tasks))
     with ExitStack() as stack:
         if jobs > 1:

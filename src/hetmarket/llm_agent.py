@@ -24,10 +24,10 @@ from .strategy import (
     MarketObservation,
     StationView,
     abstain,
-    candidate_bids,
     effective_prices,
     greedy_decide,
     grid_argmax,
+    grid_bounds,
     per_unit_budget_cap,
 )
 from .valuation import channel_valuation
@@ -281,10 +281,10 @@ def _most_winnable_bid(
         prices = effective_prices(view)
         cap = min(per_unit_budget_cap(observation, view), pace_cap)
         value = channel_valuation(observation.urgency, view.rate_mbps)
-        grid = candidate_bids(value, prices.last, view.reserve_price, cap)
-        if not grid:
+        bounds = grid_bounds(value, prices.last, view.reserve_price, cap)
+        if bounds is None:
             continue
-        top = grid[-1]
+        top = bounds[1]
         prob = prices.win_probability(top, view.competitors, view.capacity)
         if prob <= 0.0:
             continue

@@ -25,18 +25,17 @@ class NoPriceData(ValueError):
 class EmpiricalPriceModel:
     """Clearing prices heard from one station, kept in broadcast order.
 
-    One model is shared by every user of a station, so what it memoises (the
-    mean, win probabilities, the reserve prior) is computed once per station
-    per round; ``append`` clears all of it.
+    One model is shared by every user of a station, so what it keeps (the
+    mean and the reserve prior) is computed once per station per round;
+    ``append`` clears both.
     """
 
-    __slots__ = ("_history", "_sorted", "_mean", "_win", "_prior")
+    __slots__ = ("_history", "_sorted", "_mean", "_prior")
 
     def __init__(self, prices: Iterable[float] = ()):
         self._history: list[float] = [float(p) for p in prices]
         self._sorted: list[float] = sorted(self._history)
         self._mean: float | None = None
-        self._win: dict[tuple[int, int, int], float] = {}
         self._prior: EmpiricalPriceModel | None = None
 
     def append(self, price: float) -> None:
@@ -44,7 +43,6 @@ class EmpiricalPriceModel:
         self._history.append(price)
         insort(self._sorted, price)
         self._mean = None
-        self._win.clear()
         self._prior = None
 
     def __len__(self) -> int:
@@ -75,21 +73,11 @@ class EmpiricalPriceModel:
         return self._mean
 
     def win_probability(self, bid: float, competitors: int, capacity: int) -> float:
-        """``win_probability(bid, competitors, capacity, self)``, kept until the next ``append``.
-
-        The memo is keyed on the number of prices at or below the bid, which
-        fixes the CDF value, so every bid between two observed prices shares
-        one entry.
-        """
-        count = bisect_right(self._sorted, bid)
-        key = (count, competitors, capacity)
-        prob = self._win.get(key)
-        if prob is None:
-            if not self._sorted:
-                raise NoPriceData("no clearing prices observed yet")
-            prob = win_probability_given_cdf(count / len(self._sorted), competitors, capacity)
-            self._win[key] = prob
-        return prob
+        """``win_probability_given_cdf(self.cdf(bid), competitors, capacity)``, memoised."""
+        if not self._sorted:
+            raise NoPriceData("no clearing prices observed yet")
+        cdf = bisect_right(self._sorted, bid) / len(self._sorted)
+        return _memoised_win_probability(cdf, competitors, capacity)
 
     def or_prior(self, reserve: float) -> EmpiricalPriceModel:
         """This model, or before any data a one-point prior at ``reserve``.
@@ -101,6 +89,31 @@ class EmpiricalPriceModel:
         if self._prior is None or self._prior.last != reserve:
             self._prior = EmpiricalPriceModel([reserve])
         return self._prior
+
+
+# Win probabilities by (cdf, competitors, capacity), shared by every model.
+# The value depends on nothing else, so no entry goes stale when a price is
+# appended; the memo is emptied only when it reaches its bound or a batch of
+# runs starts.
+WIN_MEMO_SIZE = 4096
+_win_memo: dict[tuple[float, int, int], float] = {}
+
+
+def clear_win_memo() -> None:
+    """Empty the memo, so a batch of runs does the same work whatever ran before it."""
+    _win_memo.clear()
+
+
+def _memoised_win_probability(cdf_at_bid: float, competitors: int, capacity: int) -> float:
+    """``win_probability_given_cdf``, computed once per key while the memo holds it."""
+    key = (cdf_at_bid, competitors, capacity)
+    prob = _win_memo.get(key)
+    if prob is None:
+        prob = win_probability_given_cdf(cdf_at_bid, competitors, capacity)
+        if len(_win_memo) >= WIN_MEMO_SIZE:
+            _win_memo.clear()
+        _win_memo[key] = prob
+    return prob
 
 
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
@@ -155,24 +168,6 @@ def _log_space_tail(p_leq: float, p_above: float, competitors: int, capacity: in
     )
 
 
-def win_probability(
-    bid: float, competitors: int, capacity: int, prices: EmpiricalPriceModel
-) -> float:
-    return win_probability_given_cdf(prices.cdf(bid), competitors, capacity)
-
-
-def expected_utility(
-    bid: float,
-    valuation: float,
-    prices: EmpiricalPriceModel,
-    competitors: int,
-    capacity: int,
-) -> float:
-    """Win probability times the expected surplus over the mean clearing price."""
-    prob = win_probability(bid, competitors, capacity, prices)
-    return prob * (valuation - prices.mean())
-
-
 def candidate_bids(
     valuation: float, last_clearing: float, reserve: float, budget_cap: float
 ) -> list[float]:
@@ -190,6 +185,28 @@ def candidate_bids(
     points.extend(lo + k * (hi - lo) / (GRID_SIZE - 3) for k in range(GRID_SIZE - 2))
     clipped = (min(max(p, reserve), budget_cap) for p in points)
     return sorted(set(clipped))
+
+
+def grid_bounds(
+    valuation: float, last_clearing: float, reserve: float, budget_cap: float
+) -> tuple[float, float] | None:
+    """The cheapest and dearest points of ``candidate_bids``, without building it.
+
+    The evenly spaced points are monotone in their index and clipping keeps
+    order, so the grid's ends are the clipped least and greatest of the two
+    anchors and the first and last spaced points, each formed as
+    ``candidate_bids`` forms it.  None when the grid is empty.
+    """
+    if budget_cap < reserve:
+        return None
+    lo = max(reserve, 0.8 * min(valuation, last_clearing))
+    hi = min(1.2 * max(valuation, last_clearing), budget_cap)
+    steps = GRID_SIZE - 3
+    start = lo + 0 * (hi - lo) / steps
+    end = lo + steps * (hi - lo) / steps
+    least = min(valuation, last_clearing, start, end)
+    greatest = max(valuation, last_clearing, start, end)
+    return min(max(least, reserve), budget_cap), min(max(greatest, reserve), budget_cap)
 
 
 @dataclass(frozen=True)
@@ -281,13 +298,33 @@ def grid_argmax(
         prices = effective_prices(view)
         cap = per_unit_budget_cap(observation, view)
         value = channel_valuation(observation.urgency, view.rate_mbps)
-        grid = candidate_bids(value, prices.last, view.reserve_price, cap)
-        if not grid:
+        last = prices.last
+        bounds = grid_bounds(value, last, view.reserve_price, cap)
+        if bounds is None:
             continue
-        # expected_utility, with the bid-independent surplus taken out of the loop
+        # win probability times the surplus over the mean price, with the
+        # bid-independent surplus taken out of the loop
         surplus = value - prices.mean()
+        # the probability depends on the bid only through the count of prices
+        # at or below it, and the cheaper bid wins a tie, so only the cheapest
+        # grid point of each count is scored: the cheapest end alone when
+        # both ends have the same count
+        ranked = prices._sorted
+        low, high = bounds
+        if bisect_right(ranked, low) == bisect_right(ranked, high):
+            grid = (low,)
+        else:
+            grid = candidate_bids(value, last, view.reserve_price, cap)
+        scored = -1
         for bid in grid:
-            utility = prices.win_probability(bid, view.competitors, view.capacity) * surplus
+            count = bisect_right(ranked, bid)
+            if count == scored:
+                continue
+            scored = count
+            prob = _memoised_win_probability(
+                count / len(ranked), view.competitors, view.capacity
+            )
+            utility = prob * surplus
             key = (utility, -bid, -view.station_id)
             if best_key is None or key > best_key:
                 best_key = key

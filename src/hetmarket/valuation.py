@@ -8,7 +8,7 @@ after a fixed number of losses.  Any win snaps the factor back to baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,3 @@ def channel_valuation(state: UrgencyState, rate_mbps: float) -> float:
     if rate_mbps < 0:
         raise ValueError("rate_mbps cannot be negative")
     return urgency_factor(state) * rate_mbps
-
-
-def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:
-    """Next round's state: a win resets the streak, anything else extends it."""
-    if won_any_channel:
-        return replace(state, consecutive_losses=0)
-    return replace(state, consecutive_losses=state.consecutive_losses + 1)

@@ -1,19 +1,23 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in here trades speed for obviousness: the auction oracle
-enumerates every feasible allocation outright, and the win-probability
-oracle simulates opponent draws instead of summing binomial terms.
+enumerates every feasible allocation outright, the win-probability oracle
+simulates opponent draws instead of summing binomial terms, and the decision
+references evaluate every grid point without memo or shortcut.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from hetmarket.auction import AuctionRequest
+from hetmarket.strategy import EmpiricalPriceModel, win_probability_given_cdf
+from hetmarket.valuation import UrgencyState
 
 
 @lru_cache(maxsize=None)
@@ -113,3 +117,29 @@ def simulate_win_probability(
     samples = rng.choice(pool, size=(draws, competitors))
     stronger = (samples > bid).sum(axis=1)
     return float((stronger < capacity).mean())
+
+
+def win_probability(
+    bid: float, competitors: int, capacity: int, prices: EmpiricalPriceModel
+) -> float:
+    """The closed form on the price model's CDF at the bid, unmemoised."""
+    return win_probability_given_cdf(prices.cdf(bid), competitors, capacity)
+
+
+def expected_utility(
+    bid: float,
+    valuation: float,
+    prices: EmpiricalPriceModel,
+    competitors: int,
+    capacity: int,
+) -> float:
+    """Win probability times the expected surplus over the mean clearing price."""
+    prob = win_probability(bid, competitors, capacity, prices)
+    return prob * (valuation - prices.mean())
+
+
+def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:
+    """Next round's state: a win resets the streak, anything else extends it."""
+    if won_any_channel:
+        return replace(state, consecutive_losses=0)
+    return replace(state, consecutive_losses=state.consecutive_losses + 1)

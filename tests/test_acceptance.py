@@ -34,7 +34,12 @@ from hetmarket.scenario import scenario1, scenario2
 from hetmarket.strategy import EmpiricalPriceModel, MarketObservation, StationView
 from hetmarket.valuation import UrgencyState
 
-from oracles import bruteforce_payment, bruteforce_welfare, simulate_win_probability
+from oracles import (
+    bruteforce_payment,
+    bruteforce_welfare,
+    simulate_win_probability,
+    win_probability,
+)
 from test_engine import assert_round_conserves_money, rebuild_run
 
 
@@ -94,7 +99,7 @@ def test_ac01_vcg_matches_bruteforce_oracle():
 
 
 def test_ac02_win_probability_matches_monte_carlo():
-    from hetmarket.strategy import win_probability, win_probability_given_cdf
+    from hetmarket.strategy import win_probability_given_cdf
 
     hand_ok = win_probability_given_cdf(0.5, 5, 4) == 0.8125
     rng = random.Random(202)

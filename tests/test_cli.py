@@ -331,6 +331,15 @@ class TestSweepCommand:
                        "--seeds", "0", "--out", str(tmp_path / "o")) == 2
         capsys.readouterr()
 
+    def test_repeated_horizon_is_exit_two_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--preset", "scenario1", "--offline",
+                       "--horizons", "3,3", "--seeds", "2", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "config error: horizons must be distinct" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_parallel_sweep_matches_serial(self, tmp_path):
         outs = {}
         for jobs in ("1", "2"):

@@ -26,7 +26,9 @@ from hetmarket.engine import (
     spawn_run_seeds,
 )
 from hetmarket.llm_agent import ChatCompletionClient
-from hetmarket.valuation import UrgencyState, record_outcome, urgency_factor
+from hetmarket.valuation import UrgencyState, urgency_factor
+
+from oracles import record_outcome
 
 
 def config_with(counts, num_ues=None, **overrides):

@@ -5,8 +5,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from hetmarket import llm_agent, strategy
+from hetmarket.engine import (
+    FORESIGHT,
+    GREEDY,
+    MYOPIC,
+    PopulationConfig,
+    SimulationConfig,
+    run_simulation,
+)
 from hetmarket.llm_agent import _most_winnable_bid
 from hetmarket.netmodel import MBS, SBS
 from hetmarket.strategy import (
@@ -18,18 +27,17 @@ from hetmarket.strategy import (
     abstain,
     candidate_bids,
     effective_prices,
-    expected_utility,
     greedy_decide,
     grid_argmax,
+    grid_bounds,
     myopic_decide,
     per_unit_budget_cap,
-    win_probability,
     win_probability_given_cdf,
     _log_space_tail,
 )
 from hetmarket.valuation import UrgencyState, channel_valuation
 
-from oracles import simulate_win_probability
+from oracles import expected_utility, simulate_win_probability, win_probability
 
 
 def exact_tail(cdf_at_bid, competitors, capacity):
@@ -131,18 +139,42 @@ class TestPriceModel:
         ),
     )
     def test_memoised_win_probability_follows_every_append(self, prices, queries):
-        # The same lookups after every append; a memo entry kept across an
-        # append would disagree with the unmemoised evaluation on the CDF of
-        # the prices so far.
-        model = EmpiricalPriceModel()
-        with pytest.raises(NoPriceData):
-            model.win_probability(*queries[0])
-        for price in prices:
-            model.append(price)
-            for bid, competitors, capacity in queries:
-                assert model.win_probability(bid, competitors, capacity) == (
-                    win_probability_given_cdf(model.cdf(bid), competitors, capacity)
-                )
+        # The same lookups after every append; a memo entry keyed on less
+        # than the CDF value would disagree with the unmemoised evaluation on
+        # the CDF of the prices so far.  A bound of 5 keys is reached within a
+        # few appends, so entries are also dropped and made again.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategy, "WIN_MEMO_SIZE", 5)
+            mp.setattr(strategy, "_win_memo", {})
+            model = EmpiricalPriceModel()
+            with pytest.raises(NoPriceData):
+                model.win_probability(*queries[0])
+            for price in prices:
+                model.append(price)
+                for bid, competitors, capacity in queries:
+                    assert model.win_probability(bid, competitors, capacity) == (
+                        win_probability_given_cdf(model.cdf(bid), competitors, capacity)
+                    )
+                    assert len(strategy._win_memo) <= 5
+
+    def test_memo_is_shared_across_models_and_appends(self, monkeypatch):
+        # The same CDF value, from another model or after an append, is not
+        # evaluated again.
+        evaluated = []
+
+        def counted(cdf, competitors, capacity):
+            evaluated.append((cdf, competitors, capacity))
+            return win_probability_given_cdf(cdf, competitors, capacity)
+
+        monkeypatch.setattr(strategy, "_win_memo", {})
+        monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
+        first = EmpiricalPriceModel([1.0, 3.0])
+        second = EmpiricalPriceModel([2.0, 4.0, 5.0, 6.0])
+        assert first.win_probability(2.0, 5, 2) == second.win_probability(4.5, 5, 2)
+        first.append(0.5)
+        first.append(7.0)
+        assert first.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
+        assert evaluated == [(0.5, 5, 2)]
 
     def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
@@ -268,6 +300,26 @@ class TestCandidateBids:
             assert reserve <= bid <= cap
         clipped_value = min(max(valuation, reserve), cap)
         assert any(b == pytest.approx(clipped_value, abs=1e-12) for b in grid)
+
+
+class TestGridBounds:
+    @given(valuation=st.floats(0.0, 10.0), clearing=st.floats(0.0, 10.0),
+           reserve=st.floats(0.0, 4.0), cap=st.floats(0.0, 12.0),
+           squeeze=st.none() | st.floats(0.0, 1.0))
+    @example(valuation=5.0, clearing=2.5, reserve=0.5, cap=1.0, squeeze=None)
+    @example(valuation=5.0, clearing=2.5, reserve=1.0, cap=0.5, squeeze=None)
+    def test_bounds_are_the_ends_of_the_grid(self, valuation, clearing, reserve, cap,
+                                              squeeze):
+        if squeeze is not None:
+            # a cap below 80% of the smaller anchor puts hi below lo
+            cap = squeeze * 0.8 * min(valuation, clearing)
+        grid = candidate_bids(valuation, clearing, reserve, cap)
+        bounds = grid_bounds(valuation, clearing, reserve, cap)
+        if cap < reserve:
+            assert bounds is None
+            return
+        # bit for bit, so a zero's sign counts too
+        assert [b.hex() for b in bounds] == [grid[0].hex(), grid[-1].hex()]
 
 
 class TestObservationHelpers:
@@ -517,3 +569,72 @@ def test_argmaxes_do_not_depend_on_station_order(obs, pace_cap):
     backwards = dataclasses.replace(obs, stations=obs.stations[::-1])
     assert grid_argmax(backwards) == grid_argmax(obs)
     assert _most_winnable_bid(backwards, pace_cap) == _most_winnable_bid(obs, pace_cap)
+
+
+def reference_grid_bounds(*args):
+    """The ends of the built grid."""
+    grid = candidate_bids(*args)
+    return (grid[0], grid[-1]) if grid else None
+
+
+def reference_most_winnable_bid(obs, pace_cap):
+    """The top of every station's built grid under the pacing cap, scored by
+    the unmemoised win probability; certain losses are skipped, ties go to
+    the cheaper bid, then the lower station id."""
+    scored = []
+    for v in obs.stations:
+        prices = effective_prices(v)
+        value = channel_valuation(obs.urgency, v.rate_mbps)
+        grid = candidate_bids(value, prices.last, v.reserve_price,
+                              min(per_unit_budget_cap(obs, v), pace_cap))
+        if not grid:
+            continue
+        prob = win_probability(grid[-1], v.competitors, v.capacity, prices)
+        if prob > 0.0:
+            scored.append(((prob, -grid[-1], -v.station_id), (prob, grid[-1], v)))
+    return max(scored, key=lambda item: item[0])[1] if scored else None
+
+
+@given(obs=market_observations(), pace_cap=st.floats(0.0, 20.0))
+def test_most_winnable_bid_equals_the_reference(obs, pace_cap):
+    assert _most_winnable_bid(obs, pace_cap) == reference_most_winnable_bid(obs, pace_cap)
+
+
+def test_greedy_heavy_run_matches_the_reference_argmax(monkeypatch):
+    # 300 rounds of long price histories, with foresight UEs that reach the
+    # service-chasing branch; the reference path scores every grid point
+    # with the unmemoised closed form and reads the grid's top from the grid.
+    config = SimulationConfig(
+        population=PopulationConfig(
+            num_ues=24, budget=200.0,
+            strategy_counts={GREEDY: 16, FORESIGHT: 3, MYOPIC: 5},
+        ),
+        episodes=300, seed=12,
+    )
+    fast = run_simulation(config).results
+    monkeypatch.setattr(strategy, "grid_argmax", reference_grid_argmax)
+    monkeypatch.setattr(llm_agent, "grid_argmax", reference_grid_argmax)
+    monkeypatch.setattr(llm_agent, "grid_bounds", reference_grid_bounds)
+    assert run_simulation(config).results == fast
+
+
+def test_each_batch_of_runs_starts_from_an_empty_memo(monkeypatch):
+    # The memo serves every run of one batch, and a second identical batch
+    # makes the same evaluations as the first, whatever ran before it.
+    evaluated = []
+
+    def counted(cdf, competitors, capacity):
+        evaluated.append((cdf, competitors, capacity))
+        return win_probability_given_cdf(cdf, competitors, capacity)
+
+    monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
+    config = SimulationConfig(
+        population=PopulationConfig(strategy_counts={GREEDY: 30, MYOPIC: 10}),
+        episodes=30, runs=3, seed=4,
+    )
+    run_simulation(config)
+    first = list(evaluated)
+    evaluated.clear()
+    run_simulation(config)
+    assert evaluated == first
+    assert len(first) == len(set(first)) > 0

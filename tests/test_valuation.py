@@ -3,12 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from hetmarket.valuation import (
-    UrgencyState,
-    channel_valuation,
-    record_outcome,
-    urgency_factor,
-)
+from hetmarket.valuation import UrgencyState, channel_valuation, urgency_factor
+
+from oracles import record_outcome
 
 
 def state(losses=0, base=1.0, ceiling=2.0, saturation=5):
