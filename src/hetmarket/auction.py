@@ -6,13 +6,15 @@ reservation price are discarded.  Remaining requests are expanded into unit
 claims and the highest claims win, so partial fills are possible.  A winner
 pays its externality: the best total value the others could have realized
 without it, minus the value the others actually realized, spread evenly over
-its units, never below the reservation price nor above its own bid.
+its units, never below the reservation price nor above its own bid.  That
+difference is the sum of the claims it displaces, which is taken exactly, so
+a seed gives the same payments on every Python version.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .netmodel import BaseStation
 
@@ -87,23 +89,20 @@ def run_vcg(
     else:
         clearing_price = reserve
 
-    winning_value = sum(bid for bid, _ in winning)
     by_id = {r.bidder_id: r for r in eligible}
 
     per_unit_payments: dict[int, float] = {}
     seller_utility_terms: dict[int, float] = {}
     for bidder_id, won in allocations.items():
-        # equal sort keys keep a bidder's claims contiguous, so the best
-        # ``capacity`` claims of the others skip just its block
-        start = starts[bidder_id]
-        end = start + by_id[bidder_id].quantity
-        value_without = sum(
-            bid for bid, _ in chain(claims[:start], claims[end : end + capacity - start])
-        )
-        others_value_with = winning_value - won * by_id[bidder_id].per_unit_bid
-        externality = value_without - others_value_with
-        # the clamp to the bid stops float rounding from charging a few ulps above it
-        payment = min(by_id[bidder_id].per_unit_bid, max(reserve, externality / won))
+        # equal sort keys keep a bidder's claims contiguous, so without its
+        # block the others' best ``capacity`` claims are the winners it sits
+        # beside plus the ``won`` claims just past both the block and the
+        # winners; those displaced claims are its externality, summed exactly
+        bid = by_id[bidder_id].per_unit_bid
+        displaced = max(starts[bidder_id] + by_id[bidder_id].quantity, capacity)
+        externality = math.fsum(claim for claim, _ in claims[displaced : displaced + won])
+        # the clamp to the bid stops the division from rounding a few ulps above it
+        payment = min(bid, max(reserve, externality / won))
         per_unit_payments[bidder_id] = payment
         seller_utility_terms[bidder_id] = won * (payment - reserve)
 

@@ -23,6 +23,7 @@ from .engine import (
     MetricsReport,
     SimulationConfig,
     SimulationReport,
+    StationRoundRecord,
     StrategySummary,
     UeRoundRecord,
     run_simulation,
@@ -50,6 +51,8 @@ METRICS_COLUMNS = [
     "payments_paid",
     "fallbacks",
 ]
+# each column is the UeMetrics field of the same name, except ``run``
+_METRICS_FIELDS = ["run_index" if c == "run" else c for c in METRICS_COLUMNS]
 # sweep.csv holds ``<strategy>_<field>`` from ``StrategySummary.avg_<field>``
 SWEEP_FIELDS = ("gross_utility", "net_utility", "channels_won", "bid_precision")
 
@@ -138,34 +141,13 @@ def _check_endpoint(config: SimulationConfig) -> str | None:
     return None
 
 
-def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_metrics_csv(path: str, report: SimulationReport) -> None:
+    """One row per UE and run; ``csv`` writes None as an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(METRICS_COLUMNS)
         for m in report.metrics.per_ue:
-            writer.writerow(
-                [
-                    m.run_index,
-                    m.seed,
-                    m.ue_id,
-                    m.strategy,
-                    m.episodes,
-                    _fmt(m.gross_utility),
-                    _fmt(m.net_utility),
-                    m.channels_won,
-                    m.bids_placed,
-                    _fmt(m.bid_precision),
-                    _fmt(m.fees_paid),
-                    _fmt(m.payments_paid),
-                    m.fallbacks,
-                ]
-            )
+            writer.writerow([getattr(m, name) for name in _METRICS_FIELDS])
 
 
 def _summary_payload(config: SimulationConfig, report: SimulationReport) -> dict:
@@ -195,9 +177,21 @@ def write_summary_json(path: str, config: SimulationConfig, report: SimulationRe
 # Every field of a UE record holds an immutable scalar, so reading the fields
 # gives what ``dataclasses.asdict`` would without its recursive deep copy.
 _UE_FIELDS = tuple(f.name for f in dataclasses.fields(UeRoundRecord))
+_STATION_FIELDS = tuple(f.name for f in dataclasses.fields(StationRoundRecord))
+
+
+def _station_object(record: StationRoundRecord) -> dict:
+    """The record's fields by name.  Its int-keyed maps get str keys, so
+    ``sort_keys`` orders them as text ("10" before "2"), as JSON reads them."""
+    obj = {}
+    for name in _STATION_FIELDS:
+        value = getattr(record, name)
+        obj[name] = {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+    return obj
 
 
 def write_rounds_jsonl(path: str, report: SimulationReport) -> None:
+    """One line per round of every run: its UE and station records by field."""
     with open(path, "w", encoding="utf-8") as handle:
         for result in report.results:
             for log in result.rounds:
@@ -206,22 +200,7 @@ def write_rounds_jsonl(path: str, report: SimulationReport) -> None:
                     "seed": result.seed,
                     "round": log.round_index,
                     "ues": [{name: getattr(r, name) for name in _UE_FIELDS} for r in log.ues],
-                    "stations": [
-                        {
-                            "station_id": s.station_id,
-                            "clearing_price": s.clearing_price,
-                            "allocations": {str(k): v for k, v in s.allocations.items()},
-                            "per_unit_payments": {
-                                str(k): v for k, v in s.per_unit_payments.items()
-                            },
-                            "seller_utility_terms": {
-                                str(k): v for k, v in s.seller_utility_terms.items()
-                            },
-                            "fees_collected": s.fees_collected,
-                            "revenue": s.revenue,
-                        }
-                        for s in log.stations
-                    ],
+                    "stations": [_station_object(s) for s in log.stations],
                 }
                 handle.write(json.dumps(record, sort_keys=True))
                 handle.write("\n")
@@ -290,7 +269,7 @@ def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
                     None if summary is None else getattr(summary, f"avg_{f}")
                     for f in SWEEP_FIELDS
                 )
-            writer.writerow([_fmt(value) for value in row])
+            writer.writerow(row)
     source = args.preset or args.config
     for start in range(0, len(cells), args.seeds):
         _print_comparison(

@@ -39,7 +39,7 @@ from .netmodel import (
     channel_demand,
 )
 from .strategy import (
-    ENTRANCE_FEE_UNAFFORDABLE,
+    ABSTAIN,
     BidDecision,
     EmpiricalPriceModel,
     MarketObservation,
@@ -469,7 +469,7 @@ class SimulationRun:
         decisions: list[tuple[_UeRuntime, BidDecision, float]] = []
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
-                decision = ENTRANCE_FEE_UNAFFORDABLE
+                decision = ABSTAIN
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
             decisions.append((runtime, decision, runtime.value_factor))
@@ -540,13 +540,14 @@ class SimulationRun:
                 won * outcome.per_unit_payments[uid]
                 for uid, won in outcome.allocations.items()
             )
+            # each run_vcg call builds its maps fresh and nothing else holds them
             station_records.append(
                 StationRoundRecord(
                     station_id=bs.id,
                     clearing_price=outcome.clearing_price,
-                    allocations=dict(outcome.allocations),
-                    per_unit_payments=dict(outcome.per_unit_payments),
-                    seller_utility_terms=dict(outcome.seller_utility_terms),
+                    allocations=outcome.allocations,
+                    per_unit_payments=outcome.per_unit_payments,
+                    seller_utility_terms=outcome.seller_utility_terms,
                     fees_collected=fees_by_station[bs.id],
                     revenue=fees_by_station[bs.id] + sold,
                 )

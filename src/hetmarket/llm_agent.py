@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from urllib.parse import urlsplit
 
 from .strategy import (
+    ABSTAIN,
     BidDecision,
     MarketObservation,
     StationView,
-    abstain,
     effective_prices,
     greedy_decide,
     grid_argmax,
@@ -214,14 +214,9 @@ def _clamped_decision(parsed: ParsedLlmReply, observation: MarketObservation) ->
     view = next(v for v in observation.stations if v.station_id == parsed.station_id)
     cap = per_unit_budget_cap(observation, view)
     if cap < view.reserve_price:
-        return abstain(rationale=parsed.explanation or "reserve unaffordable")
+        return ABSTAIN
     bid = max(view.reserve_price, min(parsed.per_unit_bid, cap))
-    return BidDecision(
-        station_id=view.station_id,
-        per_unit_bid=bid,
-        quantity=view.demand,
-        rationale=parsed.explanation,
-    )
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)
 
 
 def llm_decide(
@@ -231,7 +226,7 @@ def llm_decide(
 ) -> BidDecision:
     """Ask the endpoint for a decision; degrade to greedy after failed retries."""
     if not observation.stations:
-        return abstain("no serving station")
+        return ABSTAIN
     station_ids = {v.station_id for v in observation.stations}
     base_prompt = render_prompt(observation)
     prompt = base_prompt
@@ -310,7 +305,7 @@ def foresight_decide(
     """
     best = grid_argmax(observation)
     if best is None:
-        return abstain("no affordable station")
+        return ABSTAIN
     utility, bid, view = best
     remaining = max(1, observation.rounds_remaining)
     pace_cap = observation.budget / max(1.0, policy.pacing_fraction * remaining)
@@ -321,26 +316,18 @@ def foresight_decide(
         utility <= 0.0
         or utility < policy.threshold_fraction * observation.budget / remaining
     ):
-        return abstain("expected utility below participation threshold")
+        return ABSTAIN
     if utility > 0.0:
         paced = min(bid, pace_cap)
         if paced >= view.reserve_price:
             return BidDecision(
-                station_id=view.station_id,
-                per_unit_bid=paced,
-                quantity=view.demand,
-                rationale=f"paced bid, expected utility {utility:.4f}",
+                station_id=view.station_id, per_unit_bid=paced, quantity=view.demand
             )
         if not starving:
-            return abstain("pacing cap below reserve price")
+            return ABSTAIN
     # saturated loss streak with no profitable entry: chase service instead
     choice = _most_winnable_bid(observation, pace_cap)
     if choice is None:
-        return abstain("no winnable bid within pacing cap")
-    prob, top, view = choice
-    return BidDecision(
-        station_id=view.station_id,
-        per_unit_bid=top,
-        quantity=view.demand,
-        rationale=f"service-chasing bid, win probability {prob:.3f}",
-    )
+        return ABSTAIN
+    _, top, view = choice
+    return BidDecision(station_id=view.station_id, per_unit_bid=top, quantity=view.demand)

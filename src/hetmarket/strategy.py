@@ -247,7 +247,6 @@ class BidDecision:
     station_id: int | None
     per_unit_bid: float = 0.0
     quantity: int = 0
-    rationale: str = ""
     fallback: bool = False
 
     @property
@@ -255,13 +254,8 @@ class BidDecision:
         return self.station_id is None
 
 
-def abstain(rationale: str = "", fallback: bool = False) -> BidDecision:
-    return BidDecision(station_id=None, rationale=rationale, fallback=fallback)
-
-
-# frequent abstentions, shared because decisions are frozen
-ENTRANCE_FEE_UNAFFORDABLE = abstain("entrance fee unaffordable")
-RESERVE_UNAFFORDABLE = abstain("reserve price unaffordable")
+# every abstention, shared because decisions are frozen
+ABSTAIN = BidDecision(station_id=None)
 
 
 def effective_prices(view: StationView) -> EmpiricalPriceModel:
@@ -336,16 +330,11 @@ def greedy_decide(observation: MarketObservation) -> BidDecision:
     """Bid wherever expected utility is maximal, abstain unless it is positive."""
     best = grid_argmax(observation)
     if best is None:
-        return abstain("no affordable station")
+        return ABSTAIN
     utility, bid, view = best
     if utility <= 0.0:
-        return abstain("no positive expected utility")
-    return BidDecision(
-        station_id=view.station_id,
-        per_unit_bid=bid,
-        quantity=view.demand,
-        rationale=f"expected utility {utility:.4f}",
-    )
+        return ABSTAIN
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)
 
 
 def myopic_decide(observation: MarketObservation) -> BidDecision:
@@ -356,19 +345,14 @@ def myopic_decide(observation: MarketObservation) -> BidDecision:
     unaffordable; a clamped bid below the reserve is still submitted.
     """
     if not observation.stations:
-        return abstain("no serving station")
+        return ABSTAIN
     view = min(
         observation.stations,
         key=lambda v: (-v.rate_mbps, v.tier != SBS, v.station_id),
     )
     affordable = observation.budget - observation.entrance_fee
     if affordable < view.reserve_price:
-        return RESERVE_UNAFFORDABLE
+        return ABSTAIN
     value = channel_valuation(observation.urgency, view.rate_mbps)
     bid = min(value, per_unit_budget_cap(observation, view))
-    return BidDecision(
-        station_id=view.station_id,
-        per_unit_bid=bid,
-        quantity=view.demand,
-        rationale=f"truthful at {value:.4f}",
-    )
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)

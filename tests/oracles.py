@@ -9,6 +9,7 @@ references evaluate every grid point without memo or shortcut.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
@@ -74,7 +75,9 @@ def filtered_externality_payments(
 ) -> dict[int, float]:
     """Per-unit payments of every winner, rebuilding the others' claims for each.
 
-    The same arithmetic as ``run_vcg``, in the same order, without relying on
+    The others' best ``capacity`` claims, less the ``capacity - won`` of them
+    that win beside the bidder, leave the claims it displaces: the same
+    elements as ``run_vcg`` sums, in the same order, found without relying on
     a bidder's claims being contiguous in the sorted list.
     """
     eligible = [r for r in requests if r.per_unit_bid >= reserve]
@@ -86,12 +89,11 @@ def filtered_externality_payments(
     allocations: dict[int, int] = {}
     for _, bidder_id in winning:
         allocations[bidder_id] = allocations.get(bidder_id, 0) + 1
-    winning_value = sum(bid for bid, _ in winning)
     bids = {r.bidder_id: r.per_unit_bid for r in eligible}
     payments = {}
     for bidder_id, won in allocations.items():
         others = [bid for bid, owner in claims if owner != bidder_id]
-        externality = sum(others[:capacity]) - (winning_value - won * bids[bidder_id])
+        externality = math.fsum(others[capacity - won : capacity])
         payments[bidder_id] = min(bids[bidder_id], max(reserve, externality / won))
     return payments
 

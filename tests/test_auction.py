@@ -199,10 +199,27 @@ def test_payments_match_externality_with_floor(requests, capacity, reserve):
 
 
 def test_rounding_never_charges_above_the_bid():
-    # bidder 0's externality, the others' 19.1 without it minus their
-    # 19.1 - 3.1 alongside it, is 3.1000000000000014 in floats
-    outcome = run_vcg(make_requests([(1, 3.1), (1, 3.1), (4, 4.0)]), capacity=5, reserve=0.0)
-    assert outcome.per_unit_payments[0] == 3.1
+    # bidder 0 displaces bidder 1's three claims of 0.1; their exact sum,
+    # 0.30000000000000004, over 3 is 0.10000000000000002 in floats
+    outcome = run_vcg(make_requests([(3, 0.1), (3, 0.1)]), capacity=3, reserve=0.0)
+    assert outcome.per_unit_payments == {0: 0.1}
+
+
+def test_each_winner_pays_exactly_the_claim_it_displaces():
+    # each winner displaces the 0.1 claim; the difference of the float totals
+    # with and without a winner is a few ulps off 0.1 here, and off by other
+    # ulps on Python 3.12, whose sum() is compensated
+    requests = make_requests([(1, 0.1), (1, 0.2), (1, 0.3), (1, 0.4)])
+    outcome = run_vcg(requests, capacity=3, reserve=0.0)
+    assert outcome.per_unit_payments == {1: 0.1, 2: 0.1, 3: 0.1}
+
+
+def test_a_winner_that_displaces_nothing_pays_the_reserve():
+    # four claims for four channels; the difference of the float totals is
+    # 3.55e-15 and 7.4e-16 on Python 3.12
+    requests = make_requests([(1, 3.1), (3, 5.376188137058657)])
+    outcome = run_vcg(requests, capacity=4, reserve=0.0)
+    assert outcome.per_unit_payments == {0: 0.0, 1: 0.0}
 
 
 # few distinct bids, so ties between bidders are common; quantities above
@@ -223,8 +240,8 @@ tied_request_lists = st.lists(
     reserve=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
 )
 def test_payments_equal_the_filtered_claims_formulation(requests, capacity, reserve):
-    # exact equality: skipping the bidder's block sums the same floats in
-    # the same order as filtering every claim
+    # exact equality: the claims past the bidder's block and the winners are
+    # the same floats, in the same order, as the filtered others' claims
     outcome = run_vcg(requests, capacity, reserve)
     assert outcome.per_unit_payments == filtered_externality_payments(
         requests, capacity, reserve

@@ -11,8 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from hetmarket.cli import METRICS_COLUMNS, main, write_rounds_jsonl
-from hetmarket.engine import SimulationRun, UeRoundRecord, run_simulation, spawn_run_seeds
+from hetmarket.cli import METRICS_COLUMNS, main, write_metrics_csv, write_rounds_jsonl
+from hetmarket.engine import (
+    SimulationRun,
+    StationRoundRecord,
+    UeMetrics,
+    UeRoundRecord,
+    run_simulation,
+    spawn_run_seeds,
+)
 from hetmarket.llm_agent import ChatCompletionClient
 from hetmarket.scenario import preset
 
@@ -24,6 +31,12 @@ def run_cli(*argv):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def two_short_runs():
+    return run_simulation(
+        dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
+    )
 
 
 class TestRunCommand:
@@ -67,22 +80,75 @@ class TestRunCommand:
                     "fees_collected", "revenue",
                 }
 
-    def test_ue_objects_carry_every_record_field(self, tmp_path):
-        # A field added to UeRoundRecord must reach rounds.jsonl unchanged.
-        config = dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
-        report = run_simulation(config)
+    @pytest.mark.parametrize(
+        "key, record_type", [("ues", UeRoundRecord), ("stations", StationRoundRecord)]
+    )
+    def test_objects_carry_every_record_field(self, tmp_path, key, record_type):
+        # A field added to a round record must reach rounds.jsonl unchanged.
+        report = two_short_runs()
         path = tmp_path / "rounds.jsonl"
         write_rounds_jsonl(str(path), report)
-        fields = {f.name for f in dataclasses.fields(UeRoundRecord)}
+        fields = {f.name for f in dataclasses.fields(record_type)}
         logs = [log for result in report.results for log in result.rounds]
         lines = path.read_text().splitlines()
         assert len(lines) == len(logs) == 8
         for line, log in zip(lines, logs):
-            ues = json.loads(line)["ues"]
-            assert len(ues) == len(log.ues)
-            for obj, record in zip(ues, log.ues):
+            objects = json.loads(line)[key]
+            records = getattr(log, key)
+            assert len(objects) == len(records)
+            for obj, record in zip(objects, records):
                 assert set(obj) == fields
-                assert obj == dataclasses.asdict(record)
+                # JSON keys are text; the record's maps are keyed by UE id
+                assert obj == json.loads(json.dumps(dataclasses.asdict(record)))
+
+    def test_lines_are_the_records_with_str_keys(self, tmp_path):
+        report = two_short_runs()
+        path = tmp_path / "rounds.jsonl"
+        write_rounds_jsonl(str(path), report)
+        logs = [(result, log) for result in report.results for log in result.rounds]
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(logs)
+
+        def with_str_keys(record):
+            return {
+                name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+                for name, value in dataclasses.asdict(record).items()
+            }
+
+        # str keys sort as text ("12" before "3"), int keys as numbers, so a
+        # map holding ids on both sides of 10 tells them apart
+        assert any(
+            any(k < 10 for k in s.allocations) and any(k >= 10 for k in s.allocations)
+            for _, log in logs
+            for s in log.stations
+        )
+        for line, (result, log) in zip(lines, logs):
+            expected = {
+                "run": result.run_index,
+                "seed": result.seed,
+                "round": log.round_index,
+                "ues": [with_str_keys(r) for r in log.ues],
+                "stations": [with_str_keys(s) for s in log.stations],
+            }
+            assert line == json.dumps(expected, sort_keys=True)
+
+    def test_metrics_cells_are_the_record_fields(self, tmp_path):
+        # Each cell is str() of the UeMetrics field its column names, or empty
+        # for None; the column ``run`` names ``run_index``.
+        report = two_short_runs()
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(str(path), report)
+        rows = read_rows(path)
+        assert rows[0] == METRICS_COLUMNS
+        assert len(rows) == 1 + len(report.metrics.per_ue) == 81
+        fields = {f.name for f in dataclasses.fields(UeMetrics)}
+        names = ["run_index" if column == "run" else column for column in METRICS_COLUMNS]
+        assert set(names) <= fields
+        # a UE-run with no bids has no bid precision
+        assert any(m.bid_precision is None for m in report.metrics.per_ue)
+        for row, metrics in zip(rows[1:], report.metrics.per_ue):
+            values = [getattr(metrics, name) for name in names]
+            assert row == ["" if value is None else str(value) for value in values]
 
     def test_summary_json_contents(self, tmp_path):
         out = tmp_path / "out"

@@ -19,12 +19,12 @@ from hetmarket.engine import (
 from hetmarket.llm_agent import _most_winnable_bid
 from hetmarket.netmodel import MBS, SBS
 from hetmarket.strategy import (
+    ABSTAIN,
     BidDecision,
     EmpiricalPriceModel,
     MarketObservation,
     NoPriceData,
     StationView,
-    abstain,
     candidate_bids,
     effective_prices,
     greedy_decide,
@@ -366,10 +366,9 @@ class TestObservationHelpers:
         last = observation([view()], round_index=40, rounds_total=40)
         assert last.rounds_remaining == 1
 
-    def test_abstention_helper(self):
-        decision = abstain("nothing to do")
-        assert decision.abstained
-        assert decision.station_id is None
+    def test_shared_abstention(self):
+        assert ABSTAIN.abstained
+        assert ABSTAIN.station_id is None
         placed = BidDecision(station_id=2, per_unit_bid=1.0, quantity=1)
         assert not placed.abstained
 
