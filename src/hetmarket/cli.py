@@ -28,6 +28,7 @@ from .engine import (
     UeRoundRecord,
     run_simulation,
     run_simulations,
+    validate_all,
 )
 from .llm_agent import ChatCompletionClient, LlmError
 from .scenario import PRESETS, load_scenario_file, preset
@@ -282,7 +283,8 @@ def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
 def _sign_test_p(successes: int, trials: int) -> float:
     """One-sided binomial tail: P[X >= successes] under a fair coin."""
     total = sum(math.comb(trials, k) for k in range(successes, trials + 1))
-    return total / 2.0 ** trials
+    # int / int is correctly rounded at any size; 2.0 ** trials overflows at 1024
+    return total / 2**trials
 
 
 def _print_comparison(title: str, seeds: list[dict[str, StrategySummary]]) -> None:
@@ -337,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args)
         cells = _sweep_cells(args, config) if args.command == "sweep" else None
+        # a bad config must not reach the endpoint probe's socket
+        validate_all(cells or [config])
         endpoint_problem = _check_endpoint(config)
         if endpoint_problem is not None:
             print(endpoint_problem, file=sys.stderr)

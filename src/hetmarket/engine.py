@@ -205,6 +205,11 @@ class SimulationConfig:
             )
         if self.auction.entrance_fee < 0:
             problems.append("entrance_fee cannot be negative")
+        # a zero timeout makes the socket non-blocking, and a negative one raises
+        if self.endpoint.timeout_ms < 1:
+            problems.append(f"timeout_ms must be at least 1, not {self.endpoint.timeout_ms}")
+        if self.endpoint.max_retries < 0:
+            problems.append(f"max_retries cannot be negative, not {self.endpoint.max_retries}")
         if self.auction.competitor_mode not in (COMPETITORS_UNIFORM, COMPETITORS_ORACLE):
             problems.append(f"unknown competitor_mode {self.auction.competitor_mode!r}")
         if self.topology.num_small_cells < 0:
@@ -228,6 +233,24 @@ class SimulationConfig:
                 f" channels_per_station = {topo.channels_per_station},"
                 f" power_unit_price = {topo.power_unit_price}"
             )
+        else:
+            # no UE's SINR exceeds the macro power over the noise: path gains
+            # are at most 1, the macro is the strongest station, and
+            # interference only lowers SINR; so this best-case rate bounds
+            # every UE's rate, and a finite one keeps every demand finite
+            bandwidth = topo.channel.bandwidth_hz
+            density = topo.channel.noise_density_w_per_hz
+            noise = density * bandwidth
+            settings = f"bandwidth_hz = {bandwidth}, noise_density_w_per_hz = {density}"
+            if noise == 0.0:
+                problems.append(
+                    f"noise power bandwidth_hz * noise_density_w_per_hz is 0: {settings}"
+                )
+            elif not math.isfinite(bandwidth * math.log2(1.0 + topo.mbs_power_watts / noise)):
+                problems.append(
+                    "best-case rate bandwidth_hz * log2(1 + mbs_power_watts / noise power)"
+                    f" is not finite: {settings}, mbs_power_watts = {topo.mbs_power_watts}"
+                )
         for class_index in range(0 if miscounted else num_classes):
             try:
                 self.urgency.for_class(class_index)
@@ -273,14 +296,6 @@ class RoundLog:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    run_index: int
-    seed: int
-    roster: dict[int, str]
-    rounds: tuple[RoundLog, ...]
-
-
-@dataclass(frozen=True)
 class UeMetrics:
     run_index: int
     seed: int
@@ -296,6 +311,15 @@ class UeMetrics:
     fees_paid: float
     payments_paid: float
     fallbacks: int
+
+
+@dataclass(frozen=True)
+class RunResult:
+    run_index: int
+    seed: int
+    rounds: tuple[RoundLog, ...]
+    # one row per UE in id order, tallied as the rounds were played
+    per_ue: tuple[UeMetrics, ...]
 
 
 @dataclass(frozen=True)
@@ -336,10 +360,18 @@ class _UeRuntime:
     value_factor: float
     # candidate stations in id order; rebuilt only when competitor counts change
     views: tuple[StationView, ...] = ()
+    # totals over the rounds played so far, added in round order
+    gross: float = 0.0
+    fees: float = 0.0
+    payments: float = 0.0
+    channels: int = 0
+    bids: int = 0
+    wins: int = 0
+    fallbacks: int = 0
 
 
 class SimulationRun:
-    """Mutable state for one seeded run; drives rounds and collects logs."""
+    """Mutable state for one seeded run; drives rounds, collects logs and tallies users."""
 
     def __init__(self, config: SimulationConfig, run_index: int, run_seed: int):
         self.config = config
@@ -466,19 +498,19 @@ class SimulationRun:
 
     def run_round(self, round_index: int) -> RoundLog:
         """Play one sealed-bid round and append its broadcasts to history."""
-        decisions: list[tuple[_UeRuntime, BidDecision, float]] = []
+        decisions: list[tuple[_UeRuntime, BidDecision]] = []
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
                 decision = ABSTAIN
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
-            decisions.append((runtime, decision, runtime.value_factor))
+            decisions.append((runtime, decision))
 
         requests_by_station: dict[int, list[AuctionRequest]] = {
             bs.id: [] for bs in self.stations
         }
         fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
-        for runtime, decision, _ in decisions:
+        for runtime, decision in decisions:
             if decision.abstained:
                 continue
             runtime.budget -= self.fee
@@ -497,23 +529,33 @@ class SimulationRun:
         }
 
         ue_records = []
-        for runtime, decision, value_factor in decisions:
+        for runtime, decision in decisions:
             won = 0
             per_unit_payment = 0.0
             gross = 0.0
             fee_paid = 0.0
+            # a round adds to the totals in round order; it skips only adds of
+            # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
             if not decision.abstained:
                 fee_paid = self.fee
+                runtime.fees += fee_paid
+                runtime.bids += 1
                 outcome = outcomes[decision.station_id]
                 won = outcome.allocations.get(runtime.ue.id, 0)
                 if won > 0:
                     per_unit_payment = outcome.per_unit_payments[runtime.ue.id]
-                    runtime.budget -= won * per_unit_payment
-                    value = value_factor * runtime.rate_mbps[decision.station_id]
+                    paid = won * per_unit_payment
+                    runtime.budget -= paid
+                    runtime.payments += paid
+                    value = runtime.value_factor * runtime.rate_mbps[decision.station_id]
                     gross = won * (value - per_unit_payment)
+                    runtime.gross += gross
+                    runtime.channels += won
+                    runtime.wins += 1
+            if decision.fallback:
+                runtime.fallbacks += 1
             # a win resets the loss streak, anything else extends it
             losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
-            runtime.urgency, runtime.value_factor = self._streak(runtime.class_index, losses)
             ue_records.append(
                 UeRoundRecord(
                     ue_id=runtime.ue.id,
@@ -528,10 +570,11 @@ class SimulationRun:
                     fee_paid=fee_paid,
                     gross_utility=gross,
                     budget_after=runtime.budget,
-                    value_factor=value_factor,
-                    losses_after=runtime.urgency.consecutive_losses,
+                    value_factor=runtime.value_factor,
+                    losses_after=losses,
                 )
             )
+            runtime.urgency, runtime.value_factor = self._streak(runtime.class_index, losses)
 
         station_records = []
         for bs in self.stations:
@@ -579,11 +622,27 @@ class SimulationRun:
         finally:
             if self._client is not None:
                 self._client.close()
+        per_ue = tuple(
+            UeMetrics(
+                run_index=self.run_index,
+                seed=self.seed,
+                ue_id=r.ue.id,
+                strategy=r.strategy,
+                episodes=len(logs),
+                gross_utility=r.gross,
+                net_utility=r.gross - r.fees,
+                channels_won=r.channels,
+                bids_placed=r.bids,
+                wins=r.wins,
+                bid_precision=(r.wins / r.bids) if r.bids else None,
+                fees_paid=r.fees,
+                payments_paid=r.payments,
+                fallbacks=r.fallbacks,
+            )
+            for r in self.ues
+        )
         return RunResult(
-            run_index=self.run_index,
-            seed=self.seed,
-            roster={r.ue.id: r.strategy for r in self.ues},
-            rounds=tuple(logs),
+            run_index=self.run_index, seed=self.seed, rounds=tuple(logs), per_ue=per_ue
         )
 
 
@@ -598,6 +657,13 @@ def _execute_run(args: tuple[SimulationConfig, int, int]) -> RunResult:
     return SimulationRun(config, run_index, run_seed).execute()
 
 
+def validate_all(configs: Sequence[SimulationConfig]) -> None:
+    """Raise one ConfigurationError listing every problem of the configs once."""
+    problems = [problem for config in configs for problem in config.validate()]
+    if problems:
+        raise ConfigurationError(list(dict.fromkeys(problems)))
+
+
 def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationReport]:
     """Execute every run of every config and aggregate metrics per config.
 
@@ -606,9 +672,7 @@ def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationRepor
     the largest ``jobs`` among the configs; either way the reports are the same.
     Each finished run is logged at INFO level, in run order.
     """
-    problems = [problem for config in configs for problem in config.validate()]
-    if problems:
-        raise ConfigurationError(list(dict.fromkeys(problems)))
+    validate_all(configs)
     tasks = [
         (config, run_index, seed)
         for config in configs
@@ -644,49 +708,8 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
 
 def compute_metrics(results: Sequence[RunResult]) -> MetricsReport:
-    """Reduce round logs to per-user rows and per-strategy averages."""
-    per_ue: list[UeMetrics] = []
-    for result in results:
-        gross: dict[int, float] = {uid: 0.0 for uid in result.roster}
-        fees: dict[int, float] = {uid: 0.0 for uid in result.roster}
-        payments: dict[int, float] = {uid: 0.0 for uid in result.roster}
-        channels: dict[int, int] = {uid: 0 for uid in result.roster}
-        bids: dict[int, int] = {uid: 0 for uid in result.roster}
-        wins: dict[int, int] = {uid: 0 for uid in result.roster}
-        fallbacks: dict[int, int] = {uid: 0 for uid in result.roster}
-        for log in result.rounds:
-            for rec in log.ues:
-                gross[rec.ue_id] += rec.gross_utility
-                fees[rec.ue_id] += rec.fee_paid
-                payments[rec.ue_id] += rec.channels_won * rec.per_unit_payment
-                channels[rec.ue_id] += rec.channels_won
-                if not rec.abstained:
-                    bids[rec.ue_id] += 1
-                if rec.channels_won > 0:
-                    wins[rec.ue_id] += 1
-                if rec.fallback:
-                    fallbacks[rec.ue_id] += 1
-        for uid in sorted(result.roster):
-            n_bids = bids[uid]
-            per_ue.append(
-                UeMetrics(
-                    run_index=result.run_index,
-                    seed=result.seed,
-                    ue_id=uid,
-                    strategy=result.roster[uid],
-                    episodes=len(result.rounds),
-                    gross_utility=gross[uid],
-                    net_utility=gross[uid] - fees[uid],
-                    channels_won=channels[uid],
-                    bids_placed=n_bids,
-                    wins=wins[uid],
-                    bid_precision=(wins[uid] / n_bids) if n_bids else None,
-                    fees_paid=fees[uid],
-                    payments_paid=payments[uid],
-                    fallbacks=fallbacks[uid],
-                )
-            )
-
+    """Gather the runs' per-user rows and average them per strategy."""
+    per_ue = [row for result in results for row in result.per_ue]
     per_strategy: dict[str, StrategySummary] = {}
     for strategy in STRATEGIES:
         rows = [m for m in per_ue if m.strategy == strategy]

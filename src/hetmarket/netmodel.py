@@ -145,7 +145,8 @@ def achievable_rate_bps(bs: BaseStation, ue: UserEquipment, topology: Topology) 
 
 
 def channel_demand(ue: UserEquipment, rate_per_channel_bps: float) -> int | None:
-    """Fewest whole sub-channels covering the QoS rate; None if unservable."""
+    """Fewest whole sub-channels covering the QoS rate, at least one; None if
+    unservable.  The floor holds where the quotient underflows to 0."""
     if rate_per_channel_bps <= 0.0:
         return None
-    return math.ceil(ue.qos_rate_bps / rate_per_channel_bps)
+    return max(1, math.ceil(ue.qos_rate_bps / rate_per_channel_bps))

@@ -2,8 +2,9 @@
 
 Everything in here trades speed for obviousness: the auction oracle
 enumerates every feasible allocation outright, the win-probability oracle
-simulates opponent draws instead of summing binomial terms, and the decision
-references evaluate every grid point without memo or shortcut.
+simulates opponent draws instead of summing binomial terms, the decision
+references evaluate every grid point without memo or shortcut, and the
+per-user metrics are recounted from the retained round logs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from hetmarket.auction import AuctionRequest
+from hetmarket.engine import RunResult, SimulationConfig, UeMetrics
 from hetmarket.strategy import EmpiricalPriceModel, win_probability_given_cdf
 from hetmarket.valuation import UrgencyState
 
@@ -145,3 +147,50 @@ def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:
     if won_any_channel:
         return replace(state, consecutive_losses=0)
     return replace(state, consecutive_losses=state.consecutive_losses + 1)
+
+
+def metrics_from_logs(config: SimulationConfig, result: RunResult) -> tuple[UeMetrics, ...]:
+    """Per-user rows of one run, recounted from its round logs.
+
+    Totals start at 0 and add every round's values in round order, as the
+    engine's running tallies do, so the two agree exactly.
+    """
+    roster = dict(enumerate(config.population.roster()))
+    gross: dict[int, float] = {uid: 0.0 for uid in roster}
+    fees: dict[int, float] = {uid: 0.0 for uid in roster}
+    payments: dict[int, float] = {uid: 0.0 for uid in roster}
+    channels: dict[int, int] = {uid: 0 for uid in roster}
+    bids: dict[int, int] = {uid: 0 for uid in roster}
+    wins: dict[int, int] = {uid: 0 for uid in roster}
+    fallbacks: dict[int, int] = {uid: 0 for uid in roster}
+    for log in result.rounds:
+        for rec in log.ues:
+            gross[rec.ue_id] += rec.gross_utility
+            fees[rec.ue_id] += rec.fee_paid
+            payments[rec.ue_id] += rec.channels_won * rec.per_unit_payment
+            channels[rec.ue_id] += rec.channels_won
+            if not rec.abstained:
+                bids[rec.ue_id] += 1
+            if rec.channels_won > 0:
+                wins[rec.ue_id] += 1
+            if rec.fallback:
+                fallbacks[rec.ue_id] += 1
+    return tuple(
+        UeMetrics(
+            run_index=result.run_index,
+            seed=result.seed,
+            ue_id=uid,
+            strategy=roster[uid],
+            episodes=len(result.rounds),
+            gross_utility=gross[uid],
+            net_utility=gross[uid] - fees[uid],
+            channels_won=channels[uid],
+            bids_placed=bids[uid],
+            wins=wins[uid],
+            bid_precision=(wins[uid] / bids[uid]) if bids[uid] else None,
+            fees_paid=fees[uid],
+            payments_paid=payments[uid],
+            fallbacks=fallbacks[uid],
+        )
+        for uid in sorted(roster)
+    )

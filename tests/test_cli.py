@@ -285,6 +285,13 @@ class TestExitCodes:
             ("valuation", "base_value_per_mbps", "0"),
             ("valuation", "max_value_per_mbps", "0.1"),
             ("valuation", "saturation_losses", "0"),
+            # the macro's SNR overflows to inf, so the best-case rate is not finite
+            pytest.param("topology", "noise_density_w_per_hz", "1e-320\nnum_sbs = 0",
+                         id="topology-noise_density_w_per_hz-1e-320"),
+            # the noise power underflows to 0
+            pytest.param("topology", "bandwidth_hz",
+                         "1e-300\nnoise_density_w_per_hz = 1e-30\nnum_sbs = 0",
+                         id="topology-bandwidth_hz-1e-300"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -298,6 +305,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert key in err
+
+    def test_demand_below_one_channel_is_exit_zero(self, tmp_path):
+        # the QoS rate over the channel rate underflows to 0; one channel serves it
+        path = tmp_path / "tiny.ini"
+        path.write_text("[topology]\nbandwidth_hz = 1e9\n"
+                        "[population]\nqos_classes_mbps = 1e-320\n")
+        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "3",
+                       "--out", str(tmp_path / "out"))
+        assert code == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value", [("timeout_ms", "-5"), ("timeout_ms", "0"), ("max_retries", "-1")]
+    )
+    def test_invalid_llm_setting_is_exit_two_before_the_probe(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        def explode(self, prompt):
+            raise AssertionError("a bad config reached the endpoint probe")
+
+        monkeypatch.setattr(ChatCompletionClient, "complete", explode)
+        path = tmp_path / "bad.ini"
+        path.write_text("[population]\nllm = 1\n"
+                        f"[llm]\nbase_url = http://127.0.0.1:9\n{key} = {value}\n")
+        extra = ["--episodes", "3"] if command == "run" else ["--horizons", "3", "--seeds", "2"]
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(path), "--out", str(out), *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import socket
+from dataclasses import replace
 
 import pytest
 
@@ -25,10 +27,10 @@ from hetmarket.engine import (
     run_simulation,
     spawn_run_seeds,
 )
-from hetmarket.llm_agent import ChatCompletionClient
+from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig
 from hetmarket.valuation import UrgencyState, urgency_factor
 
-from oracles import record_outcome
+from oracles import metrics_from_logs, record_outcome
 
 
 def config_with(counts, num_ues=None, **overrides):
@@ -104,7 +106,9 @@ class TestRoster:
     def test_report_roster_matches(self):
         config = config_with({LLM: 1, GREEDY: 1, MYOPIC: 2}, episodes=2)
         result = run_simulation(config).results[0]
-        assert result.roster == {0: LLM, 1: GREEDY, 2: MYOPIC, 3: MYOPIC}
+        assert [(m.ue_id, m.strategy) for m in result.per_ue] == [
+            (0, LLM), (1, GREEDY), (2, MYOPIC), (3, MYOPIC)
+        ]
 
 
 class TestDeterminism:
@@ -179,7 +183,7 @@ class TestAccounting:
     def test_budget_trajectories_and_floor(self):
         config = config_with({GREEDY: 4, MYOPIC: 8}, episodes=10, seed=11)
         result = run_simulation(config).results[0]
-        budgets = {uid: 15.0 for uid in result.roster}
+        budgets = {m.ue_id: 15.0 for m in result.per_ue}
         for log in result.rounds:
             for rec in log.ues:
                 expected = budgets[rec.ue_id]
@@ -269,7 +273,7 @@ class TestUrgencyBookkeeping:
     def test_streaks_follow_outcomes(self):
         config = config_with({GREEDY: 2, MYOPIC: 10}, episodes=10, seed=21)
         result = run_simulation(config).results[0]
-        losses = {uid: 0 for uid in result.roster}
+        losses = {m.ue_id: 0 for m in result.per_ue}
         for log in result.rounds:
             for rec in log.ues:
                 if rec.channels_won > 0:
@@ -281,7 +285,7 @@ class TestUrgencyBookkeeping:
     def test_value_factor_reflects_entering_streak(self):
         config = config_with({MYOPIC: 8}, episodes=8, seed=13)
         result = run_simulation(config).results[0]
-        losses = {uid: 0 for uid in result.roster}
+        losses = {m.ue_id: 0 for m in result.per_ue}
         for log in result.rounds:
             for rec in log.ues:
                 state = UrgencyState(
@@ -385,7 +389,7 @@ class TestOfflineLlm:
         monkeypatch.setattr(ChatCompletionClient, "complete", explode)
         config = config_with({LLM: 1, MYOPIC: 3}, episodes=4, offline=True)
         report = run_simulation(config)
-        assert report.results[0].roster[0] == LLM
+        assert report.results[0].per_ue[0].strategy == LLM
 
     def test_offline_llm_mirrors_foresight(self):
         llm_config = config_with({LLM: 1, MYOPIC: 3}, episodes=5, seed=29)
@@ -400,10 +404,12 @@ class TestOfflineLlm:
 
 
 class TestMetrics:
-    def record(self, ue_id, strategy, *, abstained=False, won=0, pay=0.0,
+    """The reference recount of a run's logs, and the per-strategy averages."""
+
+    def record(self, ue_id, *, abstained=False, won=0, pay=0.0,
                fee=0.0, gross=0.0, fallback=False):
         return UeRoundRecord(
-            ue_id=ue_id, strategy=strategy,
+            ue_id=ue_id, strategy="",
             station_id=None if abstained else 0,
             per_unit_bid=0.0 if abstained else 1.0,
             quantity=0 if abstained else max(won, 1),
@@ -413,22 +419,27 @@ class TestMetrics:
             losses_after=0,
         )
 
+    def reduce(self, config, rounds):
+        result = RunResult(run_index=0, seed=42, rounds=rounds, per_ue=())
+        return compute_metrics([replace(result, per_ue=metrics_from_logs(config, result))])
+
     def test_handbuilt_rollup(self):
+        # the roster puts greedy before myopic: UE 0 is greedy, UE 1 myopic
+        config = config_with({MYOPIC: 1, GREEDY: 1})
         rounds = (
             RoundLog(round_index=1, ues=(
-                self.record(0, MYOPIC, won=2, pay=1.5, fee=0.1, gross=3.0),
-                self.record(1, GREEDY, abstained=True),
+                self.record(0, won=2, pay=1.5, fee=0.1, gross=3.0),
+                self.record(1, abstained=True),
             ), stations=()),
             RoundLog(round_index=2, ues=(
-                self.record(0, MYOPIC, won=0, pay=0.0, fee=0.1, gross=0.0),
-                self.record(1, GREEDY, won=1, pay=0.5, fee=0.1, gross=1.5,
-                            fallback=True),
+                self.record(0, won=0, pay=0.0, fee=0.1, gross=0.0),
+                self.record(1, won=1, pay=0.5, fee=0.1, gross=1.5, fallback=True),
             ), stations=()),
         )
-        result = RunResult(run_index=0, seed=42, roster={0: MYOPIC, 1: GREEDY},
-                           rounds=rounds)
-        metrics = compute_metrics([result])
+        metrics = self.reduce(config, rounds)
         first, second = metrics.per_ue
+        assert (first.strategy, second.strategy) == (GREEDY, MYOPIC)
+        assert first.episodes == second.episodes == 2
         assert first.gross_utility == pytest.approx(3.0)
         assert first.net_utility == pytest.approx(2.8)
         assert first.channels_won == 2
@@ -440,19 +451,67 @@ class TestMetrics:
         assert second.bid_precision == 1.0
         assert second.net_utility == pytest.approx(1.4)
         assert second.fallbacks == 1
-        assert metrics.per_strategy[MYOPIC].num_ue_runs == 1
-        assert metrics.per_strategy[GREEDY].fallback_rounds == 1
+        assert metrics.per_strategy[GREEDY].num_ue_runs == 1
+        assert metrics.per_strategy[MYOPIC].fallback_rounds == 1
 
     def test_zero_bids_has_no_precision(self):
-        result = RunResult(
-            run_index=0, seed=1, roster={0: MYOPIC},
-            rounds=(RoundLog(round_index=1,
-                             ues=(self.record(0, MYOPIC, abstained=True),),
-                             stations=()),),
-        )
-        metrics = compute_metrics([result])
+        rounds = (RoundLog(round_index=1, ues=(self.record(0, abstained=True),),
+                           stations=()),)
+        metrics = self.reduce(config_with({MYOPIC: 1}), rounds)
         assert metrics.per_ue[0].bid_precision is None
         assert metrics.per_strategy[MYOPIC].avg_bid_precision is None
+
+
+def refused_base_url() -> str:
+    """A local URL whose port was just released, so connections are refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestRunningTallies:
+    """Each run's rows, tallied as it plays, equal a recount of its logs."""
+
+    @pytest.mark.parametrize(
+        "make_config, reaches_case",
+        [
+            (lambda: config_with({LLM: 1, FORESIGHT: 1, GREEDY: 2, MYOPIC: 8},
+                                 episodes=12, seed=3),
+             lambda rows: {m.strategy for m in rows} == {LLM, FORESIGHT, GREEDY, MYOPIC}),
+            (lambda: config_with({GREEDY: 3, MYOPIC: 6}, episodes=8, seed=4,
+                                 auction=AuctionConfig(competitor_mode=COMPETITORS_ORACLE)),
+             lambda rows: rows[0].episodes == 8),
+            # two wins spend the budget, so the run stops after round 2 of 10
+            (lambda: SimulationConfig(
+                topology=TopologyConfig(num_small_cells=0),
+                population=PopulationConfig(num_ues=1, budget=4.5, qos_classes_mbps=(2.0,),
+                                            strategy_counts={MYOPIC: 1}),
+                episodes=10, seed=5,
+            ),
+             lambda rows: rows[0].episodes == 2),
+            (lambda: config_with({MYOPIC: 2}, episodes=10, population={"budget": 0.25}),
+             lambda rows: [m.episodes for m in rows] == [0, 0]),
+            (lambda: config_with({FORESIGHT: 1, GREEDY: 2, MYOPIC: 5}, episodes=6,
+                                 runs=3, seed=8),
+             lambda rows: [m.run_index for m in rows[::8]] == [0, 1, 2]),
+            (lambda: config_with(
+                {LLM: 1, GREEDY: 1, MYOPIC: 3}, episodes=3, seed=2, offline=False,
+                endpoint=LlmEndpointConfig(base_url=refused_base_url(), timeout_ms=1000),
+            ),
+             lambda rows: rows[0].fallbacks > 0),
+        ],
+        ids=["all-strategies", "oracle-competitors", "exhausted-early", "zero-rounds",
+             "three-runs", "refused-endpoint"],
+    )
+    def test_tallies_equal_the_log_recount(self, make_config, reaches_case):
+        config = make_config()
+        report = run_simulation(config)
+        for result in report.results:
+            assert result.per_ue == metrics_from_logs(config, result)
+        rows = report.metrics.per_ue
+        assert rows == tuple(row for result in report.results for row in result.per_ue)
+        assert reaches_case(rows)
 
 
 class TestValidation:

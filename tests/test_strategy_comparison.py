@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
-from hetmarket.cli import main
+from hetmarket.cli import _sign_test_p, main
 
 # stdout of the same comparison run one seed at a time through run_simulation
 EXPECTED = """\
@@ -27,3 +30,17 @@ def test_output_does_not_depend_on_jobs(tmp_path, capsys, jobs):
                  "--seeds", "3", "--jobs", jobs, "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out == EXPECTED + f"wrote {out / 'sweep.csv'} (3 rows)\n"
+
+
+@pytest.mark.parametrize("trials", [20, 1023, 1024, 1100])
+def test_sign_test_is_correctly_rounded_at_any_size(trials):
+    for successes in (0, 1, trials // 2, trials - 1, trials):
+        total = sum(math.comb(trials, k) for k in range(successes, trials + 1))
+        assert _sign_test_p(successes, trials) == float(Fraction(total, 2**trials))
+
+
+def test_sweep_of_more_than_1023_seeds(tmp_path):
+    # 2.0 ** 1024 overflows a float
+    code = main(["sweep", "--preset", "scenario1", "--offline", "--horizons", "1",
+                 "--seeds", "1030", "--out", str(tmp_path / "out")])
+    assert code == 0
