@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -44,7 +45,6 @@ from .strategy import (
     EmpiricalPriceModel,
     MarketObservation,
     StationView,
-    clear_win_memo,
     greedy_decide,
     myopic_decide,
 )
@@ -193,6 +193,8 @@ class SimulationConfig:
             problems.append("qos_classes_mbps cannot be empty")
         if any(c <= 0 for c in self.population.qos_classes_mbps):
             problems.append("qos_classes_mbps entries must be positive")
+        if not all(math.isfinite(c * 1e6) for c in self.population.qos_classes_mbps):
+            problems.append("qos_classes_mbps entries must be finite in bit/s")
         unknown = set(self.population.strategy_counts) - set(STRATEGIES)
         if unknown:
             problems.append(f"unknown strategies: {sorted(unknown)}")
@@ -208,12 +210,21 @@ class SimulationConfig:
         # a zero timeout makes the socket non-blocking, and a negative one raises
         if self.endpoint.timeout_ms < 1:
             problems.append(f"timeout_ms must be at least 1, not {self.endpoint.timeout_ms}")
+        # the largest timeout a socket accepts
+        if self.endpoint.timeout_ms > threading.TIMEOUT_MAX * 1000:
+            problems.append(
+                f"timeout_ms must be at most {threading.TIMEOUT_MAX * 1000:.0f},"
+                f" not {self.endpoint.timeout_ms}"
+            )
         if self.endpoint.max_retries < 0:
             problems.append(f"max_retries cannot be negative, not {self.endpoint.max_retries}")
         if self.auction.competitor_mode not in (COMPETITORS_UNIFORM, COMPETITORS_ORACLE):
             problems.append(f"unknown competitor_mode {self.auction.competitor_mode!r}")
         if self.topology.num_small_cells < 0:
             problems.append("num_small_cells cannot be negative")
+        # a radius of 0 places every UE on the macro station
+        if self.topology.macro_radius_m <= 0:
+            problems.append(f"macro_radius_m must be positive, not {self.topology.macro_radius_m}")
         num_classes = len(self.population.qos_classes_mbps)
         miscounted = [
             name
@@ -246,11 +257,28 @@ class SimulationConfig:
                 problems.append(
                     f"noise power bandwidth_hz * noise_density_w_per_hz is 0: {settings}"
                 )
-            elif not math.isfinite(bandwidth * math.log2(1.0 + topo.mbs_power_watts / noise)):
-                problems.append(
-                    "best-case rate bandwidth_hz * log2(1 + mbs_power_watts / noise power)"
-                    f" is not finite: {settings}, mbs_power_watts = {topo.mbs_power_watts}"
-                )
+            else:
+                best_rate = bandwidth * math.log2(1.0 + topo.mbs_power_watts / noise)
+                if not math.isfinite(best_rate):
+                    problems.append(
+                        "best-case rate bandwidth_hz * log2(1 + mbs_power_watts / noise power)"
+                        f" is not finite: {settings}, mbs_power_watts = {topo.mbs_power_watts}"
+                    )
+                else:
+                    # no UE-round wins more channels than a station has, each
+                    # worth at most the top value at the best-case rate; so
+                    # this bounds every sum of channel values in the artifacts
+                    top = max(self.urgency.max_value_per_mbps, default=0.0)
+                    bound = (
+                        self.population.num_ues * self.runs * self.episodes
+                        * topo.channels_per_station * top * (best_rate / 1e6)
+                    )
+                    if not math.isfinite(bound):
+                        problems.append(
+                            "num_ues * runs * episodes * channels_per_station"
+                            " * max_value_per_mbps * best-case rate in Mbps is not finite:"
+                            f" max_value_per_mbps = {top}"
+                        )
         for class_index in range(0 if miscounted else num_classes):
             try:
                 self.urgency.for_class(class_index)
@@ -679,7 +707,6 @@ def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationRepor
         for run_index, seed in enumerate(spawn_run_seeds(config.seed, config.runs))
     ]
     config_indices = [i for i, config in enumerate(configs) for _ in range(config.runs)]
-    clear_win_memo()
     jobs = min(max((config.jobs for config in configs), default=1), len(tasks))
     with ExitStack() as stack:
         if jobs > 1:

@@ -164,7 +164,10 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
     try:
         return _replaced(defaults, changes)
     except ValueError as exc:  # the channel model checks its physical values
-        raise ConfigurationError([f"{source}: {exc}"]) from exc
+        # list the other problems too, of the config with the default channel
+        changes.get("topology", {}).pop("channel", None)
+        others = _replaced(defaults, changes).validate()
+        raise ConfigurationError([f"{source}: {exc}", *others]) from exc
 
 
 def load_scenario_file(path: str) -> SimulationConfig:

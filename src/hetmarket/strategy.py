@@ -27,16 +27,19 @@ class EmpiricalPriceModel:
 
     One model is shared by every user of a station, so what it keeps (the
     mean and the reserve prior) is computed once per station per round;
-    ``append`` clears both.
+    ``append`` clears both.  Its win probabilities are kept for its lifetime,
+    one run: each depends only on its key, so none goes stale on ``append``.
     """
 
-    __slots__ = ("_history", "_sorted", "_mean", "_prior")
+    __slots__ = ("_history", "_sorted", "_mean", "_prior", "_win")
 
     def __init__(self, prices: Iterable[float] = ()):
         self._history: list[float] = [float(p) for p in prices]
         self._sorted: list[float] = sorted(self._history)
         self._mean: float | None = None
         self._prior: EmpiricalPriceModel | None = None
+        # (cdf, competitors, capacity) -> win_probability_given_cdf of it
+        self._win: dict[tuple[float, int, int], float] = {}
 
     def append(self, price: float) -> None:
         price = float(price)
@@ -76,8 +79,15 @@ class EmpiricalPriceModel:
         """``win_probability_given_cdf(self.cdf(bid), competitors, capacity)``, memoised."""
         if not self._sorted:
             raise NoPriceData("no clearing prices observed yet")
-        cdf = bisect_right(self._sorted, bid) / len(self._sorted)
-        return _memoised_win_probability(cdf, competitors, capacity)
+        return self.win_probability_at(bisect_right(self._sorted, bid), competitors, capacity)
+
+    def win_probability_at(self, count: int, competitors: int, capacity: int) -> float:
+        """The win probability of a bid with ``count`` prices at or below it, memoised."""
+        key = (count / len(self._sorted), competitors, capacity)
+        prob = self._win.get(key)
+        if prob is None:
+            prob = self._win[key] = win_probability_given_cdf(*key)
+        return prob
 
     def or_prior(self, reserve: float) -> EmpiricalPriceModel:
         """This model, or before any data a one-point prior at ``reserve``.
@@ -89,31 +99,6 @@ class EmpiricalPriceModel:
         if self._prior is None or self._prior.last != reserve:
             self._prior = EmpiricalPriceModel([reserve])
         return self._prior
-
-
-# Win probabilities by (cdf, competitors, capacity), shared by every model.
-# The value depends on nothing else, so no entry goes stale when a price is
-# appended; the memo is emptied only when it reaches its bound or a batch of
-# runs starts.
-WIN_MEMO_SIZE = 4096
-_win_memo: dict[tuple[float, int, int], float] = {}
-
-
-def clear_win_memo() -> None:
-    """Empty the memo, so a batch of runs does the same work whatever ran before it."""
-    _win_memo.clear()
-
-
-def _memoised_win_probability(cdf_at_bid: float, competitors: int, capacity: int) -> float:
-    """``win_probability_given_cdf``, computed once per key while the memo holds it."""
-    key = (cdf_at_bid, competitors, capacity)
-    prob = _win_memo.get(key)
-    if prob is None:
-        prob = win_probability_given_cdf(cdf_at_bid, competitors, capacity)
-        if len(_win_memo) >= WIN_MEMO_SIZE:
-            _win_memo.clear()
-        _win_memo[key] = prob
-    return prob
 
 
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
@@ -315,9 +300,7 @@ def grid_argmax(
             if count == scored:
                 continue
             scored = count
-            prob = _memoised_win_probability(
-                count / len(ranked), view.competitors, view.capacity
-            )
+            prob = prices.win_probability_at(count, view.competitors, view.capacity)
             utility = prob * surplus
             key = (utility, -bid, -view.station_id)
             if best_key is None or key > best_key:

@@ -292,6 +292,16 @@ class TestExitCodes:
             pytest.param("topology", "bandwidth_hz",
                          "1e-300\nnoise_density_w_per_hz = 1e-30\nnum_sbs = 0",
                          id="topology-bandwidth_hz-1e-300"),
+            # every UE would stand on the macro station
+            ("topology", "macro_radius_m", "0"),
+            ("topology", "macro_radius_m", "-5"),
+            # the rate in bit/s overflows to inf
+            ("population", "qos_classes_mbps", "1e303"),
+            # the sums of channel values overflow: fsum raises, or inf is written
+            pytest.param("valuation", "max_value_per_mbps", "1e306\nbase_value_per_mbps = 1e306",
+                         id="valuation-max_value_per_mbps-1e306"),
+            pytest.param("valuation", "max_value_per_mbps", "1e308\nbase_value_per_mbps = 1e308",
+                         id="valuation-max_value_per_mbps-1e308"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -306,18 +316,49 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert key in err
 
-    def test_demand_below_one_channel_is_exit_zero(self, tmp_path):
-        # the QoS rate over the channel rate underflows to 0; one channel serves it
-        path = tmp_path / "tiny.ini"
-        path.write_text("[topology]\nbandwidth_hz = 1e9\n"
-                        "[population]\nqos_classes_mbps = 1e-320\n")
-        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "3",
+    def test_bad_channel_setting_lists_every_other_problem(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[topology]\nbandwidth_hz = -1\nchannels_per_station = 0\n"
+                        "[simulation]\nepisodes = 0\n")
+        code = run_cli("run", "--config", str(path), "--offline",
                        "--out", str(tmp_path / "out"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("config error: ") for line in lines)
+        for key in ("bandwidth_hz", "channels_per_station", "episodes"):
+            assert sum(key in line for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the QoS rate over the channel rate underflows to 0; one channel serves it
+            "[topology]\nbandwidth_hz = 1e9\n[population]\nqos_classes_mbps = 1e-320\n",
+            # every sum of channel values stays finite
+            "[valuation]\nbase_value_per_mbps = 1e290\nmax_value_per_mbps = 1e290\n",
+        ],
+        ids=["demand-below-one-channel", "channel-values-of-1e290"],
+    )
+    def test_extreme_valid_value_is_exit_zero(self, tmp_path, text):
+        path = tmp_path / "extreme.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "3",
+                       "--out", str(out))
         assert code == 0
+        for name in ("rounds.jsonl", "metrics.csv", "summary.json"):
+            assert "inf" not in (out / name).read_text().lower()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
-        "key, value", [("timeout_ms", "-5"), ("timeout_ms", "0"), ("max_retries", "-1")]
+        "key, value",
+        [
+            ("timeout_ms", "-5"),
+            ("timeout_ms", "0"),
+            # beyond the largest timeout a socket accepts
+            ("timeout_ms", "100000000000000000000"),
+            ("max_retries", "-1"),
+        ],
     )
     def test_invalid_llm_setting_is_exit_two_before_the_probe(
         self, tmp_path, capsys, monkeypatch, command, key, value

@@ -125,10 +125,19 @@ class TestDeterminism:
         positions_b = [r.ue.position for r in run_b.ues]
         assert positions_a != positions_b
 
-    def test_parallel_jobs_match_serial(self):
-        serial = config_with({MYOPIC: 6}, episodes=4, runs=3, seed=9, jobs=1)
-        parallel = config_with({MYOPIC: 6}, episodes=4, runs=3, seed=9, jobs=3)
-        assert run_simulation(serial) == run_simulation(parallel)
+    # greedy and foresight UEs read each station's price model and its memo
+    @pytest.mark.parametrize(
+        "counts, episodes",
+        [({MYOPIC: 6}, 4), ({GREEDY: 4, FORESIGHT: 1, MYOPIC: 1}, 12)],
+        ids=["myopic", "price-readers"],
+    )
+    def test_parallel_jobs_match_serial(self, counts, episodes):
+        serial = config_with(counts, episodes=episodes, runs=3, seed=9, jobs=1)
+        parallel = config_with(counts, episodes=episodes, runs=3, seed=9, jobs=3)
+        report = run_simulation(serial)
+        assert report == run_simulation(parallel)
+        if GREEDY in counts:
+            assert report.metrics.per_strategy[GREEDY].avg_bids_placed > 0
 
     def test_child_seeds_are_stable_and_distinct(self):
         seeds = spawn_run_seeds(123, 5)

@@ -140,41 +140,37 @@ class TestPriceModel:
     )
     def test_memoised_win_probability_follows_every_append(self, prices, queries):
         # The same lookups after every append; a memo entry keyed on less
-        # than the CDF value would disagree with the unmemoised evaluation on
-        # the CDF of the prices so far.  A bound of 5 keys is reached within a
-        # few appends, so entries are also dropped and made again.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(strategy, "WIN_MEMO_SIZE", 5)
-            mp.setattr(strategy, "_win_memo", {})
-            model = EmpiricalPriceModel()
-            with pytest.raises(NoPriceData):
-                model.win_probability(*queries[0])
-            for price in prices:
-                model.append(price)
-                for bid, competitors, capacity in queries:
-                    assert model.win_probability(bid, competitors, capacity) == (
-                        win_probability_given_cdf(model.cdf(bid), competitors, capacity)
-                    )
-                    assert len(strategy._win_memo) <= 5
+        # than the CDF value and both sizes would disagree with the
+        # unmemoised evaluation on the CDF of the prices so far.
+        model = EmpiricalPriceModel()
+        with pytest.raises(NoPriceData):
+            model.win_probability(*queries[0])
+        for price in prices:
+            model.append(price)
+            for bid, competitors, capacity in queries:
+                assert model.win_probability(bid, competitors, capacity) == (
+                    win_probability_given_cdf(model.cdf(bid), competitors, capacity)
+                )
 
-    def test_memo_is_shared_across_models_and_appends(self, monkeypatch):
-        # The same CDF value, from another model or after an append, is not
-        # evaluated again.
+    def test_memo_is_kept_across_appends(self, monkeypatch):
+        # A CDF value the model has evaluated is not evaluated again after
+        # an append brings it back; another model keeps its own memo.
         evaluated = []
 
         def counted(cdf, competitors, capacity):
             evaluated.append((cdf, competitors, capacity))
             return win_probability_given_cdf(cdf, competitors, capacity)
 
-        monkeypatch.setattr(strategy, "_win_memo", {})
         monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
-        first = EmpiricalPriceModel([1.0, 3.0])
-        second = EmpiricalPriceModel([2.0, 4.0, 5.0, 6.0])
-        assert first.win_probability(2.0, 5, 2) == second.win_probability(4.5, 5, 2)
-        first.append(0.5)
-        first.append(7.0)
-        assert first.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
+        model = EmpiricalPriceModel([1.0, 3.0])
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
+        model.append(0.5)
+        model.append(7.0)
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
+        assert model.win_probability_at(2, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
         assert evaluated == [(0.5, 5, 2)]
+        EmpiricalPriceModel([2.0, 4.0]).win_probability(3.0, 5, 2)
+        assert evaluated == [(0.5, 5, 2)] * 2
 
     def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
@@ -618,14 +614,23 @@ def test_greedy_heavy_run_matches_the_reference_argmax(monkeypatch):
 
 
 def test_each_batch_of_runs_starts_from_an_empty_memo(monkeypatch):
-    # The memo serves every run of one batch, and a second identical batch
-    # makes the same evaluations as the first, whatever ran before it.
+    # Every price model keeps its own memo for one run: each evaluation adds
+    # one key to one model's memo, so no model evaluates a key twice, and a
+    # second identical batch makes the same evaluations as the first,
+    # whatever ran before it.
     evaluated = []
+    models = []
+    made = EmpiricalPriceModel.__init__
+
+    def tracked(self, prices=()):
+        made(self, prices)
+        models.append(self)
 
     def counted(cdf, competitors, capacity):
         evaluated.append((cdf, competitors, capacity))
         return win_probability_given_cdf(cdf, competitors, capacity)
 
+    monkeypatch.setattr(EmpiricalPriceModel, "__init__", tracked)
     monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
     config = SimulationConfig(
         population=PopulationConfig(strategy_counts={GREEDY: 30, MYOPIC: 10}),
@@ -633,7 +638,7 @@ def test_each_batch_of_runs_starts_from_an_empty_memo(monkeypatch):
     )
     run_simulation(config)
     first = list(evaluated)
+    assert len(first) == sum(len(model._win) for model in models) > 0
     evaluated.clear()
     run_simulation(config)
     assert evaluated == first
-    assert len(first) == len(set(first)) > 0
