@@ -8,9 +8,7 @@ from .engine import (
     AuctionConfig,
     MetricsReport,
     PopulationConfig,
-    RunResult,
     SimulationConfig,
-    SimulationReport,
     TopologyConfig,
     UrgencyConfig,
     compute_metrics,

@@ -8,21 +8,25 @@ endpoint is required but unreachable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
+import shutil
 import sys
+from typing import Iterable
 
 from .engine import (
     LLM,
     STRATEGIES,
     ConfigurationError,
     MetricsReport,
+    RoundLog,
     SimulationConfig,
-    SimulationReport,
     StationRoundRecord,
     StrategySummary,
     UeRoundRecord,
@@ -142,21 +146,17 @@ def _check_endpoint(config: SimulationConfig) -> str | None:
     return None
 
 
-def write_metrics_csv(path: str, report: SimulationReport) -> None:
+def write_metrics_csv(path: str, metrics: MetricsReport) -> None:
     """One row per UE and run; ``csv`` writes None as an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(METRICS_COLUMNS)
-        for m in report.metrics.per_ue:
+        for m in metrics.per_ue:
             writer.writerow([getattr(m, name) for name in _METRICS_FIELDS])
 
 
-def _summary_payload(config: SimulationConfig, report: SimulationReport) -> dict:
-    per_strategy = {
-        name: dataclasses.asdict(summary)
-        for name, summary in report.metrics.per_strategy.items()
-    }
-    return {
+def write_summary_json(path: str, config: SimulationConfig, metrics: MetricsReport) -> None:
+    payload = {
         "episodes": config.episodes,
         "runs": config.runs,
         "seed": config.seed,
@@ -165,13 +165,12 @@ def _summary_payload(config: SimulationConfig, report: SimulationReport) -> dict
         "strategy_counts": {
             s: config.population.strategy_counts.get(s, 0) for s in STRATEGIES
         },
-        "per_strategy": per_strategy,
+        "per_strategy": {
+            name: dataclasses.asdict(summary) for name, summary in metrics.per_strategy.items()
+        },
     }
-
-
-def write_summary_json(path: str, config: SimulationConfig, report: SimulationReport) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_summary_payload(config, report), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -191,20 +190,30 @@ def _station_object(record: StationRoundRecord) -> dict:
     return obj
 
 
-def write_rounds_jsonl(path: str, report: SimulationReport) -> None:
-    """One line per round of every run: its UE and station records by field."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for result in report.results:
-            for log in result.rounds:
-                record = {
-                    "run": result.run_index,
-                    "seed": result.seed,
-                    "round": log.round_index,
-                    "ues": [{name: getattr(r, name) for name in _UE_FIELDS} for r in log.ues],
-                    "stations": [_station_object(s) for s in log.stations],
-                }
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
+def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
+    """One line per round of one run, as it is played, to ``<path>.<run_index>``."""
+    with open(f"{path}.{run_index}", "w", encoding="utf-8") as handle:
+        for log in rounds:
+            record = {
+                "run": run_index,
+                "seed": seed,
+                "round": log.round_index,
+                "ues": [{name: getattr(r, name) for name in _UE_FIELDS} for r in log.ues],
+                "stations": [_station_object(s) for s in log.stations],
+            }
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
+
+
+def write_rounds_jsonl(path: str, runs: int) -> None:
+    """Join the parts of runs 0 to ``runs - 1`` into ``path``, removing them."""
+    os.replace(f"{path}.0", path)
+    with open(path, "ab") as joined:
+        for run_index in range(1, runs):
+            part = f"{path}.{run_index}"
+            with open(part, "rb") as handle:
+                shutil.copyfileobj(handle, joined)
+            os.remove(part)
 
 
 def _print_strategy_table(metrics: MetricsReport) -> None:
@@ -223,14 +232,22 @@ def _print_strategy_table(metrics: MetricsReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
-    report = run_simulation(config)
     os.makedirs(args.out, exist_ok=True)
-    write_rounds_jsonl(os.path.join(args.out, "rounds.jsonl"), report)
+    path = os.path.join(args.out, "rounds.jsonl")
+    try:
+        metrics = run_simulation(config, functools.partial(write_rounds_part, path))
+    except BaseException:
+        # a failed run leaves no part of rounds.jsonl behind
+        for run_index in range(config.runs):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{path}.{run_index}")
+        raise
+    write_rounds_jsonl(path, config.runs)
     if args.format in ("csv", "both"):
-        write_metrics_csv(os.path.join(args.out, "metrics.csv"), report)
+        write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
     if args.format in ("json", "both"):
-        write_summary_json(os.path.join(args.out, "summary.json"), config, report)
-    _print_strategy_table(report.metrics)
+        write_summary_json(os.path.join(args.out, "summary.json"), config, metrics)
+    _print_strategy_table(metrics)
     print(f"wrote {args.out}/")
 
 
@@ -265,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
         for cell, report in zip(cells, reports):
             row: list[object] = [cell.episodes, cell.seed]
             for name in STRATEGIES:
-                summary = report.metrics.per_strategy.get(name)
+                summary = report.per_strategy.get(name)
                 row.extend(
                     None if summary is None else getattr(summary, f"avg_{f}")
                     for f in SWEEP_FIELDS
@@ -275,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
     for start in range(0, len(cells), args.seeds):
         _print_comparison(
             f"{source}: episodes={cells[start].episodes}, seeds={args.seeds}",
-            [report.metrics.per_strategy for report in reports[start:start + args.seeds]],
+            [report.per_strategy for report in reports[start:start + args.seeds]],
         )
     print(f"wrote {path} ({len(cells)} rows)")
 
@@ -289,8 +306,9 @@ def _sign_test_p(successes: int, trials: int) -> float:
 
 def _print_comparison(title: str, seeds: list[dict[str, StrategySummary]]) -> None:
     """Each strategy's mean +- standard error over seeds of every SWEEP_FIELDS
-    average, then the seeds in which the llm summary beats each rival's on
-    channels won and on bid precision, with a sign test."""
+    average, then, on channels won and on bid precision, the seeds in which
+    the llm summary beats, trails and ties each rival's, with a sign test over
+    the untied seeds.  A seed where either side has no value is not counted."""
     # imported here: a cold ``run`` never needs it, and it costs ~6 ms
     import statistics
 
@@ -310,25 +328,21 @@ def _print_comparison(title: str, seeds: list[dict[str, StrategySummary]]) -> No
             cells.append(f"{statistics.mean(points):>14.3f} +-{stderr:>5.3f}")
         print("".join(cells))
 
-    wins: dict[str, dict[str, int]] = {}
-    for per in seeds:
-        agent = per.get(LLM)
-        if agent is None:
-            continue
-        for rival, summary in per.items():
-            if rival == LLM:
-                continue
-            counts = wins.setdefault(rival, {"bid_precision": 0, "channels_won": 0})
-            for metric in counts:
-                ours = getattr(agent, f"avg_{metric}")
-                theirs = getattr(summary, f"avg_{metric}")
-                if ours is not None and theirs is not None and ours > theirs:
-                    counts[metric] += 1
-    for rival in sorted(wins):
-        for metric, won in wins[rival].items():
+    rivals = {rival for per in seeds if LLM in per for rival in per} - {LLM}
+    for rival in sorted(rivals):
+        for metric in ("bid_precision", "channels_won"):
+            pairs = [
+                (getattr(per[LLM], f"avg_{metric}"), getattr(per[rival], f"avg_{metric}"))
+                for per in seeds
+                if LLM in per and rival in per
+            ]
+            pairs = [(ours, theirs) for ours, theirs in pairs if None not in (ours, theirs)]
+            won = sum(ours > theirs for ours, theirs in pairs)
+            lost = sum(ours < theirs for ours, theirs in pairs)
             print(
-                f"agent vs {rival} on {metric}: "
-                f"{won}/{len(seeds)} seeds, sign test p={_sign_test_p(won, len(seeds)):.4f}"
+                f"agent vs {rival} on {metric}: won {won}, lost {lost},"
+                f" tied {len(pairs) - won - lost} of {len(pairs)} seeds,"
+                f" sign test p={_sign_test_p(won, won + lost):.4f}"
             )
 
 

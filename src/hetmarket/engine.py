@@ -6,7 +6,8 @@ simultaneous: users decide from broadcast history only, entrance fees are
 charged to everyone who bids, each station clears independently, winners pay,
 loss streaks update, and every station's clearing price is broadcast to all
 users.  Multiple runs fork child seeds from the master seed so a report is a
-pure function of its configuration.
+pure function of its configuration.  Each run hands its round logs, as they
+are played, to one writer the caller chooses, and keeps only per-user totals.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import math
 import random
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .auction import AuctionRequest, reservation_price, run_vcg
 from .llm_agent import (
@@ -189,6 +189,9 @@ class SimulationConfig:
             problems.append("num_ues must be at least 1")
         if self.population.budget <= 0:
             problems.append("budget must be positive")
+        # no budget goes below 0, so this bounds every sum of fees and payments
+        elif not math.isfinite(self.population.num_ues * self.runs * self.population.budget):
+            problems.append("num_ues * runs * budget is not finite")
         if not self.population.qos_classes_mbps:
             problems.append("qos_classes_mbps cannot be empty")
         if any(c <= 0 for c in self.population.qos_classes_mbps):
@@ -341,13 +344,8 @@ class UeMetrics:
     fallbacks: int
 
 
-@dataclass(frozen=True)
-class RunResult:
-    run_index: int
-    seed: int
-    rounds: tuple[RoundLog, ...]
-    # one row per UE in id order, tallied as the rounds were played
-    per_ue: tuple[UeMetrics, ...]
+# ``write(run_index, seed, rounds)`` takes one run's round logs as it plays them
+RoundWriter = Callable[[int, int, Iterator[RoundLog]], None]
 
 
 @dataclass(frozen=True)
@@ -366,12 +364,6 @@ class StrategySummary:
 class MetricsReport:
     per_ue: tuple[UeMetrics, ...]
     per_strategy: dict[str, StrategySummary]
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    results: tuple[RunResult, ...]
-    metrics: MetricsReport
 
 
 @dataclass
@@ -399,7 +391,7 @@ class _UeRuntime:
 
 
 class SimulationRun:
-    """Mutable state for one seeded run; drives rounds, collects logs and tallies users."""
+    """Mutable state for one seeded run; drives rounds and tallies users."""
 
     def __init__(self, config: SimulationConfig, run_index: int, run_seed: int):
         self.config = config
@@ -413,6 +405,7 @@ class SimulationRun:
         self.prev_request_counts: dict[int, int] | None = None
         self._client: ChatCompletionClient | None = None
         self._streaks: dict[tuple[int, int], tuple[UrgencyState, float]] = {}
+        self.rounds_played = 0
         self.ues = self._build_population(random.Random(run_seed))
         self._build_views()
 
@@ -640,23 +633,27 @@ class SimulationRun:
         cheapest_entry = min(self.reserves.values()) + self.fee
         return all(r.budget < cheapest_entry for r in self.ues)
 
-    def execute(self) -> RunResult:
-        logs: list[RoundLog] = []
+    def execute(self) -> Iterator[RoundLog]:
+        """Play the rounds in order, yielding each log once its round is played."""
         try:
             for t in range(1, self.config.episodes + 1):
                 if self._market_exhausted():
                     break
-                logs.append(self.run_round(t))
+                yield self.run_round(t)
+                self.rounds_played = t
         finally:
             if self._client is not None:
                 self._client.close()
-        per_ue = tuple(
+
+    def per_ue(self) -> tuple[UeMetrics, ...]:
+        """One row per UE in id order, from the totals of the rounds played."""
+        return tuple(
             UeMetrics(
                 run_index=self.run_index,
                 seed=self.seed,
                 ue_id=r.ue.id,
                 strategy=r.strategy,
-                episodes=len(logs),
+                episodes=self.rounds_played,
                 gross_utility=r.gross,
                 net_utility=r.gross - r.fees,
                 channels_won=r.channels,
@@ -669,9 +666,6 @@ class SimulationRun:
             )
             for r in self.ues
         )
-        return RunResult(
-            run_index=self.run_index, seed=self.seed, rounds=tuple(logs), per_ue=per_ue
-        )
 
 
 def spawn_run_seeds(master_seed: int, runs: int) -> list[int]:
@@ -680,9 +674,17 @@ def spawn_run_seeds(master_seed: int, runs: int) -> list[int]:
     return [parent.getrandbits(64) for _ in range(runs)]
 
 
-def _execute_run(args: tuple[SimulationConfig, int, int]) -> RunResult:
-    config, run_index, run_seed = args
-    return SimulationRun(config, run_index, run_seed).execute()
+def _execute_run(
+    task: tuple[SimulationConfig, int, int, RoundWriter | None],
+) -> tuple[UeMetrics, ...]:
+    config, run_index, run_seed, write = task
+    run = SimulationRun(config, run_index, run_seed)
+    with closing(run.execute()) as rounds:
+        if write is not None:
+            write(run_index, run_seed, rounds)
+        for _ in rounds:  # the rounds no writer read are played all the same
+            pass
+    return run.per_ue()
 
 
 def validate_all(configs: Sequence[SimulationConfig]) -> None:
@@ -692,51 +694,49 @@ def validate_all(configs: Sequence[SimulationConfig]) -> None:
         raise ConfigurationError(list(dict.fromkeys(problems)))
 
 
-def run_simulations(configs: Sequence[SimulationConfig]) -> list[SimulationReport]:
+def run_simulations(
+    configs: Sequence[SimulationConfig], write: RoundWriter | None = None
+) -> list[MetricsReport]:
     """Execute every run of every config and aggregate metrics per config.
 
     All configs are validated before round one.  The runs of all configs form
     one task list, run in order, or on a pool of as many worker processes as
     the largest ``jobs`` among the configs; either way the reports are the same.
+    Whichever process plays a run hands its round logs to ``write`` as they
+    are played (picklable with a pool); only per-user rows come back.
     Each finished run is logged at INFO level, in run order.
     """
     validate_all(configs)
     tasks = [
-        (config, run_index, seed)
+        (config, run_index, seed, write)
         for config in configs
         for run_index, seed in enumerate(spawn_run_seeds(config.seed, config.runs))
     ]
     config_indices = [i for i, config in enumerate(configs) for _ in range(config.runs)]
     jobs = min(max((config.jobs for config in configs), default=1), len(tasks))
+    rows: list[list[UeMetrics]] = [[] for _ in configs]
     with ExitStack() as stack:
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             finished = pool.map(_execute_run, tasks)
         else:
             finished = map(_execute_run, tasks)
-        results = []
-        for config_index, result in zip(config_indices, finished):
+        for config_index, per_ue in zip(config_indices, finished):
             log.info(
                 "config %d run %d done: seed %d, %d rounds",
-                config_index, result.run_index, result.seed, len(result.rounds),
+                config_index, per_ue[0].run_index, per_ue[0].seed, per_ue[0].episodes,
             )
-            results.append(result)
-    in_order = iter(results)
-    reports = []
-    for config in configs:
-        runs = tuple(islice(in_order, config.runs))
-        reports.append(SimulationReport(results=runs, metrics=compute_metrics(runs)))
-    return reports
+            rows[config_index].extend(per_ue)
+    return [compute_metrics(per_ue) for per_ue in rows]
 
 
-def run_simulation(config: SimulationConfig) -> SimulationReport:
+def run_simulation(config: SimulationConfig, write: RoundWriter | None = None) -> MetricsReport:
     """Execute every run of one config; raises before round one on bad config."""
-    return run_simulations([config])[0]
+    return run_simulations([config], write)[0]
 
 
-def compute_metrics(results: Sequence[RunResult]) -> MetricsReport:
-    """Gather the runs' per-user rows and average them per strategy."""
-    per_ue = [row for result in results for row in result.per_ue]
+def compute_metrics(per_ue: Sequence[UeMetrics]) -> MetricsReport:
+    """Average the runs' per-user rows per strategy."""
     per_strategy: dict[str, StrategySummary] = {}
     for strategy in STRATEGIES:
         rows = [m for m in per_ue if m.strategy == strategy]

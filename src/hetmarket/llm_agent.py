@@ -67,7 +67,6 @@ class LlmEndpointConfig:
 class ParsedLlmReply:
     station_id: int
     per_unit_bid: float
-    explanation: str
 
 
 class ChatCompletionClient:
@@ -188,11 +187,10 @@ _SELECTION_RE = re.compile(
     r"(-?\d+(?:\.\d+)?)",
     re.IGNORECASE,
 )
-_EXPLANATION_RE = re.compile(r"explanation\s*:\s*(.+)", re.IGNORECASE | re.DOTALL)
 
 
 def parse_reply(text: str, station_ids: set[int]) -> ParsedLlmReply:
-    """Extract the selection line and explanation; loose about punctuation."""
+    """Extract the selection line; loose about punctuation."""
     match = _SELECTION_RE.search(text)
     if match is None:
         raise ParseError("missing 'Selected BS and bid value' line")
@@ -202,11 +200,7 @@ def parse_reply(text: str, station_ids: set[int]) -> ParsedLlmReply:
         raise ParseError(f"negative bid {bid}")
     if station_id not in station_ids:
         raise ParseError(f"unknown station id {station_id}")
-    explanation = ""
-    expl_match = _EXPLANATION_RE.search(text)
-    if expl_match is not None:
-        explanation = expl_match.group(1).strip().strip('"').strip()
-    return ParsedLlmReply(station_id=station_id, per_unit_bid=bid, explanation=explanation)
+    return ParsedLlmReply(station_id=station_id, per_unit_bid=bid)
 
 
 def _clamped_decision(parsed: ParsedLlmReply, observation: MarketObservation) -> BidDecision:

@@ -113,10 +113,7 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 def path_gain(bs: BaseStation, ue: UserEquipment, channel: ChannelModel) -> float:
     """Log-distance gain, flat inside the reference distance."""
-    d = distance(bs.position, ue.position)
-    if d == 0.0:
-        raise ValueError(f"UE {ue.id} is coincident with station {bs.id}")
-    effective = max(d, channel.reference_distance_m)
+    effective = max(distance(bs.position, ue.position), channel.reference_distance_m)
     exponent = channel.pathloss_exponent(bs.tier)
     return (effective / channel.reference_distance_m) ** (-exponent)
 

@@ -52,10 +52,6 @@ class EmpiricalPriceModel:
         return len(self._history)
 
     @property
-    def history(self) -> tuple[float, ...]:
-        return tuple(self._history)
-
-    @property
     def last(self) -> float:
         if not self._history:
             raise NoPriceData("no clearing prices observed yet")

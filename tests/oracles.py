@@ -4,21 +4,30 @@ Everything in here trades speed for obviousness: the auction oracle
 enumerates every feasible allocation outright, the win-probability oracle
 simulates opponent draws instead of summing binomial terms, the decision
 references evaluate every grid point without memo or shortcut, and the
-per-user metrics are recounted from the retained round logs.
+per-user metrics are recounted from the round logs that ``play`` keeps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
-from functools import lru_cache
-from typing import Sequence
+import os
+import pickle
+import tempfile
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from hetmarket.auction import AuctionRequest
-from hetmarket.engine import RunResult, SimulationConfig, UeMetrics
+from hetmarket.engine import (
+    MetricsReport,
+    RoundLog,
+    SimulationConfig,
+    UeMetrics,
+    run_simulation,
+)
 from hetmarket.strategy import EmpiricalPriceModel, win_probability_given_cdf
 from hetmarket.valuation import UrgencyState
 
@@ -149,7 +158,34 @@ def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:
     return replace(state, consecutive_losses=state.consecutive_losses + 1)
 
 
-def metrics_from_logs(config: SimulationConfig, result: RunResult) -> tuple[UeMetrics, ...]:
+@dataclass(frozen=True)
+class PlayedRun:
+    run_index: int
+    seed: int
+    rounds: tuple[RoundLog, ...]
+
+
+def _pickle_run(directory: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
+    with open(os.path.join(directory, str(run_index)), "wb") as handle:
+        pickle.dump(PlayedRun(run_index, seed, tuple(rounds)), handle)
+
+
+def play(config: SimulationConfig) -> tuple[MetricsReport, list[PlayedRun]]:
+    """``run_simulation(config)`` and every run's round logs in run order.
+
+    The logs come through the run's writer, as the command line's do: each
+    run pickles its own to a file, in whichever process plays it.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        metrics = run_simulation(config, partial(_pickle_run, directory))
+        runs = []
+        for run_index in range(config.runs):
+            with open(os.path.join(directory, str(run_index)), "rb") as handle:
+                runs.append(pickle.load(handle))
+    return metrics, runs
+
+
+def metrics_from_logs(config: SimulationConfig, result: PlayedRun) -> tuple[UeMetrics, ...]:
     """Per-user rows of one run, recounted from its round logs.
 
     Totals start at 0 and add every round's values in round order, as the

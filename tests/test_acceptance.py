@@ -37,6 +37,7 @@ from hetmarket.valuation import UrgencyState
 from oracles import (
     bruteforce_payment,
     bruteforce_welfare,
+    play,
     simulate_win_probability,
     win_probability,
 )
@@ -180,8 +181,7 @@ def _safety_matrix():
 def test_ac04_conservation_and_safety_across_matrix():
     rounds_checked = 0
     for config in _safety_matrix():
-        report = run_simulation(config)
-        for result in report.results:
+        for result in play(config)[1]:
             run = rebuild_run(config, result)
             runtimes = {r.ue.id: r for r in run.ues}
             for log in result.rounds:
@@ -245,7 +245,7 @@ def _myopic_mean_utility(episodes: int, seed: int) -> float:
         episodes=episodes,
         seed=seed,
     )
-    rows = run_simulation(config).metrics.per_ue
+    rows = run_simulation(config).per_ue
     return sum(m.gross_utility for m in rows) / len(rows)
 
 
@@ -279,7 +279,7 @@ def test_ac07_foresight_beats_myopic_in_scenario1():
     access_wins = 0
     for seed in seeds:
         config = dataclasses.replace(scenario1(), seed=seed)
-        metrics = run_simulation(config).metrics.per_ue
+        metrics = run_simulation(config).per_ue
         agent = next(m for m in metrics if m.strategy == LLM)
         myopic = [m for m in metrics if m.strategy == MYOPIC]
         myopic_precisions = [m.bid_precision for m in myopic if m.bid_precision is not None]
@@ -312,7 +312,7 @@ def test_ac08_foresight_wins_short_horizons_in_scenario2():
         greedy_access = []
         for seed in range(20):
             config = dataclasses.replace(scenario2(), episodes=horizon, seed=seed)
-            metrics = run_simulation(config).metrics.per_ue
+            metrics = run_simulation(config).per_ue
             agent = next(m for m in metrics if m.strategy == LLM)
             rivals = [m for m in metrics if m.strategy == GREEDY]
             agent_access.append(agent.channels_won)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from hetmarket.cli import METRICS_COLUMNS, main, write_metrics_csv, write_rounds_jsonl
+from hetmarket.cli import (
+    METRICS_COLUMNS,
+    main,
+    write_metrics_csv,
+    write_rounds_jsonl,
+    write_rounds_part,
+)
 from hetmarket.engine import (
     SimulationRun,
     StationRoundRecord,
@@ -23,6 +31,14 @@ from hetmarket.engine import (
 from hetmarket.llm_agent import ChatCompletionClient
 from hetmarket.scenario import preset
 
+from oracles import play
+
+
+# a pool's workers see a monkeypatch only when they are forked from the test
+forked = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
+)
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -33,10 +49,14 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
-def two_short_runs():
-    return run_simulation(
-        dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
-    )
+TWO_SHORT_RUNS = dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
+
+
+def write_two_short_runs(path):
+    """rounds.jsonl of TWO_SHORT_RUNS at ``path``, as ``run`` writes it."""
+    metrics = run_simulation(TWO_SHORT_RUNS, functools.partial(write_rounds_part, str(path)))
+    write_rounds_jsonl(str(path), TWO_SHORT_RUNS.runs)
+    return metrics
 
 
 class TestRunCommand:
@@ -85,11 +105,10 @@ class TestRunCommand:
     )
     def test_objects_carry_every_record_field(self, tmp_path, key, record_type):
         # A field added to a round record must reach rounds.jsonl unchanged.
-        report = two_short_runs()
         path = tmp_path / "rounds.jsonl"
-        write_rounds_jsonl(str(path), report)
+        write_two_short_runs(path)
         fields = {f.name for f in dataclasses.fields(record_type)}
-        logs = [log for result in report.results for log in result.rounds]
+        logs = [log for result in play(TWO_SHORT_RUNS)[1] for log in result.rounds]
         lines = path.read_text().splitlines()
         assert len(lines) == len(logs) == 8
         for line, log in zip(lines, logs):
@@ -102,10 +121,9 @@ class TestRunCommand:
                 assert obj == json.loads(json.dumps(dataclasses.asdict(record)))
 
     def test_lines_are_the_records_with_str_keys(self, tmp_path):
-        report = two_short_runs()
         path = tmp_path / "rounds.jsonl"
-        write_rounds_jsonl(str(path), report)
-        logs = [(result, log) for result in report.results for log in result.rounds]
+        write_two_short_runs(path)
+        logs = [(result, log) for result in play(TWO_SHORT_RUNS)[1] for log in result.rounds]
         lines = path.read_text().splitlines()
         assert len(lines) == len(logs)
 
@@ -135,20 +153,37 @@ class TestRunCommand:
     def test_metrics_cells_are_the_record_fields(self, tmp_path):
         # Each cell is str() of the UeMetrics field its column names, or empty
         # for None; the column ``run`` names ``run_index``.
-        report = two_short_runs()
+        report = run_simulation(TWO_SHORT_RUNS)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(str(path), report)
         rows = read_rows(path)
         assert rows[0] == METRICS_COLUMNS
-        assert len(rows) == 1 + len(report.metrics.per_ue) == 81
+        assert len(rows) == 1 + len(report.per_ue) == 81
         fields = {f.name for f in dataclasses.fields(UeMetrics)}
         names = ["run_index" if column == "run" else column for column in METRICS_COLUMNS]
         assert set(names) <= fields
         # a UE-run with no bids has no bid precision
-        assert any(m.bid_precision is None for m in report.metrics.per_ue)
-        for row, metrics in zip(rows[1:], report.metrics.per_ue):
+        assert any(m.bid_precision is None for m in report.per_ue)
+        for row, metrics in zip(rows[1:], report.per_ue):
             values = [getattr(metrics, name) for name in names]
             assert row == ["" if value is None else str(value) for value in values]
+
+    @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=forked)])
+    def test_failed_run_leaves_no_rounds_file(self, tmp_path, monkeypatch, jobs):
+        played = SimulationRun.run_round
+
+        def failing(self, round_index):
+            if self.run_index == 2 and round_index == 3:
+                raise RuntimeError("round 3 of run 2 failed")
+            return played(self, round_index)
+
+        monkeypatch.setattr(SimulationRun, "run_round", failing)
+        out = tmp_path / "out"
+        # runs 0 and 1 have written their parts when run 2 fails
+        with pytest.raises(RuntimeError, match="run 2"):
+            run_cli("run", "--preset", "scenario1", "--offline", "--runs", "4",
+                    "--episodes", "5", "--jobs", jobs, "--out", str(out))
+        assert list(out.glob("rounds.jsonl*")) == []
 
     def test_summary_json_contents(self, tmp_path):
         out = tmp_path / "out"
@@ -302,6 +337,9 @@ class TestExitCodes:
                          id="valuation-max_value_per_mbps-1e306"),
             pytest.param("valuation", "max_value_per_mbps", "1e308\nbase_value_per_mbps = 1e308",
                          id="valuation-max_value_per_mbps-1e308"),
+            # the sums of fees and payments could overflow: fsum raised
+            pytest.param("population", "budget", "1.5e308\n[auction]\nentrance_fee = 1e308",
+                         id="population-budget-1.5e308-fee-1e308"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -336,8 +374,10 @@ class TestExitCodes:
             "[topology]\nbandwidth_hz = 1e9\n[population]\nqos_classes_mbps = 1e-320\n",
             # every sum of channel values stays finite
             "[valuation]\nbase_value_per_mbps = 1e290\nmax_value_per_mbps = 1e290\n",
+            # a UE radius underflows to 0, on the macro station
+            "[topology]\nmacro_radius_m = 5e-324\n",
         ],
-        ids=["demand-below-one-channel", "channel-values-of-1e290"],
+        ids=["demand-below-one-channel", "channel-values-of-1e290", "macro-radius-5e-324"],
     )
     def test_extreme_valid_value_is_exit_zero(self, tmp_path, text):
         path = tmp_path / "extreme.ini"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import socket
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,6 @@ from hetmarket.engine import (
     ConfigurationError,
     PopulationConfig,
     RoundLog,
-    RunResult,
     SimulationConfig,
     SimulationRun,
     TopologyConfig,
@@ -30,7 +28,7 @@ from hetmarket.engine import (
 from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig
 from hetmarket.valuation import UrgencyState, urgency_factor
 
-from oracles import metrics_from_logs, record_outcome
+from oracles import PlayedRun, metrics_from_logs, play, record_outcome
 
 
 def config_with(counts, num_ues=None, **overrides):
@@ -42,7 +40,7 @@ def config_with(counts, num_ues=None, **overrides):
     return SimulationConfig(population=population, **overrides)
 
 
-def rebuild_run(config, result: RunResult) -> SimulationRun:
+def rebuild_run(config, result: PlayedRun) -> SimulationRun:
     """Reconstruct the seeded runtime to recover positions, rates, demands."""
     return SimulationRun(config, result.run_index, result.seed)
 
@@ -60,8 +58,7 @@ class TestSingleUserClosedForm:
         )
 
     def test_uncontested_truthful_rounds(self):
-        report = run_simulation(self.config)
-        result = report.results[0]
+        report, (result,) = play(self.config)
         run = rebuild_run(self.config, result)
         rate = run.ues[0].rate_mbps[0]
         assert run.ues[0].demand[0] == 1
@@ -84,7 +81,7 @@ class TestSingleUserClosedForm:
             assert station.clearing_price == 2.0
             assert station.revenue == pytest.approx(2.1)
 
-        metrics = report.metrics.per_ue[0]
+        metrics = report.per_ue[0]
         assert metrics.channels_won == 3
         assert metrics.bids_placed == 3
         assert metrics.wins == 3
@@ -105,8 +102,7 @@ class TestRoster:
 
     def test_report_roster_matches(self):
         config = config_with({LLM: 1, GREEDY: 1, MYOPIC: 2}, episodes=2)
-        result = run_simulation(config).results[0]
-        assert [(m.ue_id, m.strategy) for m in result.per_ue] == [
+        assert [(m.ue_id, m.strategy) for m in run_simulation(config).per_ue] == [
             (0, LLM), (1, GREEDY), (2, MYOPIC), (3, MYOPIC)
         ]
 
@@ -114,13 +110,13 @@ class TestRoster:
 class TestDeterminism:
     def test_same_config_same_report(self):
         config = config_with({GREEDY: 3, MYOPIC: 5}, episodes=6, seed=17)
-        assert run_simulation(config) == run_simulation(config)
+        assert play(config) == play(config)
 
     def test_different_seeds_move_users(self):
         base = config_with({MYOPIC: 4}, episodes=1, seed=1)
         other = config_with({MYOPIC: 4}, episodes=1, seed=2)
-        run_a = rebuild_run(base, run_simulation(base).results[0])
-        run_b = rebuild_run(other, run_simulation(other).results[0])
+        run_a = rebuild_run(base, play(base)[1][0])
+        run_b = rebuild_run(other, play(other)[1][0])
         positions_a = [r.ue.position for r in run_a.ues]
         positions_b = [r.ue.position for r in run_b.ues]
         assert positions_a != positions_b
@@ -134,10 +130,12 @@ class TestDeterminism:
     def test_parallel_jobs_match_serial(self, counts, episodes):
         serial = config_with(counts, episodes=episodes, runs=3, seed=9, jobs=1)
         parallel = config_with(counts, episodes=episodes, runs=3, seed=9, jobs=3)
-        report = run_simulation(serial)
-        assert report == run_simulation(parallel)
+        # every round record, not only the per-user rows
+        report, runs = play(serial)
+        assert (report, runs) == play(parallel)
+        assert [len(run.rounds) for run in runs] == [episodes] * 3
         if GREEDY in counts:
-            assert report.metrics.per_strategy[GREEDY].avg_bids_placed > 0
+            assert report.per_strategy[GREEDY].avg_bids_placed > 0
 
     def test_child_seeds_are_stable_and_distinct(self):
         seeds = spawn_run_seeds(123, 5)
@@ -184,15 +182,15 @@ class TestAccounting:
         config = config_with(
             {LLM: 1, FORESIGHT: 1, GREEDY: 2, MYOPIC: 8}, episodes=12, seed=3
         )
-        result = run_simulation(config).results[0]
+        _, (result,) = play(config)
         assert result.rounds
         for log in result.rounds:
             assert_round_conserves_money(log)
 
     def test_budget_trajectories_and_floor(self):
         config = config_with({GREEDY: 4, MYOPIC: 8}, episodes=10, seed=11)
-        result = run_simulation(config).results[0]
-        budgets = {m.ue_id: 15.0 for m in result.per_ue}
+        _, (result,) = play(config)
+        budgets = {uid: 15.0 for uid in range(config.population.num_ues)}
         for log in result.rounds:
             for rec in log.ues:
                 expected = budgets[rec.ue_id]
@@ -216,7 +214,7 @@ class TestAccounting:
     )
     def test_no_payment_above_its_bid_and_no_budget_below_zero(self, config):
         # exact comparisons: one ulp above the bid or below zero is a fault
-        for result in run_simulation(config).results:
+        for result in play(config)[1]:
             for log in result.rounds:
                 for rec in log.ues:
                     assert rec.budget_after >= 0.0
@@ -227,7 +225,7 @@ class TestAccounting:
         config = config_with(
             {FORESIGHT: 1, GREEDY: 3, MYOPIC: 8}, episodes=8, seed=7
         )
-        result = run_simulation(config).results[0]
+        _, (result,) = play(config)
         run = rebuild_run(config, result)
         runtimes = {r.ue.id: r for r in run.ues}
         for log in result.rounds:
@@ -248,7 +246,7 @@ class TestLifecycle:
             {MYOPIC: 2}, episodes=10,
             population={"budget": 0.25},
         )
-        result = run_simulation(config).results[0]
+        _, (result,) = play(config)
         assert result.rounds == ()
 
     def test_spent_down_market_stops_early(self):
@@ -261,7 +259,7 @@ class TestLifecycle:
             episodes=10,
             seed=5,
         )
-        result = run_simulation(config).results[0]
+        _, (result,) = play(config)
         # Two wins at the 2.0 reserve plus fees leave less than fee + reserve.
         assert len(result.rounds) == 2
         final = result.rounds[-1].ues[0].budget_after
@@ -281,8 +279,8 @@ class TestLifecycle:
 class TestUrgencyBookkeeping:
     def test_streaks_follow_outcomes(self):
         config = config_with({GREEDY: 2, MYOPIC: 10}, episodes=10, seed=21)
-        result = run_simulation(config).results[0]
-        losses = {m.ue_id: 0 for m in result.per_ue}
+        _, (result,) = play(config)
+        losses = {uid: 0 for uid in range(config.population.num_ues)}
         for log in result.rounds:
             for rec in log.ues:
                 if rec.channels_won > 0:
@@ -293,8 +291,8 @@ class TestUrgencyBookkeeping:
 
     def test_value_factor_reflects_entering_streak(self):
         config = config_with({MYOPIC: 8}, episodes=8, seed=13)
-        result = run_simulation(config).results[0]
-        losses = {m.ue_id: 0 for m in result.per_ue}
+        _, (result,) = play(config)
+        losses = {uid: 0 for uid in range(config.population.num_ues)}
         for log in result.rounds:
             for rec in log.ues:
                 state = UrgencyState(
@@ -397,14 +395,13 @@ class TestOfflineLlm:
 
         monkeypatch.setattr(ChatCompletionClient, "complete", explode)
         config = config_with({LLM: 1, MYOPIC: 3}, episodes=4, offline=True)
-        report = run_simulation(config)
-        assert report.results[0].per_ue[0].strategy == LLM
+        assert run_simulation(config).per_ue[0].strategy == LLM
 
     def test_offline_llm_mirrors_foresight(self):
         llm_config = config_with({LLM: 1, MYOPIC: 3}, episodes=5, seed=29)
         twin_config = config_with({FORESIGHT: 1, MYOPIC: 3}, episodes=5, seed=29)
-        llm_rounds = run_simulation(llm_config).results[0].rounds
-        twin_rounds = run_simulation(twin_config).results[0].rounds
+        llm_rounds = play(llm_config)[1][0].rounds
+        twin_rounds = play(twin_config)[1][0].rounds
         for log_a, log_b in zip(llm_rounds, twin_rounds):
             for rec_a, rec_b in zip(log_a.ues, log_b.ues):
                 assert rec_a.station_id == rec_b.station_id
@@ -429,8 +426,7 @@ class TestMetrics:
         )
 
     def reduce(self, config, rounds):
-        result = RunResult(run_index=0, seed=42, rounds=rounds, per_ue=())
-        return compute_metrics([replace(result, per_ue=metrics_from_logs(config, result))])
+        return compute_metrics(metrics_from_logs(config, PlayedRun(0, 42, rounds)))
 
     def test_handbuilt_rollup(self):
         # the roster puts greedy before myopic: UE 0 is greedy, UE 1 myopic
@@ -515,11 +511,9 @@ class TestRunningTallies:
     )
     def test_tallies_equal_the_log_recount(self, make_config, reaches_case):
         config = make_config()
-        report = run_simulation(config)
-        for result in report.results:
-            assert result.per_ue == metrics_from_logs(config, result)
-        rows = report.metrics.per_ue
-        assert rows == tuple(row for result in report.results for row in result.per_ue)
+        report, runs = play(config)
+        rows = report.per_ue
+        assert rows == tuple(row for run in runs for row in metrics_from_logs(config, run))
         assert reaches_case(rows)
 
 

@@ -62,10 +62,9 @@ class TestGeometry:
         assert g_small == pytest.approx(100.0 ** -3.5, rel=1e-12)
         assert g_small < g_macro
 
-    def test_coincident_positions_rejected(self):
-        channel = ChannelModel()
-        with pytest.raises(ValueError):
-            path_gain(macro(), user((0.0, 0.0)), channel)
+    def test_coincident_positions_have_unit_gain(self):
+        # flat inside the reference distance, down to a distance of 0
+        assert path_gain(macro(), user((0.0, 0.0)), ChannelModel()) == 1.0
 
 
 class TestSinr:

@@ -37,7 +37,7 @@ from hetmarket.strategy import (
 )
 from hetmarket.valuation import UrgencyState, channel_valuation
 
-from oracles import expected_utility, simulate_win_probability, win_probability
+from oracles import expected_utility, play, simulate_win_probability, win_probability
 
 
 def exact_tail(cdf_at_bid, competitors, capacity):
@@ -98,7 +98,8 @@ class TestPriceModel:
         model = EmpiricalPriceModel([1.0, 3.0])
         model.append(0.5)
         assert model.last == 0.5
-        assert model.history == (1.0, 3.0, 0.5)
+        assert len(model) == 3
+        assert model.mean() == pytest.approx(1.5)
         assert model.cdf(0.5) == pytest.approx(1 / 3)
 
     def test_empty_model_refuses_statistics(self):
@@ -322,7 +323,7 @@ class TestObservationHelpers:
     def test_cold_start_prior_sits_at_reserve(self):
         v = view(reserve=2.0)
         prior = effective_prices(v)
-        assert prior.history == (2.0,)
+        assert (len(prior), prior.last) == (1, 2.0)
         warm = view(history=[3.0])
         assert effective_prices(warm) is warm.price_history
 
@@ -332,7 +333,7 @@ class TestObservationHelpers:
         b = StationView(0, MBS, 4, 2.0, 5.0, 2, 2, shared)
         assert effective_prices(a) is effective_prices(b)
         other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, 2, shared)
-        assert effective_prices(other_reserve).history == (1.5,)
+        assert effective_prices(other_reserve).last == 1.5
         shared.append(2.5)
         assert effective_prices(a) is shared
 
@@ -606,11 +607,11 @@ def test_greedy_heavy_run_matches_the_reference_argmax(monkeypatch):
         ),
         episodes=300, seed=12,
     )
-    fast = run_simulation(config).results
+    fast = play(config)
     monkeypatch.setattr(strategy, "grid_argmax", reference_grid_argmax)
     monkeypatch.setattr(llm_agent, "grid_argmax", reference_grid_argmax)
     monkeypatch.setattr(llm_agent, "grid_bounds", reference_grid_bounds)
-    assert run_simulation(config).results == fast
+    assert play(config) == fast
 
 
 def test_each_batch_of_runs_starts_from_an_empty_memo(monkeypatch):
