@@ -29,7 +29,6 @@ from .engine import (
     SimulationConfig,
     StationRoundRecord,
     StrategySummary,
-    UeRoundRecord,
     run_simulation,
     run_simulations,
     validate_all,
@@ -174,31 +173,28 @@ def write_summary_json(path: str, config: SimulationConfig, metrics: MetricsRepo
         handle.write("\n")
 
 
-# Every field of a UE record holds an immutable scalar, so reading the fields
-# gives what ``dataclasses.asdict`` would without its recursive deep copy.
-_UE_FIELDS = tuple(f.name for f in dataclasses.fields(UeRoundRecord))
-_STATION_FIELDS = tuple(f.name for f in dataclasses.fields(StationRoundRecord))
-
-
 def _station_object(record: StationRoundRecord) -> dict:
     """The record's fields by name.  Its int-keyed maps get str keys, so
     ``sort_keys`` orders them as text ("10" before "2"), as JSON reads them."""
-    obj = {}
-    for name in _STATION_FIELDS:
-        value = getattr(record, name)
-        obj[name] = {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
-    return obj
+    return {
+        name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+        for name, value in vars(record).items()
+    }
 
 
 def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
-    """One line per round of one run, as it is played, to ``<path>.<run_index>``."""
+    """One line per round of one run, as it is played, to ``<path>.<run_index>``.
+
+    A record's ``__dict__`` is its fields by name, and every field of a UE
+    record is a scalar, so a UE object is the record's own ``__dict__``.
+    """
     with open(f"{path}.{run_index}", "w", encoding="utf-8") as handle:
         for log in rounds:
             record = {
                 "run": run_index,
                 "seed": seed,
                 "round": log.round_index,
-                "ues": [{name: getattr(r, name) for name in _UE_FIELDS} for r in log.ues],
+                "ues": [vars(r) for r in log.ues],
                 "stations": [_station_object(s) for s in log.stations],
             }
             handle.write(json.dumps(record, sort_keys=True))
@@ -232,7 +228,6 @@ def _print_strategy_table(metrics: MetricsReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "rounds.jsonl")
     try:
         metrics = run_simulation(config, functools.partial(write_rounds_part, path))
@@ -272,7 +267,6 @@ def _sweep_cells(args: argparse.Namespace, config: SimulationConfig) -> list[Sim
 
 def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
     reports = run_simulations(cells)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -359,6 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         if endpoint_problem is not None:
             print(endpoint_problem, file=sys.stderr)
             return EXIT_ENDPOINT
+        # an unusable --out stops the command before it plays any run
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError([f"cannot make --out directory: {exc}"]) from exc
         if cells is None:
             cmd_run(args, config)
         else:

@@ -48,7 +48,7 @@ from .strategy import (
     greedy_decide,
     myopic_decide,
 )
-from .valuation import UrgencyState, urgency_factor
+from .valuation import UrgencyState
 
 log = logging.getLogger(__name__)
 
@@ -239,7 +239,7 @@ class SimulationConfig:
         # physical rules; building them once here stops a run before round one
         topo = self.topology
         try:
-            topo.build()
+            stations = topo.build().stations
         except ValueError as exc:
             problems.append(
                 f"station settings rejected ({exc}): mbs_power_watts = {topo.mbs_power_watts},"
@@ -248,6 +248,13 @@ class SimulationConfig:
                 f" power_unit_price = {topo.power_unit_price}"
             )
         else:
+            # each reserve is broadcast as a clearing price
+            if not all(math.isfinite(reservation_price(bs)) for bs in stations):
+                problems.append(
+                    "a station's reserve power_unit_price * tx power is not finite:"
+                    f" power_unit_price = {topo.power_unit_price},"
+                    f" mbs_power_watts = {topo.mbs_power_watts}"
+                )
             # no UE's SINR exceeds the macro power over the noise: path gains
             # are at most 1, the macro is the strongest station, and
             # interference only lowers SINR; so this best-case rate bounds
@@ -377,7 +384,6 @@ class _UeRuntime:
     demand: dict[int, int]
     # shared by every user of the class with the same loss streak
     urgency: UrgencyState
-    value_factor: float
     # candidate stations in id order; rebuilt only when competitor counts change
     views: tuple[StationView, ...] = ()
     # totals over the rounds played so far, added in round order
@@ -404,7 +410,7 @@ class SimulationRun:
         self.price_models = {bs.id: EmpiricalPriceModel() for bs in self.stations}
         self.prev_request_counts: dict[int, int] | None = None
         self._client: ChatCompletionClient | None = None
-        self._streaks: dict[tuple[int, int], tuple[UrgencyState, float]] = {}
+        self._streaks: dict[tuple[int, int], UrgencyState] = {}
         self.rounds_played = 0
         self.ues = self._build_population(random.Random(run_seed))
         self._build_views()
@@ -423,7 +429,6 @@ class SimulationRun:
                 id=uid,
                 position=position,
                 qos_rate_bps=classes[class_index] * 1e6,
-                initial_budget=pop.budget,
             )
             rates: dict[int, float] = {}
             demands: dict[int, int] = {}
@@ -436,7 +441,6 @@ class SimulationRun:
                     continue
                 rates[bs.id] = rate / 1e6
                 demands[bs.id] = need
-            urgency, value_factor = self._streak(class_index, 0)
             ues.append(
                 _UeRuntime(
                     ue=ue,
@@ -445,20 +449,18 @@ class SimulationRun:
                     class_index=class_index,
                     rate_mbps=rates,
                     demand=demands,
-                    urgency=urgency,
-                    value_factor=value_factor,
+                    urgency=self._streak(class_index, 0),
                 )
             )
         return ues
 
-    def _streak(self, class_index: int, losses: int) -> tuple[UrgencyState, float]:
-        """The urgency state and value factor of a class and loss streak, built once."""
+    def _streak(self, class_index: int, losses: int) -> UrgencyState:
+        """The urgency state of a class and loss streak, built once."""
         key = (class_index, losses)
-        entry = self._streaks.get(key)
-        if entry is None:
-            state = self.config.urgency.for_class(class_index, losses)
-            entry = self._streaks[key] = (state, urgency_factor(state))
-        return entry
+        state = self._streaks.get(key)
+        if state is None:
+            state = self._streaks[key] = self.config.urgency.for_class(class_index, losses)
+        return state
 
     def _build_views(self) -> None:
         """Give every runtime its station views for the current competitor counts.
@@ -519,19 +521,20 @@ class SimulationRun:
 
     def run_round(self, round_index: int) -> RoundLog:
         """Play one sealed-bid round and append its broadcasts to history."""
-        decisions: list[tuple[_UeRuntime, BidDecision]] = []
+        requests_by_station: dict[int, list[AuctionRequest]] = {
+            bs.id: [] for bs in self.stations
+        }
+        fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
+        decisions: list[BidDecision] = []
+        # a decision reads only its own UE's budget and the price models, and
+        # no entry changes another UE's budget or any price model, so each UE
+        # enters as soon as it has decided
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
                 decision = ABSTAIN
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
-            decisions.append((runtime, decision))
-
-        requests_by_station: dict[int, list[AuctionRequest]] = {
-            bs.id: [] for bs in self.stations
-        }
-        fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
-        for runtime, decision in decisions:
+            decisions.append(decision)
             if decision.abstained:
                 continue
             runtime.budget -= self.fee
@@ -550,7 +553,7 @@ class SimulationRun:
         }
 
         ue_records = []
-        for runtime, decision in decisions:
+        for runtime, decision in zip(self.ues, decisions):
             won = 0
             per_unit_payment = 0.0
             gross = 0.0
@@ -568,7 +571,7 @@ class SimulationRun:
                     paid = won * per_unit_payment
                     runtime.budget -= paid
                     runtime.payments += paid
-                    value = runtime.value_factor * runtime.rate_mbps[decision.station_id]
+                    value = runtime.urgency.value_per_mbps * runtime.rate_mbps[decision.station_id]
                     gross = won * (value - per_unit_payment)
                     runtime.gross += gross
                     runtime.channels += won
@@ -591,11 +594,11 @@ class SimulationRun:
                     fee_paid=fee_paid,
                     gross_utility=gross,
                     budget_after=runtime.budget,
-                    value_factor=runtime.value_factor,
+                    value_factor=runtime.urgency.value_per_mbps,
                     losses_after=losses,
                 )
             )
-            runtime.urgency, runtime.value_factor = self._streak(runtime.class_index, losses)
+            runtime.urgency = self._streak(runtime.class_index, losses)
 
         station_records = []
         for bs in self.stations:

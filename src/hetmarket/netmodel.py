@@ -41,18 +41,15 @@ class BaseStation:
 
 @dataclass(frozen=True)
 class UserEquipment:
-    """A downlink user with a rate requirement and a fixed cash endowment."""
+    """A downlink user at a position, with a rate requirement."""
 
     id: int
     position: tuple[float, float]
     qos_rate_bps: float
-    initial_budget: float
 
     def __post_init__(self) -> None:
         if self.qos_rate_bps <= 0:
             raise ValueError("qos_rate_bps must be positive")
-        if self.initial_budget <= 0:
-            raise ValueError("initial_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,12 +97,6 @@ class Topology:
         if any(bs.tx_power_watts >= macros[0].tx_power_watts for bs in smalls):
             raise ValueError("macro tx power must exceed every small-cell tx power")
 
-    def station(self, station_id: int) -> BaseStation:
-        for bs in self.stations:
-            if bs.id == station_id:
-                return bs
-        raise KeyError(station_id)
-
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
@@ -143,7 +134,11 @@ def achievable_rate_bps(bs: BaseStation, ue: UserEquipment, topology: Topology) 
 
 def channel_demand(ue: UserEquipment, rate_per_channel_bps: float) -> int | None:
     """Fewest whole sub-channels covering the QoS rate, at least one; None if
-    unservable.  The floor holds where the quotient underflows to 0."""
+    unservable, as where no finite count covers it because the quotient
+    overflows.  The floor holds where the quotient underflows to 0."""
     if rate_per_channel_bps <= 0.0:
         return None
-    return max(1, math.ceil(ue.qos_rate_bps / rate_per_channel_bps))
+    channels = ue.qos_rate_bps / rate_per_channel_bps
+    if math.isinf(channels):
+        return None
+    return max(1, math.ceil(channels))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .netmodel import SBS
 from .valuation import UrgencyState, channel_valuation
@@ -23,7 +23,7 @@ class NoPriceData(ValueError):
 
 
 class EmpiricalPriceModel:
-    """Clearing prices heard from one station, kept in broadcast order.
+    """Clearing prices heard from one station: kept sorted, plus the latest.
 
     One model is shared by every user of a station, so what it keeps (the
     mean and the reserve prior) is computed once per station per round;
@@ -31,31 +31,32 @@ class EmpiricalPriceModel:
     one run: each depends only on its key, so none goes stale on ``append``.
     """
 
-    __slots__ = ("_history", "_sorted", "_mean", "_prior", "_win")
+    __slots__ = ("_sorted", "_last", "_mean", "_prior", "_win")
 
     def __init__(self, prices: Iterable[float] = ()):
-        self._history: list[float] = [float(p) for p in prices]
-        self._sorted: list[float] = sorted(self._history)
+        self._sorted: list[float] = [float(p) for p in prices]
+        self._last: float | None = self._sorted[-1] if self._sorted else None
+        self._sorted.sort()
         self._mean: float | None = None
         self._prior: EmpiricalPriceModel | None = None
         # (cdf, competitors, capacity) -> win_probability_given_cdf of it
         self._win: dict[tuple[float, int, int], float] = {}
 
     def append(self, price: float) -> None:
-        price = float(price)
-        self._history.append(price)
-        insort(self._sorted, price)
+        self._last = float(price)
+        insort(self._sorted, self._last)
         self._mean = None
         self._prior = None
 
     def __len__(self) -> int:
-        return len(self._history)
+        return len(self._sorted)
 
     @property
     def last(self) -> float:
-        if not self._history:
+        """The latest price broadcast."""
+        if self._last is None:
             raise NoPriceData("no clearing prices observed yet")
-        return self._history[-1]
+        return self._last
 
     def cdf(self, x: float) -> float:
         """Fraction of observed prices at or below x (right-continuous step)."""
@@ -64,11 +65,15 @@ class EmpiricalPriceModel:
         return bisect_right(self._sorted, x) / len(self._sorted)
 
     def mean(self) -> float:
-        """``fsum`` of the history over its length, kept until the next ``append``."""
+        """``fsum`` of the prices over their count, kept until the next ``append``.
+
+        ``fsum`` is correctly rounded, so the order it reads the prices in
+        does not change the mean.
+        """
         if self._mean is None:
-            if not self._history:
+            if not self._sorted:
                 raise NoPriceData("no clearing prices observed yet")
-            self._mean = math.fsum(self._history) / len(self._history)
+            self._mean = math.fsum(self._sorted) / len(self._sorted)
         return self._mean
 
     def win_probability(self, bid: float, competitors: int, capacity: int) -> float:
@@ -90,7 +95,7 @@ class EmpiricalPriceModel:
 
         The prior is kept until the next ``append`` (or a different reserve).
         """
-        if self._history:
+        if self._sorted:
             return self
         if self._prior is None or self._prior.last != reserve:
             self._prior = EmpiricalPriceModel([reserve])

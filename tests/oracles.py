@@ -151,6 +151,15 @@ def expected_utility(
     return prob * (valuation - prices.mean())
 
 
+def urgency_factor(state: UrgencyState) -> float:
+    """Value per Mbps: baseline plus one increment per loss, capped."""
+    per_loss_increment = (
+        state.max_value_per_mbps - state.base_value_per_mbps
+    ) / state.saturation_losses
+    raw = state.base_value_per_mbps + per_loss_increment * state.consecutive_losses
+    return min(state.max_value_per_mbps, raw)
+
+
 def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:
     """Next round's state: a win resets the streak, anything else extends it."""
     if won_any_channel:

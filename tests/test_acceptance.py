@@ -15,8 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from hetmarket.auction import AuctionRequest, run_vcg
 from hetmarket.engine import (
     COMPETITORS_ORACLE,

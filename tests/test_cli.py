@@ -340,6 +340,11 @@ class TestExitCodes:
             # the sums of fees and payments could overflow: fsum raised
             pytest.param("population", "budget", "1.5e308\n[auction]\nentrance_fee = 1e308",
                          id="population-budget-1.5e308-fee-1e308"),
+            # the macro's reserve overflows to inf, written as a clearing price
+            ("topology", "power_unit_price", "1e308"),
+            # the value increment divides by it as a float, which overflows
+            pytest.param("valuation", "saturation_losses", str(10**400),
+                         id="valuation-saturation_losses-1e400"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -376,8 +381,11 @@ class TestExitCodes:
             "[valuation]\nbase_value_per_mbps = 1e290\nmax_value_per_mbps = 1e290\n",
             # a UE radius underflows to 0, on the macro station
             "[topology]\nmacro_radius_m = 5e-324\n",
+            # the QoS rate over the channel rate overflows; no station serves a UE
+            "[topology]\nbandwidth_hz = 1e-310\nnoise_density_w_per_hz = 1e16\n",
         ],
-        ids=["demand-below-one-channel", "channel-values-of-1e290", "macro-radius-5e-324"],
+        ids=["demand-below-one-channel", "channel-values-of-1e290", "macro-radius-5e-324",
+             "demand-beyond-any-count"],
     )
     def test_extreme_valid_value_is_exit_zero(self, tmp_path, text):
         path = tmp_path / "extreme.ini"
@@ -458,6 +466,28 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "config error: seed must be non-negative\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("run", ["--episodes", "3"]), ("sweep", ["--horizons", "3", "--seeds", "2"])],
+    )
+    def test_out_naming_a_file_is_exit_two_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        def explode(self):
+            raise AssertionError("a run was played")
+
+        monkeypatch.setattr(SimulationRun, "execute", explode)
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        code = run_cli(command, "--preset", "scenario1", "--offline", "--out", str(out), *extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot make --out directory: ")
+        assert str(out) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert out.read_text() == "a file\n"
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):

@@ -26,9 +26,9 @@ from hetmarket.engine import (
     spawn_run_seeds,
 )
 from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig
-from hetmarket.valuation import UrgencyState, urgency_factor
+from hetmarket.valuation import UrgencyState
 
-from oracles import PlayedRun, metrics_from_logs, play, record_outcome
+from oracles import PlayedRun, metrics_from_logs, play, record_outcome, urgency_factor
 
 
 def config_with(counts, num_ues=None, **overrides):
@@ -338,7 +338,7 @@ class TestUrgencyBookkeeping:
                 assert rec.losses_after == expected[rec.ue_id].consecutive_losses
             for r in run.ues:
                 assert r.urgency == expected[r.ue.id]
-                assert r.value_factor == urgency_factor(r.urgency)
+                assert r.urgency.value_per_mbps == urgency_factor(r.urgency)
         assert outcomes == {True, False}
 
 

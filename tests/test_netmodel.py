@@ -37,8 +37,8 @@ def small(station_id, position, power=4.0):
     )
 
 
-def user(position, qos=4e6, budget=15.0):
-    return UserEquipment(id=9, position=position, qos_rate_bps=qos, initial_budget=budget)
+def user(position, qos=4e6):
+    return UserEquipment(id=9, position=position, qos_rate_bps=qos)
 
 
 class TestGeometry:
@@ -78,7 +78,7 @@ class TestSinr:
         interference = 4.0 * 100.0 ** -3.5 + 4.0 * 300.0 ** -3.5
         noise = 4e-21 * 1e6
         expected = signal / (interference + noise)
-        assert sinr(topo.station(0), ue, topo) == pytest.approx(expected, rel=1e-12)
+        assert sinr(topo.stations[0], ue, topo) == pytest.approx(expected, rel=1e-12)
 
     def test_no_interference_mode_reduces_to_snr(self):
         channel = ChannelModel(interference_mode=NO_INTERFERENCE)
@@ -86,8 +86,8 @@ class TestSinr:
         crowded = Topology(stations=(macro(), small(1, (50.0, 0.0))), channel=channel)
         ue = user((100.0, 0.0))
         expected = 40.0 * 1e-6 / (4e-21 * 1e6)
-        assert sinr(lonely.station(0), ue, lonely) == pytest.approx(expected, rel=1e-12)
-        assert sinr(crowded.station(0), ue, crowded) == pytest.approx(expected, rel=1e-12)
+        assert sinr(lonely.stations[0], ue, lonely) == pytest.approx(expected, rel=1e-12)
+        assert sinr(crowded.stations[0], ue, crowded) == pytest.approx(expected, rel=1e-12)
 
     def test_cochannel_neighbour_lowers_sinr(self):
         ue = user((100.0, 0.0))
@@ -95,7 +95,7 @@ class TestSinr:
         crowded = Topology(
             stations=(macro(), small(1, (120.0, 0.0))), channel=ChannelModel()
         )
-        assert sinr(crowded.station(0), ue, crowded) < sinr(lonely.station(0), ue, lonely)
+        assert sinr(crowded.stations[0], ue, crowded) < sinr(lonely.stations[0], ue, lonely)
 
     def test_rate_of_snr_three_is_two_bits_per_hz(self):
         # log2(1 + 3) = 2, so a 1 MHz sub-channel carries 2 Mbps.
@@ -116,7 +116,7 @@ class TestSinr:
         topo = Topology(
             stations=(macro(),), channel=ChannelModel(interference_mode=NO_INTERFERENCE)
         )
-        bs = topo.station(0)
+        bs = topo.stations[0]
         close = achievable_rate_bps(bs, user((near, 0.0)), topo)
         far = achievable_rate_bps(bs, user((near * stretch, 0.0)), topo)
         assert close > far > 0.0
@@ -159,9 +159,7 @@ class TestValidation:
 
     def test_user_field_checks(self):
         with pytest.raises(ValueError):
-            UserEquipment(id=0, position=(0.0, 0.0), qos_rate_bps=0.0, initial_budget=1.0)
-        with pytest.raises(ValueError):
-            UserEquipment(id=0, position=(0.0, 0.0), qos_rate_bps=1e6, initial_budget=0.0)
+            UserEquipment(id=0, position=(0.0, 0.0), qos_rate_bps=0.0)
 
     def test_channel_model_field_checks(self):
         with pytest.raises(ValueError):
@@ -193,12 +191,6 @@ class TestValidation:
         bs = macro()
         with pytest.raises(dataclasses.FrozenInstanceError):
             bs.tx_power_watts = 100.0
-
-    def test_station_lookup(self):
-        topo = Topology(stations=(macro(), small(3, (10.0, 0.0))), channel=ChannelModel())
-        assert topo.station(3).tier == SBS
-        with pytest.raises(KeyError):
-            topo.station(42)
 
     def test_rate_identity_with_sinr(self):
         topo = Topology(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,20 @@ class TestPriceModel:
             else:
                 model.append(step)
                 prices.append(step)
+
+    # a sum of 64 prices of at most this size stays finite
+    @given(prices=st.lists(st.floats(0.0, sys.float_info.max / 64), min_size=1, max_size=64))
+    def test_appended_prices_give_the_broadcast_last_and_mean(self, prices):
+        # The model keeps its prices sorted; fsum is correctly rounded, so
+        # its mean is that of the prices in the order they were broadcast.
+        model = EmpiricalPriceModel()
+        for price in prices:
+            model.append(price)
+        built = EmpiricalPriceModel(prices)
+        for each in (model, built):
+            assert len(each) == len(prices)
+            assert each.last == prices[-1]
+            assert each.mean() == math.fsum(prices) / len(prices)
 
     @given(
         prices=st.lists(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.0, 10.0),
