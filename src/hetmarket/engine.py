@@ -8,6 +8,12 @@ loss streaks update, and every station's clearing price is broadcast to all
 users.  Multiple runs fork child seeds from the master seed so a report is a
 pure function of its configuration.  Each run hands its round logs, as they
 are played, to one writer the caller chooses, and keeps only per-user totals.
+
+Live llm users ask the endpoint at the start of each round, on up to
+``LIVE_LANES`` threads of the run, each with its own kept-alive connection.
+Their decisions are gathered by user id and entered in id order, so a
+run's results never depend on thread timing.  The threads and connections
+end with the run, also when it fails.
 """
 
 from __future__ import annotations
@@ -16,10 +22,9 @@ import logging
 import math
 import random
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .auction import AuctionRequest, reservation_price, run_vcg
 from .llm_agent import (
@@ -50,6 +55,9 @@ from .strategy import (
 )
 from .valuation import UrgencyState
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 log = logging.getLogger(__name__)
 
 MYOPIC = "myopic"
@@ -60,6 +68,9 @@ STRATEGIES = (LLM, FORESIGHT, GREEDY, MYOPIC)
 
 COMPETITORS_UNIFORM = "uniform"
 COMPETITORS_ORACLE = "oracle"
+
+# threads, each with its own client, that send one round's live prompts
+LIVE_LANES = 4
 
 
 class ConfigurationError(ValueError):
@@ -409,7 +420,9 @@ class SimulationRun:
         self.fee = config.auction.entrance_fee
         self.price_models = {bs.id: EmpiricalPriceModel() for bs in self.stations}
         self.prev_request_counts: dict[int, int] | None = None
-        self._client: ChatCompletionClient | None = None
+        # the live lanes' threads and clients, started by the first live round
+        self._lanes: ThreadPoolExecutor | None = None
+        self._clients: list[ChatCompletionClient] = []
         self._streaks: dict[tuple[int, int], UrgencyState] = {}
         self.rounds_played = 0
         self.ues = self._build_population(random.Random(run_seed))
@@ -509,15 +522,49 @@ class SimulationRun:
             return myopic_decide(observation)
         if runtime.strategy == GREEDY:
             return greedy_decide(observation)
-        if runtime.strategy == FORESIGHT:
+        # a live llm UE was decided on a lane; offline it runs the stand-in
+        if runtime.strategy in (FORESIGHT, LLM):
             return foresight_decide(observation, self.config.foresight)
-        if runtime.strategy == LLM:
-            if self.config.offline:
-                return foresight_decide(observation, self.config.foresight)
-            if self._client is None:
-                self._client = ChatCompletionClient(self.config.endpoint)
-            return llm_decide(observation, self.config.endpoint, client=self._client)
         raise ConfigurationError([f"unknown strategy {runtime.strategy!r}"])
+
+    def _decide_live(self, round_index: int) -> dict[int, BidDecision]:
+        """The decisions of the live llm UEs that can pay the fee, by UE id.
+
+        Lane k of up to ``LIVE_LANES`` sends the prompts of deciders k,
+        k + lanes, k + 2 * lanes and so on, one after another on its own
+        client.  Lanes only read state and fill memos, each fill a single
+        dict store of a value that depends only on its key.
+        """
+        if self.config.offline:
+            return {}
+        deciders = [r for r in self.ues if r.strategy == LLM and r.budget >= self.fee]
+        if not deciders:
+            return {}
+        if self._lanes is None:
+            # imported here: an offline run never starts a lane
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._lanes = ThreadPoolExecutor(LIVE_LANES, thread_name_prefix="hetmarket-lane")
+        lanes = min(LIVE_LANES, len(deciders))
+        while len(self._clients) < lanes:
+            self._clients.append(ChatCompletionClient(self.config.endpoint))
+        futures = [
+            self._lanes.submit(self._decide_lane, self._clients[k], deciders[k::lanes], round_index)
+            for k in range(lanes)
+        ]
+        decided: dict[int, BidDecision] = {}
+        for future in futures:
+            decided.update(future.result())
+        return decided
+
+    def _decide_lane(
+        self, client: ChatCompletionClient, deciders: list[_UeRuntime], round_index: int
+    ) -> dict[int, BidDecision]:
+        endpoint = self.config.endpoint
+        return {
+            r.ue.id: llm_decide(self.observation_for(r, round_index), endpoint, client=client)
+            for r in deciders
+        }
 
     def run_round(self, round_index: int) -> RoundLog:
         """Play one sealed-bid round and append its broadcasts to history."""
@@ -527,11 +574,15 @@ class SimulationRun:
         fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
         decisions: list[BidDecision] = []
         # a decision reads only its own UE's budget and the price models, and
-        # no entry changes another UE's budget or any price model, so each UE
-        # enters as soon as it has decided
+        # no entry changes another UE's budget or any price model; so the live
+        # UEs decide first, all at once, and each UE enters as soon as it has
+        # decided, in id order
+        live = self._decide_live(round_index)
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
                 decision = ABSTAIN
+            elif runtime.ue.id in live:
+                decision = live[runtime.ue.id]
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
             decisions.append(decision)
@@ -645,8 +696,11 @@ class SimulationRun:
                 yield self.run_round(t)
                 self.rounds_played = t
         finally:
-            if self._client is not None:
-                self._client.close()
+            # no lane outlives the run: wait for each, then end its connection
+            if self._lanes is not None:
+                self._lanes.shutdown(cancel_futures=True)
+            for client in self._clients:
+                client.close()
 
     def per_ue(self) -> tuple[UeMetrics, ...]:
         """One row per UE in id order, from the totals of the rounds played."""
@@ -720,6 +774,9 @@ def run_simulations(
     rows: list[list[UeMetrics]] = [[] for _ in configs]
     with ExitStack() as stack:
         if jobs > 1:
+            # imported here: it loads multiprocessing, ~18 ms of a cold import
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             finished = pool.map(_execute_run, tasks)
         else:

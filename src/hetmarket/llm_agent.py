@@ -73,7 +73,8 @@ class ChatCompletionClient:
     """Minimal JSON client for ``POST <base_url>/chat/completions``.
 
     The client keeps one connection alive across requests; ``close`` ends it.
-    Every socket operation times out after ``timeout_ms``.
+    Every socket operation times out after ``timeout_ms``.  A client serves
+    one thread at a time, so each of a run's live lanes has its own.
     """
 
     def __init__(self, config: LlmEndpointConfig):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hetmarket import llm_agent as llm_agent_module
+from hetmarket.engine import SimulationRun, spawn_run_seeds
 from hetmarket.llm_agent import (
     FORMAT_REMINDER,
     ChatCompletionClient,
@@ -16,6 +20,7 @@ from hetmarket.llm_agent import (
     render_prompt,
 )
 from hetmarket.netmodel import MBS, SBS
+from hetmarket.scenario import scenario1
 from hetmarket.strategy import (
     EmpiricalPriceModel,
     MarketObservation,
@@ -296,6 +301,29 @@ class TestForesight:
         decision = foresight_decide(observation([hopeless], budget=15.0,
                                                 urgency=urgency))
         assert decision.abstained
+
+    def test_scenario1_run_chases_service(self, monkeypatch):
+        # scenario1 with T = 40 and B = 60 reaches the service-chasing branch
+        # in real runs; at seed 5 the llm slot's stand-in (UE 0) takes it in
+        # round 14 and bids the most winnable bid of the macro station
+        base = scenario1()
+        config = replace(base, episodes=40, seed=5,
+                         population=replace(base.population, budget=60.0))
+        chosen = {}
+        most_winnable_bid = llm_agent_module._most_winnable_bid
+
+        def spy(obs, pace_cap):
+            chosen[obs.round_index] = most_winnable_bid(obs, pace_cap)
+            return chosen[obs.round_index]
+
+        monkeypatch.setattr(llm_agent_module, "_most_winnable_bid", spy)
+        run = SimulationRun(config, 0, spawn_run_seeds(config.seed, 1)[0])
+        logs = list(run.execute())
+        record = logs[13].ues[0]
+        assert (logs[13].round_index, record.strategy, record.station_id) == (14, "llm", 0)
+        assert record.per_unit_bid == pytest.approx(4.42962962962963, rel=1e-12)
+        _, top, chased = chosen[14]
+        assert (chased.station_id, top) == (record.station_id, record.per_unit_bid)
 
     def test_deterministic(self):
         obs = observation([view(history=[2.0, 2.5])])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 import socket
@@ -9,14 +11,25 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from hetmarket import engine
 from hetmarket.cli import main
-from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig, LlmError, llm_decide
+from hetmarket.engine import SimulationRun, spawn_run_seeds
+from hetmarket.llm_agent import (
+    ChatCompletionClient,
+    LlmEndpointConfig,
+    LlmError,
+    llm_decide,
+    render_prompt,
+)
 from hetmarket.netmodel import MBS
+from hetmarket.scenario import load_scenario_file
 from hetmarket.strategy import (
     EmpiricalPriceModel,
     MarketObservation,
@@ -34,14 +47,20 @@ class LocalEndpoint:
     Each request takes the next step of ``script`` (``"ok"`` once it runs
     out): ``ok``, ``http500``, ``bad_json``, ``bad_shape``, ``slow`` (replies
     after ``slow_s``) or ``drop`` (replies, then closes the connection without
-    saying so).  It counts requests, connections and finished connections.
+    saying so).  A prompt that ``slow_if`` holds for is a ``slow`` step
+    whatever the script says.  An ``ok`` reply carries ``answer(prompt)``
+    after ``delay_s``.  It counts requests, connections, finished connections
+    and the most requests it was ever answering at once.
     """
 
-    def __init__(self, script=(), slow_s=1.0):
+    def __init__(self, script=(), slow_s=1.0, delay_s=0.0,
+                 answer=lambda prompt: GOOD_REPLY, slow_if=lambda prompt: False):
         self.script = list(script)
         self.requests = 0
         self.connections = 0
         self.finished = 0
+        self.in_flight = 0
+        self.peak_in_flight = 0
         self.prompts: list[str] = []
         self.headers: list[dict[str, str]] = []
         self.paths: list[str] = []
@@ -66,14 +85,27 @@ class LocalEndpoint:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 payload = json.loads(self.rfile.read(length))
+                prompt = payload["messages"][0]["content"]
                 with endpoint._lock:
                     endpoint.requests += 1
-                    endpoint.prompts.append(payload["messages"][0]["content"])
+                    endpoint.in_flight += 1
+                    endpoint.peak_in_flight = max(endpoint.peak_in_flight, endpoint.in_flight)
+                    endpoint.prompts.append(prompt)
                     endpoint.headers.append(dict(self.headers))
                     endpoint.paths.append(self.path)
                     step = endpoint.script.pop(0) if endpoint.script else "ok"
+                try:
+                    self.reply(step, prompt)
+                finally:
+                    with endpoint._lock:
+                        endpoint.in_flight -= 1
+
+            def reply(self, step, prompt):
+                if slow_if(prompt):
+                    step = "slow"
+                time.sleep(delay_s)
                 status = 200
-                body = json.dumps({"choices": [{"message": {"content": GOOD_REPLY}}]})
+                body = json.dumps({"choices": [{"message": {"content": answer(prompt)}}]})
                 if step == "http500":
                     status, body = 500, "internal error"
                 elif step == "bad_json":
@@ -297,19 +329,160 @@ def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
     code = main(["run", "--config", str(scenario), "--seed", "1",
                  "--out", str(tmp_path / "out")])
     assert code == 0
-    # the probe and each run's client, every one closed
-    assert endpoint.connections == 3
+    # the probe, and in each run one client per lane: the 2 llm UEs take 2
+    # of the 4 lanes, so 1 + 2 * 2 connections, every one closed
+    assert endpoint.connections == 5
     assert endpoint.wait_all_finished()
 
 
-def test_cli_import_leaves_out_third_party_packages():
+def varied_answer(prompt):
+    """Bid at the first listed station, at a share of its value that the prompt sets."""
+    values = [line for line in prompt.splitlines() if line.startswith("  BS ")]
+    if not values:  # the endpoint probe
+        return GOOD_REPLY
+    station, value = values[0].split()[1].rstrip(":"), float(values[0].split()[2])
+    share = 0.5 + zlib.crc32(prompt.encode("utf-8")) % 50 / 100
+    return f"Selected BS and bid value: BS {station}, {value * share:.2f}"
+
+
+def flaky_answer(prompt):
+    """``varied_answer``, or for one prompt in three a reply with no selection line."""
+    if zlib.crc32(prompt.encode("utf-8")) % 3 == 0:
+        return "I would bid a fair price."
+    return varied_answer(prompt)
+
+
+def live_scenario(tmp_path, endpoint, runs=1, timeout_ms=10000):
+    scenario = tmp_path / "lanes.ini"
+    scenario.write_text(
+        "[population]\nnum_ues = 9\nbudget = 30.0\nqos_classes_mbps = 2.0\n"
+        "llm = 6\ngreedy = 3\n"
+        f"[llm]\nbase_url = {endpoint.base_url}\ntimeout_ms = {timeout_ms}\n"
+        f"[simulation]\nepisodes = 6\nruns = {runs}\n"
+    )
+    return scenario
+
+
+def artifacts(out):
+    return {name: (out / name).read_bytes()
+            for name in ("rounds.jsonl", "metrics.csv", "summary.json")}
+
+
+def test_lanes_overlap_requests_and_match_a_single_lane(
+    endpoint_factory, tmp_path, monkeypatch
+):
+    runs = {}
+    # switching threads often makes the lanes' memo fills interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for lanes in (1, 4):
+            monkeypatch.setattr(engine, "LIVE_LANES", lanes)
+            endpoint = endpoint_factory(delay_s=0.005, answer=flaky_answer)
+            out = tmp_path / f"lanes{lanes}"
+            code = main(["run", "--config", str(live_scenario(tmp_path, endpoint)),
+                         "--seed", "3", "--out", str(out)])
+            assert code == 0
+            runs[lanes] = (artifacts(out), endpoint)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1][0] == runs[4][0]
+    rounds = [json.loads(line) for line in runs[4][0]["rounds.jsonl"].splitlines()]
+    llm = [u for r in rounds for u in r["ues"] if u["strategy"] == "llm"]
+    # the replies differ from UE to UE, so a decision handed to the wrong UE shows
+    assert len({u["per_unit_bid"] for u in llm}) > 6
+    # some decisions fell back to greedy, whose memo fills the lanes share
+    assert 0 < sum(u["fallback"] for u in llm) < len(llm)
+    assert runs[1][1].peak_in_flight == 1
+    # 6 deciders on 4 lanes
+    assert 1 < runs[4][1].peak_in_flight <= 4
+    assert runs[4][1].connections == 1 + 4
+
+
+def test_timed_out_prompt_falls_back_in_ue_order(endpoint_factory, tmp_path):
+    slow_ue = 2
+    # only this UE's first prompt times out; it is set below, before any request
+    endpoint = endpoint_factory(
+        delay_s=0.002, answer=varied_answer, slow_s=0.6,
+        slow_if=lambda prompt: prompt == slow_prompt,
+    )
+    config = load_scenario_file(str(live_scenario(tmp_path, endpoint, timeout_ms=200)))
+    run = SimulationRun(dataclasses.replace(config, offline=False), 0, spawn_run_seeds(3, 1)[0])
+    first_prompts = [render_prompt(run.observation_for(r, 1)) for r in run.ues[:6]]
+    assert len(set(first_prompts)) == 6
+    slow_prompt = first_prompts[slow_ue]
+    expected = greedy_decide(run.observation_for(run.ues[slow_ue], 1))
+    with closing(run.execute()) as played:
+        first = next(played)
+    assert [r.ue_id for r in first.ues] == list(range(9))
+    assert [r.fallback for r in first.ues] == [r.ue_id == slow_ue for r in first.ues]
+    fell_back = first.ues[slow_ue]
+    assert (fell_back.station_id, fell_back.per_unit_bid, fell_back.quantity) == (
+        expected.station_id, expected.per_unit_bid, expected.quantity,
+    )
+    # the first try and its one retry (max_retries = 1), each timed out
+    assert endpoint.prompts.count(slow_prompt) == 2
+
+
+def lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("hetmarket-lane")]
+
+
+def settles(before, timeout_s=5.0):
+    """Whether every thread started since ``before`` ends within the timeout."""
+    deadline = time.monotonic() + timeout_s
+    while set(threading.enumerate()) - before:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_lanes_end_with_the_run_even_when_one_raises(endpoint_factory, tmp_path, monkeypatch):
+    endpoint = endpoint_factory(delay_s=0.002, answer=varied_answer)
+    scenario = live_scenario(tmp_path, endpoint, runs=2)
+    before = set(threading.enumerate())
+    start = threading.active_count()
+    assert main(["run", "--config", str(scenario), "--out", str(tmp_path / "ok")]) == 0
+    assert lane_threads() == []
+    assert endpoint.wait_all_finished()
+    assert settles(before)
+    assert threading.active_count() <= start
+
+    calls = itertools.count()
+    complete = ChatCompletionClient.complete
+
+    def breaks_on_the_tenth_call(self, prompt):
+        if next(calls) == 9:
+            raise ZeroDivisionError("lane broke")
+        return complete(self, prompt)
+
+    monkeypatch.setattr(ChatCompletionClient, "complete", breaks_on_the_tenth_call)
+    out = tmp_path / "broken"
+    with pytest.raises(ZeroDivisionError, match="lane broke"):
+        main(["run", "--config", str(scenario), "--out", str(out)])
+    assert list(out.glob("rounds.jsonl*")) == []
+    assert lane_threads() == []
+    assert endpoint.wait_all_finished()
+    assert settles(before)
+    assert threading.active_count() <= start
+
+
+def loaded_modules(names):
+    """Which of ``names`` a fresh ``import hetmarket.cli`` loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = (
-        "import sys, hetmarket.cli; "
-        "print(sorted({'requests', 'urllib3', 'numpy'} & set(sys.modules)))"
-    )
+    code = f"import sys, hetmarket.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_third_party_packages():
+    assert loaded_modules({"requests", "urllib3", "numpy"}) == "[]"
+
+
+def test_cli_import_leaves_out_process_and_thread_pools():
+    # a pool is imported where the first one starts: a cold import skips both
+    assert loaded_modules({"multiprocessing", "concurrent.futures.thread"}) == "[]"
