@@ -53,7 +53,7 @@ from .strategy import (
     greedy_decide,
     myopic_decide,
 )
-from .valuation import UrgencyState
+from .valuation import UrgencyState, channel_valuation
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -419,7 +419,6 @@ class SimulationRun:
         self.reserves = {bs.id: reservation_price(bs) for bs in self.stations}
         self.fee = config.auction.entrance_fee
         self.price_models = {bs.id: EmpiricalPriceModel() for bs in self.stations}
-        self.prev_request_counts: dict[int, int] | None = None
         # the live lanes' threads and clients, started by the first live round
         self._lanes: ThreadPoolExecutor | None = None
         self._clients: list[ChatCompletionClient] = []
@@ -475,14 +474,19 @@ class SimulationRun:
             state = self._streaks[key] = self.config.urgency.for_class(class_index, losses)
         return state
 
-    def _build_views(self) -> None:
+    def _build_views(self, requests: dict[int, list[AuctionRequest]] | None = None) -> None:
         """Give every runtime its station views for the current competitor counts.
 
         A view holds constants of the run and the station's shared price
         model, which grows in place, so this runs once per run, and again
-        after each round only when competitor counts follow that round.
+        after each round in oracle mode, with that round's ``requests``: each
+        requester then counts the others at its station as competitors.
         """
-        competitors = {bs.id: self._competitors(bs.id) for bs in self.stations}
+        if requests is None:
+            uniform = max(0, self.config.population.num_ues // len(self.stations) - 1)
+            competitors = {bs.id: uniform for bs in self.stations}
+        else:
+            competitors = {bs_id: max(0, len(reqs) - 1) for bs_id, reqs in requests.items()}
         for runtime in self.ues:
             runtime.views = tuple(
                 StationView(
@@ -499,14 +503,6 @@ class SimulationRun:
                 if bs.id in runtime.rate_mbps
             )
 
-    def _competitors(self, station_id: int) -> int:
-        if (
-            self.config.auction.competitor_mode == COMPETITORS_ORACLE
-            and self.prev_request_counts is not None
-        ):
-            return max(0, self.prev_request_counts.get(station_id, 0) - 1)
-        return max(0, self.config.population.num_ues // len(self.stations) - 1)
-
     def observation_for(self, runtime: _UeRuntime, round_index: int) -> MarketObservation:
         return MarketObservation(
             round_index=round_index,
@@ -522,10 +518,9 @@ class SimulationRun:
             return myopic_decide(observation)
         if runtime.strategy == GREEDY:
             return greedy_decide(observation)
-        # a live llm UE was decided on a lane; offline it runs the stand-in
-        if runtime.strategy in (FORESIGHT, LLM):
-            return foresight_decide(observation, self.config.foresight)
-        raise ConfigurationError([f"unknown strategy {runtime.strategy!r}"])
+        # validate() admits no other strategy; a live llm UE was decided on a
+        # lane, and offline it runs the stand-in
+        return foresight_decide(observation, self.config.foresight)
 
     def _decide_live(self, round_index: int) -> dict[int, BidDecision]:
         """The decisions of the live llm UEs that can pay the fee, by UE id.
@@ -545,26 +540,20 @@ class SimulationRun:
             from concurrent.futures import ThreadPoolExecutor
 
             self._lanes = ThreadPoolExecutor(LIVE_LANES, thread_name_prefix="hetmarket-lane")
+            # a client opens no connection until its lane first sends
+            self._clients = [ChatCompletionClient(self.config.endpoint) for _ in range(LIVE_LANES)]
         lanes = min(LIVE_LANES, len(deciders))
-        while len(self._clients) < lanes:
-            self._clients.append(ChatCompletionClient(self.config.endpoint))
-        futures = [
-            self._lanes.submit(self._decide_lane, self._clients[k], deciders[k::lanes], round_index)
-            for k in range(lanes)
-        ]
-        decided: dict[int, BidDecision] = {}
-        for future in futures:
-            decided.update(future.result())
-        return decided
 
-    def _decide_lane(
-        self, client: ChatCompletionClient, deciders: list[_UeRuntime], round_index: int
-    ) -> dict[int, BidDecision]:
-        endpoint = self.config.endpoint
-        return {
-            r.ue.id: llm_decide(self.observation_for(r, round_index), endpoint, client=client)
-            for r in deciders
-        }
+        def lane(k: int) -> dict[int, BidDecision]:
+            return {
+                r.ue.id: llm_decide(self.observation_for(r, round_index), self._clients[k])
+                for r in deciders[k::lanes]
+            }
+
+        decided: dict[int, BidDecision] = {}
+        for decisions in self._lanes.map(lane, range(lanes)):
+            decided.update(decisions)
+        return decided
 
     def run_round(self, round_index: int) -> RoundLog:
         """Play one sealed-bid round and append its broadcasts to history."""
@@ -593,7 +582,7 @@ class SimulationRun:
             requests_by_station[decision.station_id].append(
                 AuctionRequest(
                     bidder_id=runtime.ue.id,
-                    quantity=decision.quantity,
+                    quantity=runtime.demand[decision.station_id],
                     per_unit_bid=decision.per_unit_bid,
                 )
             )
@@ -605,6 +594,7 @@ class SimulationRun:
 
         ue_records = []
         for runtime, decision in zip(self.ues, decisions):
+            quantity = 0
             won = 0
             per_unit_payment = 0.0
             gross = 0.0
@@ -612,17 +602,19 @@ class SimulationRun:
             # a round adds to the totals in round order; it skips only adds of
             # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
             if not decision.abstained:
+                station = decision.station_id
                 fee_paid = self.fee
                 runtime.fees += fee_paid
                 runtime.bids += 1
-                outcome = outcomes[decision.station_id]
+                quantity = runtime.demand[station]
+                outcome = outcomes[station]
                 won = outcome.allocations.get(runtime.ue.id, 0)
                 if won > 0:
                     per_unit_payment = outcome.per_unit_payments[runtime.ue.id]
                     paid = won * per_unit_payment
                     runtime.budget -= paid
                     runtime.payments += paid
-                    value = runtime.urgency.value_per_mbps * runtime.rate_mbps[decision.station_id]
+                    value = channel_valuation(runtime.urgency, runtime.rate_mbps[station])
                     gross = won * (value - per_unit_payment)
                     runtime.gross += gross
                     runtime.channels += won
@@ -637,7 +629,7 @@ class SimulationRun:
                     strategy=runtime.strategy,
                     station_id=decision.station_id,
                     per_unit_bid=decision.per_unit_bid,
-                    quantity=decision.quantity,
+                    quantity=quantity,
                     abstained=decision.abstained,
                     fallback=decision.fallback,
                     channels_won=won,
@@ -672,11 +664,8 @@ class SimulationRun:
             )
             self.price_models[bs.id].append(outcome.clearing_price)
 
-        self.prev_request_counts = {
-            bs_id: len(reqs) for bs_id, reqs in requests_by_station.items()
-        }
         if self.config.auction.competitor_mode == COMPETITORS_ORACLE:
-            self._build_views()
+            self._build_views(requests_by_station)
         return RoundLog(
             round_index=round_index,
             ues=tuple(ue_records),

@@ -24,7 +24,6 @@ from .strategy import (
     BidDecision,
     MarketObservation,
     StationView,
-    effective_prices,
     greedy_decide,
     grid_argmax,
     grid_bounds,
@@ -63,12 +62,6 @@ class LlmEndpointConfig:
     temperature: float = 0.0
 
 
-@dataclass(frozen=True)
-class ParsedLlmReply:
-    station_id: int
-    per_unit_bid: float
-
-
 class ChatCompletionClient:
     """Minimal JSON client for ``POST <base_url>/chat/completions``.
 
@@ -84,7 +77,10 @@ class ChatCompletionClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            url = urlsplit(self.config.base_url.rstrip("/"))
+            try:
+                url = urlsplit(self.config.base_url.rstrip("/"))
+            except ValueError as exc:  # such as an unclosed or invalid [host]
+                raise LlmError(f"unsupported base_url: {exc}") from exc
             if url.scheme not in ("http", "https") or not url.netloc:
                 raise LlmError(f"unsupported base_url {self.config.base_url!r}")
             https = url.scheme == "https"
@@ -124,8 +120,6 @@ class ChatCompletionClient:
                 raise LlmError(f"request failed: {exc}") from exc
 
     def complete(self, prompt: str) -> str:
-        if not self.config.base_url:
-            raise LlmError("no endpoint base_url configured")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.config.api_key_env_var, "")
         if api_key:
@@ -190,8 +184,8 @@ _SELECTION_RE = re.compile(
 )
 
 
-def parse_reply(text: str, station_ids: set[int]) -> ParsedLlmReply:
-    """Extract the selection line; loose about punctuation."""
+def parse_reply(text: str, station_ids: set[int]) -> BidDecision:
+    """The selection line as a decision, not yet clamped; loose about punctuation."""
     match = _SELECTION_RE.search(text)
     if match is None:
         raise ParseError("missing 'Selected BS and bid value' line")
@@ -201,31 +195,27 @@ def parse_reply(text: str, station_ids: set[int]) -> ParsedLlmReply:
         raise ParseError(f"negative bid {bid}")
     if station_id not in station_ids:
         raise ParseError(f"unknown station id {station_id}")
-    return ParsedLlmReply(station_id=station_id, per_unit_bid=bid)
+    return BidDecision(station_id=station_id, per_unit_bid=bid)
 
 
-def _clamped_decision(parsed: ParsedLlmReply, observation: MarketObservation) -> BidDecision:
+def _clamped_decision(parsed: BidDecision, observation: MarketObservation) -> BidDecision:
     """Force the parsed reply into budget feasibility, abstaining if impossible."""
     view = next(v for v in observation.stations if v.station_id == parsed.station_id)
     cap = per_unit_budget_cap(observation, view)
     if cap < view.reserve_price:
         return ABSTAIN
     bid = max(view.reserve_price, min(parsed.per_unit_bid, cap))
-    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid)
 
 
-def llm_decide(
-    observation: MarketObservation,
-    endpoint: LlmEndpointConfig,
-    client: ChatCompletionClient,
-) -> BidDecision:
-    """Ask the endpoint for a decision; degrade to greedy after failed retries."""
+def llm_decide(observation: MarketObservation, client: ChatCompletionClient) -> BidDecision:
+    """Ask the client's endpoint for a decision; degrade to greedy after failed retries."""
     if not observation.stations:
         return ABSTAIN
     station_ids = {v.station_id for v in observation.stations}
     base_prompt = render_prompt(observation)
     prompt = base_prompt
-    for _ in range(endpoint.max_retries + 1):
+    for _ in range(client.config.max_retries + 1):
         try:
             text = client.complete(prompt)
         except LlmError:
@@ -268,7 +258,7 @@ def _most_winnable_bid(
     # station ids are distinct, so no two keys tie and the best does not
     # depend on the order of the stations
     for view in observation.stations:
-        prices = effective_prices(view)
+        prices = view.price_history.or_prior(view.reserve_price)
         cap = min(per_unit_budget_cap(observation, view), pace_cap)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         bounds = grid_bounds(value, prices.last, view.reserve_price, cap)
@@ -315,9 +305,7 @@ def foresight_decide(
     if utility > 0.0:
         paced = min(bid, pace_cap)
         if paced >= view.reserve_price:
-            return BidDecision(
-                station_id=view.station_id, per_unit_bid=paced, quantity=view.demand
-            )
+            return BidDecision(station_id=view.station_id, per_unit_bid=paced)
         if not starving:
             return ABSTAIN
     # saturated loss streak with no profitable entry: chase service instead
@@ -325,4 +313,4 @@ def foresight_decide(
     if choice is None:
         return ABSTAIN
     _, top, view = choice
-    return BidDecision(station_id=view.station_id, per_unit_bid=top, quantity=view.demand)
+    return BidDecision(station_id=view.station_id, per_unit_bid=top)

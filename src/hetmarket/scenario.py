@@ -138,6 +138,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
                 problems.append(
                     f"{source}: bad value {raw!r} for '{key}' in [{section}]"
                 )
+    # a section the text leaves out defaults every one of its keys
+    for section, keys in _KEYS.items():
         for key, path in keys.items():
             if not parser.has_option(section, key) and key != MYOPIC:
                 log.info(

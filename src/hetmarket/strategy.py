@@ -228,11 +228,10 @@ class MarketObservation:
 
 @dataclass(frozen=True)
 class BidDecision:
-    """Either an abstention or a single (station, price, quantity) request."""
+    """An abstention, or a station and a per-unit bid; the engine sets the quantity."""
 
     station_id: int | None
     per_unit_bid: float = 0.0
-    quantity: int = 0
     fallback: bool = False
 
     @property
@@ -242,11 +241,6 @@ class BidDecision:
 
 # every abstention, shared because decisions are frozen
 ABSTAIN = BidDecision(station_id=None)
-
-
-def effective_prices(view: StationView) -> EmpiricalPriceModel:
-    """Observed history, or a one-point prior at the reserve before any data."""
-    return view.price_history.or_prior(view.reserve_price)
 
 
 def per_unit_budget_cap(observation: MarketObservation, view: StationView) -> float:
@@ -275,7 +269,7 @@ def grid_argmax(
     # no two keys tie (distinct station ids, distinct bids per grid), so the
     # best does not depend on the order of the stations
     for view in observation.stations:
-        prices = effective_prices(view)
+        prices = view.price_history.or_prior(view.reserve_price)
         cap = per_unit_budget_cap(observation, view)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         last = prices.last
@@ -318,7 +312,7 @@ def greedy_decide(observation: MarketObservation) -> BidDecision:
     utility, bid, view = best
     if utility <= 0.0:
         return ABSTAIN
-    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid)
 
 
 def myopic_decide(observation: MarketObservation) -> BidDecision:
@@ -339,4 +333,4 @@ def myopic_decide(observation: MarketObservation) -> BidDecision:
         return ABSTAIN
     value = channel_valuation(observation.urgency, view.rate_mbps)
     bid = min(value, per_unit_budget_cap(observation, view))
-    return BidDecision(station_id=view.station_id, per_unit_bid=bid, quantity=view.demand)
+    return BidDecision(station_id=view.station_id, per_unit_bid=bid)

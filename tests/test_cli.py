@@ -277,6 +277,17 @@ class TestExitCodes:
         assert code == 3
         assert "--offline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base_url", ["http://[::1", "https://[::1", "http://[zz]"])
+    def test_malformed_bracketed_host_is_exit_three(self, tmp_path, capsys, base_url):
+        path = tmp_path / "live.ini"
+        path.write_text(f"[population]\nllm = 1\n[llm]\nbase_url = {base_url}\n")
+        code = run_cli("run", "--config", str(path), "--episodes", "2",
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "pass --offline" in err
+        assert "Traceback" not in err
+
     def test_bad_scenario_file_is_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[population]\nqos = 2\n")

@@ -55,10 +55,14 @@ def observation(stations, budget=15.0, fee=0.1, urgency=None,
     )
 
 
+ENDPOINT = LlmEndpointConfig(base_url="http://endpoint.invalid", max_retries=1)
+
+
 class ScriptedClient:
     """Stand-in endpoint that replays canned replies or raises canned errors."""
 
     def __init__(self, script):
+        self.config = ENDPOINT
         self.script = list(script)
         self.prompts: list[str] = []
 
@@ -68,9 +72,6 @@ class ScriptedClient:
         if isinstance(item, Exception):
             raise item
         return item
-
-
-ENDPOINT = LlmEndpointConfig(base_url="http://endpoint.invalid", max_retries=1)
 
 GOLDEN_PROMPT = (
     "Given the following network and economic context:\n"
@@ -165,7 +166,7 @@ class TestDecisionClamp:
     def test_over_budget_reply_is_clamped_down(self):
         obs = observation([view(reserve=2.0, demand=1)], budget=15.0, fee=0.1)
         client = ScriptedClient(["Selected BS and bid value: BS 0, 100"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert decision.station_id == 0
         assert decision.per_unit_bid == pytest.approx(14.9)
         assert not decision.fallback
@@ -173,24 +174,18 @@ class TestDecisionClamp:
     def test_lowball_reply_is_lifted_to_reserve(self):
         obs = observation([view(reserve=2.0, demand=1)], budget=15.0, fee=0.1)
         client = ScriptedClient(["Selected BS and bid value: BS 0, 0.01"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert decision.per_unit_bid == pytest.approx(2.0)
 
     def test_unaffordable_station_becomes_abstention(self):
         obs = observation([view(reserve=2.0, demand=2)], budget=1.0, fee=0.1)
         client = ScriptedClient(["Selected BS and bid value: BS 0, 0.4"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert decision.abstained
-
-    def test_quantity_comes_from_channel_demand(self):
-        obs = observation([view(reserve=0.2, demand=3)], budget=15.0, fee=0.1)
-        client = ScriptedClient(["Selected BS and bid value: BS 0, 1.0"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
-        assert decision.quantity == 3
 
     def test_no_stations_abstains_without_calling_endpoint(self):
         client = ScriptedClient([])
-        decision = llm_decide(observation([]), ENDPOINT, client=client)
+        decision = llm_decide(observation([]), client)
         assert decision.abstained
         assert client.prompts == []
 
@@ -202,7 +197,7 @@ class TestRetriesAndFallback:
             "no idea what to do",
             "Selected BS and bid value: BS 0, 2.5",
         ])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert decision.station_id == 0
         assert not decision.fallback
         assert len(client.prompts) == 2
@@ -215,24 +210,23 @@ class TestRetriesAndFallback:
             LlmError("connection reset"),
             "Selected BS and bid value: BS 0, 2.5",
         ])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert not decision.fallback
         assert client.prompts == [render_prompt(obs), render_prompt(obs)]
 
     def test_exhausted_retries_fall_back_to_greedy(self):
         obs = observation([view(history=[1.0, 1.5])])
         client = ScriptedClient(["garbage", "more garbage"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         reference = greedy_decide(obs)
         assert decision.fallback
         assert decision.station_id == reference.station_id
         assert decision.per_unit_bid == reference.per_unit_bid
-        assert decision.quantity == reference.quantity
 
     def test_dead_endpoint_falls_back_to_greedy(self):
         obs = observation([view(history=[1.0, 1.5])])
         client = ScriptedClient([LlmError("down"), LlmError("still down")])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         assert decision.fallback
         assert decision.station_id == greedy_decide(obs).station_id
 
@@ -245,12 +239,12 @@ class TestRetriesAndFallback:
             budget=budget, fee=0.1,
         )
         client = ScriptedClient([f"Selected BS and bid value: BS {station}, {bid}"])
-        decision = llm_decide(obs, ENDPOINT, client=client)
+        decision = llm_decide(obs, client)
         if decision.abstained:
             return
         chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
         assert decision.per_unit_bid >= chosen.reserve_price
-        spend = decision.quantity * decision.per_unit_bid + obs.entrance_fee
+        spend = chosen.demand * decision.per_unit_bid + obs.entrance_fee
         assert spend <= obs.budget + 1e-9
 
 
@@ -367,7 +361,6 @@ def test_foresight_respects_budget_and_reserve(obs):
     if decision.abstained:
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
-    assert decision.quantity == chosen.demand
     assert decision.per_unit_bid >= chosen.reserve_price
-    spend = decision.quantity * decision.per_unit_bid + obs.entrance_fee
+    spend = chosen.demand * decision.per_unit_bid + obs.entrance_fee
     assert spend <= obs.budget + 1e-9

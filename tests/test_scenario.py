@@ -172,7 +172,18 @@ class TestParsing:
     def test_default_notices_logged_at_info(self, caplog):
         with caplog.at_level(logging.INFO, logger="hetmarket.scenario"):
             parse_scenario_text("[simulation]\nepisodes = 5\n")
-        assert any("defaulted" in record.message for record in caplog.records)
+        noticed = [
+            re.fullmatch(r"<scenario>: \[(\w+)\] (\w+) defaulted to .*", record.message).groups()
+            for record in caplog.records
+        ]
+        # one notice per omitted key, also in the sections the text leaves out
+        omitted = [
+            (section, key)
+            for section, keys in scenario._KEYS.items()
+            for key in keys
+            if (section, key) != ("simulation", "episodes")
+        ]
+        assert sorted(noticed) == sorted(omitted)
 
     def test_mismatched_counts_fail_at_run_time(self):
         config = parse_scenario_text(

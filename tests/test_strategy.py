@@ -27,7 +27,6 @@ from hetmarket.strategy import (
     NoPriceData,
     StationView,
     candidate_bids,
-    effective_prices,
     greedy_decide,
     grid_argmax,
     grid_bounds,
@@ -337,20 +336,20 @@ class TestGridBounds:
 class TestObservationHelpers:
     def test_cold_start_prior_sits_at_reserve(self):
         v = view(reserve=2.0)
-        prior = effective_prices(v)
+        prior = v.price_history.or_prior(v.reserve_price)
         assert (len(prior), prior.last) == (1, 2.0)
         warm = view(history=[3.0])
-        assert effective_prices(warm) is warm.price_history
+        assert warm.price_history.or_prior(warm.reserve_price) is warm.price_history
 
     def test_cold_start_prior_is_shared_until_the_first_price(self):
         shared = EmpiricalPriceModel()
         a = StationView(0, MBS, 4, 2.0, 3.0, 1, 2, shared)
         b = StationView(0, MBS, 4, 2.0, 5.0, 2, 2, shared)
-        assert effective_prices(a) is effective_prices(b)
+        assert shared.or_prior(a.reserve_price) is shared.or_prior(b.reserve_price)
         other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, 2, shared)
-        assert effective_prices(other_reserve).last == 1.5
+        assert shared.or_prior(other_reserve.reserve_price).last == 1.5
         shared.append(2.5)
-        assert effective_prices(a) is shared
+        assert shared.or_prior(a.reserve_price) is shared
 
     def test_budget_cap_spreads_over_demand(self):
         v = view(demand=2)
@@ -381,7 +380,7 @@ class TestObservationHelpers:
     def test_shared_abstention(self):
         assert ABSTAIN.abstained
         assert ABSTAIN.station_id is None
-        placed = BidDecision(station_id=2, per_unit_bid=1.0, quantity=1)
+        placed = BidDecision(station_id=2, per_unit_bid=1.0)
         assert not placed.abstained
 
 
@@ -395,7 +394,6 @@ class TestGreedy:
         assert decision.station_id == 0
         # Flat utility across the grid resolves to the cheapest bid on it.
         assert decision.per_unit_bid == pytest.approx(2.0)
-        assert decision.quantity == 1
         assert not decision.fallback
 
     def test_cold_start_bids_reserve(self):
@@ -439,7 +437,6 @@ class TestGreedy:
         doubled = greedy_decide(build(2.0))
         assert not base.abstained
         assert doubled.station_id == base.station_id
-        assert doubled.quantity == base.quantity
         assert doubled.per_unit_bid == 2.0 * base.per_unit_bid
 
 
@@ -462,7 +459,6 @@ class TestMyopic:
         v = view(rate=4.0, reserve=0.3)
         decision = myopic_decide(observation([v], budget=15.0, fee=0.1))
         assert decision.per_unit_bid == pytest.approx(4.0)
-        assert decision.quantity == 1
 
     def test_budget_clamp(self):
         v = view(rate=4.0, reserve=0.3, demand=1)
@@ -530,9 +526,8 @@ def test_greedy_respects_budget_and_reserve(obs):
     if decision.abstained:
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
-    assert decision.quantity == chosen.demand
     assert decision.per_unit_bid >= chosen.reserve_price
-    spend = decision.quantity * decision.per_unit_bid + obs.entrance_fee
+    spend = chosen.demand * decision.per_unit_bid + obs.entrance_fee
     assert spend <= obs.budget + 1e-9
 
 
@@ -541,7 +536,8 @@ def test_myopic_respects_budget(obs):
     decision = myopic_decide(obs)
     if decision.abstained:
         return
-    spend = decision.quantity * decision.per_unit_bid + obs.entrance_fee
+    chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
+    spend = chosen.demand * decision.per_unit_bid + obs.entrance_fee
     assert spend <= obs.budget + 1e-9
 
 
@@ -560,7 +556,7 @@ def reference_grid_argmax(obs):
     cheaper bid, then the lower station id."""
     scored = []
     for v in obs.stations:
-        prices = effective_prices(v)
+        prices = v.price_history.or_prior(v.reserve_price)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
                               per_unit_budget_cap(obs, v))
@@ -594,7 +590,7 @@ def reference_most_winnable_bid(obs, pace_cap):
     the cheaper bid, then the lower station id."""
     scored = []
     for v in obs.stations:
-        prices = effective_prices(v)
+        prices = v.price_history.or_prior(v.reserve_price)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
                               min(per_unit_budget_cap(obs, v), pace_cap))

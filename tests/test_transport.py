@@ -133,7 +133,10 @@ class LocalEndpoint:
                 pass  # a client that gave up on a slow reply closed the socket
 
         self._server = Server(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll, so that shutdown does not wait out the default 0.5 s
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.01,), daemon=True
+        )
 
     @property
     def base_url(self) -> str:
@@ -281,6 +284,15 @@ def test_refused_connection_raises():
     client.close()
 
 
+@pytest.mark.parametrize("base_url", ["http://[::1", "https://[::1", "http://[zz]"])
+def test_malformed_bracketed_host_raises(base_url):
+    client = ChatCompletionClient(LlmEndpointConfig(base_url=base_url))
+    # an older urlsplit accepts [zz], and then the connection fails instead
+    with pytest.raises(LlmError):
+        client.complete("x")
+    client.close()
+
+
 def test_close_lets_the_server_handler_finish(endpoint_factory):
     endpoint = endpoint_factory()
     client = client_for(endpoint)
@@ -307,13 +319,13 @@ def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory):
     config = LlmEndpointConfig(base_url=endpoint.base_url, max_retries=1)
     client = ChatCompletionClient(config)
     try:
-        decision = llm_decide(observation(), config, client=client)
+        decision = llm_decide(observation(), client)
     finally:
         client.close()
     greedy = greedy_decide(observation())
     assert decision.fallback
-    assert (decision.station_id, decision.per_unit_bid, decision.quantity) == (
-        greedy.station_id, greedy.per_unit_bid, greedy.quantity,
+    assert (decision.station_id, decision.per_unit_bid) == (
+        greedy.station_id, greedy.per_unit_bid,
     )
     assert endpoint.requests == 2
 
@@ -329,8 +341,9 @@ def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
     code = main(["run", "--config", str(scenario), "--seed", "1",
                  "--out", str(tmp_path / "out")])
     assert code == 0
-    # the probe, and in each run one client per lane: the 2 llm UEs take 2
-    # of the 4 lanes, so 1 + 2 * 2 connections, every one closed
+    # the probe, and in each run one connection per lane that sends: each run
+    # makes 4 clients, but the 2 llm UEs take 2 of the 4 lanes, so 1 + 2 * 2
+    # connections, every one closed
     assert endpoint.connections == 5
     assert endpoint.wait_all_finished()
 
@@ -417,9 +430,10 @@ def test_timed_out_prompt_falls_back_in_ue_order(endpoint_factory, tmp_path):
     assert [r.ue_id for r in first.ues] == list(range(9))
     assert [r.fallback for r in first.ues] == [r.ue_id == slow_ue for r in first.ues]
     fell_back = first.ues[slow_ue]
-    assert (fell_back.station_id, fell_back.per_unit_bid, fell_back.quantity) == (
-        expected.station_id, expected.per_unit_bid, expected.quantity,
+    assert (fell_back.station_id, fell_back.per_unit_bid) == (
+        expected.station_id, expected.per_unit_bid,
     )
+    assert fell_back.quantity == run.ues[slow_ue].demand[expected.station_id]
     # the first try and its one retry (max_retries = 1), each timed out
     assert endpoint.prompts.count(slow_prompt) == 2
 
