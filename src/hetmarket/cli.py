@@ -29,6 +29,7 @@ from .engine import (
     SimulationConfig,
     StationRoundRecord,
     StrategySummary,
+    UeRoundRecord,
     run_simulation,
     run_simulations,
     validate_all,
@@ -173,31 +174,79 @@ def write_summary_json(path: str, config: SimulationConfig, metrics: MetricsRepo
         handle.write("\n")
 
 
-def _station_object(record: StationRoundRecord) -> dict:
-    """The record's fields by name.  Its int-keyed maps get str keys, so
-    ``sort_keys`` orders them as text ("10" before "2"), as JSON reads them."""
+# json's own string encoder (ensure_ascii), quotes included
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_map(values: dict) -> str:
+    """An int-keyed map as a JSON object, its keys as text sorted as text
+    ("10" before "2"), as ``sort_keys`` orders str keys."""
+    items = sorted(zip(map(str, values), values.values()))
+    return "{" + ", ".join([f'"{k}": {v!r}' for k, v in items]) + "}"
+
+
+def _ue_json(r: UeRoundRecord) -> str:
+    return (
+        f'{{"abstained": {"true" if r.abstained else "false"}, "budget_after": {r.budget_after!r},'
+        f' "channels_won": {r.channels_won!r}, "fallback": {"true" if r.fallback else "false"},'
+        f' "fee_paid": {r.fee_paid!r}, "gross_utility": {r.gross_utility!r},'
+        f' "losses_after": {r.losses_after!r}, "per_unit_bid": {r.per_unit_bid!r},'
+        f' "per_unit_payment": {r.per_unit_payment!r}, "quantity": {r.quantity!r},'
+        f' "station_id": {"null" if r.station_id is None else repr(r.station_id)},'
+        f' "strategy": {_json_string(r.strategy)}, "ue_id": {r.ue_id!r},'
+        f' "value_factor": {r.value_factor!r}}}'
+    )
+
+
+def _station_json(s: StationRoundRecord) -> str:
+    return (
+        f'{{"allocations": {_json_map(s.allocations)}, "clearing_price": {s.clearing_price!r},'
+        f' "fees_collected": {s.fees_collected!r},'
+        f' "per_unit_payments": {_json_map(s.per_unit_payments)}, "revenue": {s.revenue!r},'
+        f' "seller_utility_terms": {_json_map(s.seller_utility_terms)},'
+        f' "station_id": {s.station_id!r}}}'
+    )
+
+
+def _json_object(record) -> dict:
+    """A record's fields by name, its int-keyed maps with str keys."""
     return {
         name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
-        for name, value in vars(record).items()
+        for name, value in dataclasses.asdict(record).items()
     }
 
 
-def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
-    """One line per round of one run, as it is played, to ``<path>.<run_index>``.
+def round_line(run_index: int, seed: int, log: RoundLog) -> str:
+    """One ``rounds.jsonl`` line, equal to ``json.dumps`` with ``sort_keys``
+    of the round's object: its keys, their order and its number forms.
 
-    A record's ``__dict__`` is its fields by name, and every field of a UE
-    record is a scalar, so a UE object is the record's own ``__dict__``.
+    Each record type has one template with its keys in sorted order; a float
+    is written as ``repr`` writes it, which is ``json``'s form for every
+    finite float.  A non-finite float's ``repr`` holds "nan" or "inf", which
+    no key does, so such a line is encoded again by ``json`` itself.
     """
+    line = (
+        f'{{"round": {log.round_index!r}, "run": {run_index!r}, "seed": {seed!r},'
+        f' "stations": [{", ".join(map(_station_json, log.stations))}],'
+        f' "ues": [{", ".join(map(_ue_json, log.ues))}]}}'
+    )
+    if "nan" in line or "inf" in line:
+        record = {
+            "run": run_index,
+            "seed": seed,
+            "round": log.round_index,
+            "ues": [_json_object(r) for r in log.ues],
+            "stations": [_json_object(s) for s in log.stations],
+        }
+        return json.dumps(record, sort_keys=True)
+    return line
+
+
+def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
+    """One line per round of one run, as it is played, to ``<path>.<run_index>``."""
     with open(f"{path}.{run_index}", "w", encoding="utf-8") as handle:
         for log in rounds:
-            record = {
-                "run": run_index,
-                "seed": seed,
-                "round": log.round_index,
-                "ues": [vars(r) for r in log.ues],
-                "stations": [_station_object(s) for s in log.stations],
-            }
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(round_line(run_index, seed, log))
             handle.write("\n")
 
 

@@ -308,7 +308,10 @@ class SimulationConfig:
         return list(dict.fromkeys(problems))
 
 
-@dataclass(frozen=True)
+# The round records are output values: ``run_round`` builds each one and only
+# the writer reads them, so unlike the policy and auction values they are not
+# frozen, which saves a ``object.__setattr__`` per field in ``__init__``.
+@dataclass(slots=True)
 class UeRoundRecord:
     ue_id: int
     strategy: str
@@ -326,7 +329,7 @@ class UeRoundRecord:
     losses_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StationRoundRecord:
     station_id: int
     clearing_price: float
@@ -337,7 +340,7 @@ class StationRoundRecord:
     revenue: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundLog:
     round_index: int
     ues: tuple[UeRoundRecord, ...]
@@ -561,7 +564,7 @@ class SimulationRun:
             bs.id: [] for bs in self.stations
         }
         fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
-        decisions: list[BidDecision] = []
+        decisions: list[tuple[BidDecision, bool]] = []
         # a decision reads only its own UE's budget and the price models, and
         # no entry changes another UE's budget or any price model; so the live
         # UEs decide first, all at once, and each UE enters as soon as it has
@@ -574,8 +577,9 @@ class SimulationRun:
                 decision = live[runtime.ue.id]
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
-            decisions.append(decision)
-            if decision.abstained:
+            abstained = decision.abstained
+            decisions.append((decision, abstained))
+            if abstained:
                 continue
             runtime.budget -= self.fee
             fees_by_station[decision.station_id] += self.fee
@@ -593,7 +597,7 @@ class SimulationRun:
         }
 
         ue_records = []
-        for runtime, decision in zip(self.ues, decisions):
+        for runtime, (decision, abstained) in zip(self.ues, decisions):
             quantity = 0
             won = 0
             per_unit_payment = 0.0
@@ -601,7 +605,7 @@ class SimulationRun:
             fee_paid = 0.0
             # a round adds to the totals in round order; it skips only adds of
             # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
-            if not decision.abstained:
+            if not abstained:
                 station = decision.station_id
                 fee_paid = self.fee
                 runtime.fees += fee_paid
@@ -630,7 +634,7 @@ class SimulationRun:
                     station_id=decision.station_id,
                     per_unit_bid=decision.per_unit_bid,
                     quantity=quantity,
-                    abstained=decision.abstained,
+                    abstained=abstained,
                     fallback=decision.fallback,
                     channels_won=won,
                     per_unit_payment=per_unit_payment,

@@ -189,7 +189,11 @@ def parse_reply(text: str, station_ids: set[int]) -> BidDecision:
     match = _SELECTION_RE.search(text)
     if match is None:
         raise ParseError("missing 'Selected BS and bid value' line")
-    station_id = int(match.group(1))
+    try:
+        station_id = int(match.group(1))
+    except ValueError as exc:
+        # more digits than int() converts from text (4300 since Python 3.10.7)
+        raise ParseError(f"station id of {len(match.group(1))} digits") from exc
     bid = float(match.group(2))
     if bid < 0:
         raise ParseError(f"negative bid {bid}")

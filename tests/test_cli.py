@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import subprocess
@@ -12,15 +13,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetmarket.cli import (
     METRICS_COLUMNS,
     main,
+    round_line,
     write_metrics_csv,
     write_rounds_jsonl,
     write_rounds_part,
 )
 from hetmarket.engine import (
+    STRATEGIES,
+    RoundLog,
     SimulationRun,
     StationRoundRecord,
     UeMetrics,
@@ -268,6 +273,61 @@ class TestRunCommand:
         assert [r.getMessage() for r in caplog.records if r.name == "hetmarket.engine"] == [
             f"config 0 run {i} done: seed {seeds[i]}, 4 rounds" for i in range(3)
         ]
+
+
+# every float form json writes: signed zeros, subnormals, the ends of the
+# range, and the non-finite values that take the encoder's fallback
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-308, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+)
+INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+# ids on both sides of 10, so text order and number order differ
+IDS = st.one_of(st.integers(0, 30), INTS)
+
+UE_RECORDS = st.builds(
+    UeRoundRecord,
+    ue_id=IDS, strategy=st.sampled_from(STRATEGIES), station_id=st.none() | IDS,
+    per_unit_bid=FLOATS, quantity=INTS, abstained=st.booleans(), fallback=st.booleans(),
+    channels_won=INTS, per_unit_payment=FLOATS, fee_paid=FLOATS, gross_utility=FLOATS,
+    budget_after=FLOATS, value_factor=FLOATS, losses_after=INTS,
+)
+STATION_RECORDS = st.builds(
+    StationRoundRecord,
+    station_id=IDS, clearing_price=FLOATS,
+    allocations=st.dictionaries(IDS, INTS, max_size=6),
+    per_unit_payments=st.dictionaries(IDS, FLOATS, max_size=6),
+    seller_utility_terms=st.dictionaries(IDS, FLOATS, max_size=6),
+    fees_collected=FLOATS, revenue=FLOATS,
+)
+ROUND_LOGS = st.builds(
+    RoundLog,
+    round_index=INTS,
+    ues=st.lists(UE_RECORDS, max_size=4).map(tuple),
+    stations=st.lists(STATION_RECORDS, max_size=4).map(tuple),
+)
+
+
+def json_object(record):
+    """The record as json takes it: its fields by name, its maps with str keys."""
+    return {
+        name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
+        for name, value in dataclasses.asdict(record).items()
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(run_index=INTS, seed=INTS, log=ROUND_LOGS)
+def test_round_line_is_json_dumps_with_sorted_keys(run_index, seed, log):
+    record = {
+        "run": run_index,
+        "seed": seed,
+        "round": log.round_index,
+        "ues": [json_object(r) for r in log.ues],
+        "stations": [json_object(s) for s in log.stations],
+    }
+    assert round_line(run_index, seed, log) == json.dumps(record, sort_keys=True)
 
 
 class TestExitCodes:

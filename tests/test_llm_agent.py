@@ -161,6 +161,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_reply("Selected BS and bid value: BS 0, -2.0", {0})
 
+    def test_rejects_station_id_too_long_for_int(self):
+        # int() refuses text of more than 4300 digits with a plain ValueError
+        with pytest.raises(ParseError):
+            parse_reply("Selected BS and bid value: BS " + "1" * 5000 + ", 2.0", {0, 1, 2})
+
 
 class TestDecisionClamp:
     def test_over_budget_reply_is_clamped_down(self):
@@ -222,6 +227,17 @@ class TestRetriesAndFallback:
         assert decision.fallback
         assert decision.station_id == reference.station_id
         assert decision.per_unit_bid == reference.per_unit_bid
+
+    def test_over_long_station_id_takes_the_reminder_then_falls_back(self):
+        obs = observation([view(history=[1.0, 1.5])])
+        reply = "Selected BS and bid value: BS " + "1" * 5000 + ", 2.0"
+        client = ScriptedClient([reply, reply])
+        decision = llm_decide(obs, client)
+        reference = greedy_decide(obs)
+        assert decision.fallback
+        assert (decision.station_id, decision.per_unit_bid) == (
+            reference.station_id, reference.per_unit_bid)
+        assert client.prompts[1].endswith(FORMAT_REMINDER)
 
     def test_dead_endpoint_falls_back_to_greedy(self):
         obs = observation([view(history=[1.0, 1.5])])
