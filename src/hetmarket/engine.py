@@ -50,6 +50,7 @@ from .strategy import (
     EmpiricalPriceModel,
     MarketObservation,
     StationView,
+    fastest_view,
     greedy_decide,
     myopic_decide,
 )
@@ -400,6 +401,8 @@ class _UeRuntime:
     urgency: UrgencyState
     # candidate stations in id order; rebuilt only when competitor counts change
     views: tuple[StationView, ...] = ()
+    # fastest_view(views), rebuilt with them: the one a myopic user decides from
+    fastest: StationView | None = None
     # totals over the rounds played so far, added in round order
     gross: float = 0.0
     fees: float = 0.0
@@ -425,7 +428,11 @@ class SimulationRun:
         # the live lanes' threads and clients, started by the first live round
         self._lanes: ThreadPoolExecutor | None = None
         self._clients: list[ChatCompletionClient] = []
-        self._streaks: dict[tuple[int, int], UrgencyState] = {}
+        # per service class, the urgency state after n losses at index n; a
+        # streak only resets to 0 or grows by 1, so a chain grows by appending
+        self._chains: list[list[UrgencyState]] = [
+            [config.urgency.for_class(k)] for k in range(len(config.population.qos_classes_mbps))
+        ]
         self.rounds_played = 0
         self.ues = self._build_population(random.Random(run_seed))
         self._build_views()
@@ -464,18 +471,10 @@ class SimulationRun:
                     class_index=class_index,
                     rate_mbps=rates,
                     demand=demands,
-                    urgency=self._streak(class_index, 0),
+                    urgency=self._chains[class_index][0],
                 )
             )
         return ues
-
-    def _streak(self, class_index: int, losses: int) -> UrgencyState:
-        """The urgency state of a class and loss streak, built once."""
-        key = (class_index, losses)
-        state = self._streaks.get(key)
-        if state is None:
-            state = self._streaks[key] = self.config.urgency.for_class(class_index, losses)
-        return state
 
     def _build_views(self, requests: dict[int, list[AuctionRequest]] | None = None) -> None:
         """Give every runtime its station views for the current competitor counts.
@@ -505,6 +504,7 @@ class SimulationRun:
                 for bs in self.stations
                 if bs.id in runtime.rate_mbps
             )
+            runtime.fastest = fastest_view(runtime.views)
 
     def observation_for(self, runtime: _UeRuntime, round_index: int) -> MarketObservation:
         return MarketObservation(
@@ -517,12 +517,11 @@ class SimulationRun:
         )
 
     def _decide(self, runtime: _UeRuntime, observation: MarketObservation) -> BidDecision:
-        if runtime.strategy == MYOPIC:
-            return myopic_decide(observation)
         if runtime.strategy == GREEDY:
             return greedy_decide(observation)
-        # validate() admits no other strategy; a live llm UE was decided on a
-        # lane, and offline it runs the stand-in
+        # validate() admits no other strategy, and run_round decides myopic UEs
+        # without an observation and live llm UEs on a lane; so this is a
+        # foresight UE or an offline llm UE, and both run the stand-in
         return foresight_decide(observation, self.config.foresight)
 
     def _decide_live(self, round_index: int) -> dict[int, BidDecision]:
@@ -573,6 +572,10 @@ class SimulationRun:
         for runtime in self.ues:  # ascending user id
             if runtime.budget < self.fee:
                 decision = ABSTAIN
+            elif runtime.strategy == MYOPIC:
+                decision = myopic_decide(
+                    runtime.fastest, runtime.budget, self.fee, runtime.urgency
+                )
             elif runtime.ue.id in live:
                 decision = live[runtime.ue.id]
             else:
@@ -645,7 +648,10 @@ class SimulationRun:
                     losses_after=losses,
                 )
             )
-            runtime.urgency = self._streak(runtime.class_index, losses)
+            chain = self._chains[runtime.class_index]
+            if losses == len(chain):
+                chain.append(self.config.urgency.for_class(runtime.class_index, losses))
+            runtime.urgency = chain[losses]
 
         station_records = []
         for bs in self.stations:

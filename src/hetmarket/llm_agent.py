@@ -205,7 +205,7 @@ def parse_reply(text: str, station_ids: set[int]) -> BidDecision:
 def _clamped_decision(parsed: BidDecision, observation: MarketObservation) -> BidDecision:
     """Force the parsed reply into budget feasibility, abstaining if impossible."""
     view = next(v for v in observation.stations if v.station_id == parsed.station_id)
-    cap = per_unit_budget_cap(observation, view)
+    cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
     if cap < view.reserve_price:
         return ABSTAIN
     bid = max(view.reserve_price, min(parsed.per_unit_bid, cap))
@@ -263,7 +263,8 @@ def _most_winnable_bid(
     # depend on the order of the stations
     for view in observation.stations:
         prices = view.price_history.or_prior(view.reserve_price)
-        cap = min(per_unit_budget_cap(observation, view), pace_cap)
+        budget_cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
+        cap = min(budget_cap, pace_cap)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         bounds = grid_bounds(value, prices.last, view.reserve_price, cap)
         if bounds is None:

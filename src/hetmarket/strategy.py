@@ -1,8 +1,11 @@
 """Bidding policies built on broadcast clearing prices.
 
 Everything a policy may look at is packed into a ``MarketObservation`` built
-from previous rounds only; policies are pure functions of it, which keeps the
-simultaneous-move semantics honest and makes decisions replayable.
+from previous rounds only.  The greedy policy is a pure function of it; the
+myopic one reads only its part of it: the fastest station's view, the budget,
+the fee and the urgency.  Either way a decision depends on past rounds alone,
+which keeps the simultaneous-move semantics honest and makes decisions
+replayable.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .netmodel import SBS
 from .valuation import UrgencyState, channel_valuation
@@ -243,15 +246,15 @@ class BidDecision:
 ABSTAIN = BidDecision(station_id=None)
 
 
-def per_unit_budget_cap(observation: MarketObservation, view: StationView) -> float:
+def per_unit_budget_cap(budget: float, fee: float, demand: int) -> float:
     """Highest per-unit bid that keeps fee plus worst-case payment affordable.
 
     The quotient is stepped down until ``demand * cap <= budget - fee`` holds
     in floats, so paying the cap on every unit never takes a budget below 0.
     """
-    affordable = observation.budget - observation.entrance_fee
-    cap = affordable / view.demand
-    while view.demand * cap > affordable:
+    affordable = budget - fee
+    cap = affordable / demand
+    while demand * cap > affordable:
         cap = math.nextafter(cap, -math.inf)
     return cap
 
@@ -270,7 +273,7 @@ def grid_argmax(
     # best does not depend on the order of the stations
     for view in observation.stations:
         prices = view.price_history.or_prior(view.reserve_price)
-        cap = per_unit_budget_cap(observation, view)
+        cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         last = prices.last
         bounds = grid_bounds(value, last, view.reserve_price, cap)
@@ -315,22 +318,30 @@ def greedy_decide(observation: MarketObservation) -> BidDecision:
     return BidDecision(station_id=view.station_id, per_unit_bid=bid)
 
 
-def myopic_decide(observation: MarketObservation) -> BidDecision:
-    """Truthful bid at the fastest station, clamped to budget, never shopping.
+def fastest_view(stations: Sequence[StationView]) -> StationView | None:
+    """The station a myopic user bids at: the highest rate, None when there is none.
 
-    Rate ties go to small cells first, then the lower station id.  The user
-    abstains only when a single channel at the chosen station's reserve is
+    Rate ties go to small cells first, then the lower station id.
+    """
+    return min(
+        stations,
+        key=lambda v: (-v.rate_mbps, v.tier != SBS, v.station_id),
+        default=None,
+    )
+
+
+def myopic_decide(
+    view: StationView | None, budget: float, fee: float, urgency: UrgencyState
+) -> BidDecision:
+    """Truthful bid at ``view``, the fastest station, clamped to budget, never shopping.
+
+    A user's rates are fixed for its run, so its ``fastest_view`` is too; the
+    policy reads no price and no competitor count.  The user abstains only
+    when it has no station or a single channel at the station's reserve is
     unaffordable; a clamped bid below the reserve is still submitted.
     """
-    if not observation.stations:
+    if view is None or budget - fee < view.reserve_price:
         return ABSTAIN
-    view = min(
-        observation.stations,
-        key=lambda v: (-v.rate_mbps, v.tier != SBS, v.station_id),
-    )
-    affordable = observation.budget - observation.entrance_fee
-    if affordable < view.reserve_price:
-        return ABSTAIN
-    value = channel_valuation(observation.urgency, view.rate_mbps)
-    bid = min(value, per_unit_budget_cap(observation, view))
+    value = channel_valuation(urgency, view.rate_mbps)
+    bid = min(value, per_unit_budget_cap(budget, fee, view.demand))
     return BidDecision(station_id=view.station_id, per_unit_bid=bid)

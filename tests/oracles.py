@@ -3,8 +3,9 @@
 Everything in here trades speed for obviousness: the auction oracle
 enumerates every feasible allocation outright, the win-probability oracle
 simulates opponent draws instead of summing binomial terms, the decision
-references evaluate every grid point without memo or shortcut, and the
-per-user metrics are recounted from the round logs that ``play`` keeps.
+references evaluate every grid point without memo or shortcut or read the
+whole observation, and the per-user metrics are recounted from the round
+logs that ``play`` keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from hetmarket.engine import (
     UeMetrics,
     run_simulation,
 )
-from hetmarket.strategy import EmpiricalPriceModel, win_probability_given_cdf
+from hetmarket.netmodel import SBS
+from hetmarket.strategy import (
+    EmpiricalPriceModel,
+    MarketObservation,
+    win_probability_given_cdf,
+)
 from hetmarket.valuation import UrgencyState
 
 
@@ -158,6 +164,30 @@ def urgency_factor(state: UrgencyState) -> float:
     ) / state.saturation_losses
     raw = state.base_value_per_mbps + per_loss_increment * state.consecutive_losses
     return min(state.max_value_per_mbps, raw)
+
+
+def myopic_reference(observation: MarketObservation) -> tuple[int | None, float]:
+    """The myopic (station id, per-unit bid), or (None, 0.0) for an abstention.
+
+    Read from the whole observation: the fastest of every view (rate ties to
+    small cells, then the lower id), the truthful value clamped to the
+    largest per-unit bid whose demand-fold fits the budget after the fee in
+    floats, and an abstention when no view is left or that budget cannot
+    pay the station's reserve.
+    """
+    if not observation.stations:
+        return None, 0.0
+    view = min(
+        observation.stations,
+        key=lambda v: (-v.rate_mbps, v.tier != SBS, v.station_id),
+    )
+    affordable = observation.budget - observation.entrance_fee
+    if affordable < view.reserve_price:
+        return None, 0.0
+    cap = affordable / view.demand
+    while view.demand * cap > affordable:
+        cap = math.nextafter(cap, -math.inf)
+    return view.station_id, min(urgency_factor(observation.urgency) * view.rate_mbps, cap)
 
 
 def record_outcome(state: UrgencyState, won_any_channel: bool) -> UrgencyState:

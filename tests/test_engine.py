@@ -12,6 +12,7 @@ from hetmarket.engine import (
     LLM,
     MYOPIC,
     COMPETITORS_ORACLE,
+    COMPETITORS_UNIFORM,
     AuctionConfig,
     ConfigurationError,
     PopulationConfig,
@@ -28,7 +29,14 @@ from hetmarket.engine import (
 from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig
 from hetmarket.valuation import UrgencyState
 
-from oracles import PlayedRun, metrics_from_logs, play, record_outcome, urgency_factor
+from oracles import (
+    PlayedRun,
+    metrics_from_logs,
+    myopic_reference,
+    play,
+    record_outcome,
+    urgency_factor,
+)
 
 
 def config_with(counts, num_ues=None, **overrides):
@@ -386,6 +394,82 @@ class TestCompetitorEstimates:
         obs = run.observation_for(run.ues[0], 2)
         for view in obs.stations:
             assert view.competitors == max(0, requested[view.station_id] - 1)
+
+
+def step_against_myopic_reference(run: SimulationRun) -> list[dict[int, tuple]]:
+    """Play every round of ``run``, checking each myopic UE's record against
+    ``myopic_reference`` of its observation taken just before the round.
+
+    Returns each round's reference decisions by UE id.
+    """
+    rounds = []
+    for t in range(1, run.config.episodes + 1):
+        expected = {
+            r.ue.id: myopic_reference(run.observation_for(r, t))
+            for r in run.ues if r.strategy == MYOPIC
+        }
+        for rec in run.run_round(t).ues:
+            if rec.ue_id in expected:
+                station, bid = expected[rec.ue_id]
+                assert (rec.station_id, rec.per_unit_bid.hex()) == (station, bid.hex())
+                assert rec.abstained == (station is None)
+        rounds.append(expected)
+    return rounds
+
+
+def stations_of(rounds: list[dict[int, tuple]]) -> set[int | None]:
+    return {station for expected in rounds for station, _ in expected.values()}
+
+
+class TestMyopicReference:
+    """The engine decides a myopic UE from its kept fastest view; every such
+    decision equals the reference read from the UE's whole observation."""
+
+    MIXED = {MYOPIC: 24, GREEDY: 4, FORESIGHT: 2}
+
+    @pytest.mark.parametrize("mode", [COMPETITORS_UNIFORM, COMPETITORS_ORACLE])
+    def test_competitor_modes(self, mode):
+        config = config_with(self.MIXED, episodes=30, auction=AuctionConfig(competitor_mode=mode))
+        stations = stations_of(step_against_myopic_reference(SimulationRun(config, 0, 11)))
+        assert None in stations and len(stations) > 1
+
+    def test_macro_station_only(self):
+        config = config_with(
+            self.MIXED, episodes=30, topology=TopologyConfig(num_small_cells=0),
+            population={"budget": 40.0},
+        )
+        rounds = step_against_myopic_reference(SimulationRun(config, 0, 12))
+        assert stations_of(rounds) == {None, 0}
+
+    def test_class_some_stations_cannot_serve(self):
+        config = config_with(
+            self.MIXED, episodes=30, topology=TopologyConfig(num_small_cells=4),
+            population={"qos_classes_mbps": (0.5, 20.0)},
+        )
+        run = SimulationRun(config, 0, 7)
+        myopic = [r for r in run.ues if r.strategy == MYOPIC]
+        served = {len(r.views) for r in myopic}
+        assert 0 in served and max(served) < len(run.stations)
+        # the fastest station is not always the lowest id a UE can use
+        assert any(r.views and r.fastest is not r.views[0] for r in myopic)
+        step_against_myopic_reference(run)
+
+    def test_budgets_straddling_reserve_plus_fee(self):
+        config = config_with(self.MIXED, episodes=20)
+        run = SimulationRun(config, 0, 13)
+        fee = config.auction.entrance_fee
+        steps = (
+            lambda b: b * (1 - 1e-9),
+            lambda b: math.nextafter(b, -math.inf),
+            lambda b: b,
+            lambda b: math.nextafter(b, math.inf),
+            lambda b: b * (1 + 1e-9),
+        )
+        myopic = [r for r in run.ues if r.strategy == MYOPIC and r.views]
+        for k, r in enumerate(myopic):
+            r.budget = steps[k % len(steps)](r.fastest.reserve_price + fee)
+        first = step_against_myopic_reference(run)[0]
+        assert {first[r.ue.id][0] is None for r in myopic} == {True, False}
 
 
 class TestOfflineLlm:

@@ -27,6 +27,7 @@ from hetmarket.strategy import (
     NoPriceData,
     StationView,
     candidate_bids,
+    fastest_view,
     greedy_decide,
     grid_argmax,
     grid_bounds,
@@ -37,7 +38,13 @@ from hetmarket.strategy import (
 )
 from hetmarket.valuation import UrgencyState, channel_valuation
 
-from oracles import expected_utility, play, simulate_win_probability, win_probability
+from oracles import (
+    expected_utility,
+    myopic_reference,
+    play,
+    simulate_win_probability,
+    win_probability,
+)
 
 
 def exact_tail(cdf_at_bid, competitors, capacity):
@@ -77,6 +84,14 @@ def observation(stations, budget=15.0, fee=0.1, urgency=None,
         entrance_fee=fee, urgency=urgency or flat_urgency(),
         stations=tuple(stations),
     )
+
+
+def budget_cap(obs, v):
+    return per_unit_budget_cap(obs.budget, obs.entrance_fee, v.demand)
+
+
+def decide_myopic(obs):
+    return myopic_decide(fastest_view(obs.stations), obs.budget, obs.entrance_fee, obs.urgency)
 
 
 class TestPriceModel:
@@ -352,21 +367,17 @@ class TestObservationHelpers:
         assert shared.or_prior(a.reserve_price) is shared
 
     def test_budget_cap_spreads_over_demand(self):
-        v = view(demand=2)
-        obs = observation([v], budget=1.5, fee=0.1)
-        assert per_unit_budget_cap(obs, v) == pytest.approx(0.7)
+        assert per_unit_budget_cap(1.5, 0.1, 2) == pytest.approx(0.7)
 
     def test_budget_cap_is_affordable_in_floats(self):
         # 3 * (0.053 / 3) is 0.053000000000000005
-        v = view(demand=3)
-        cap = per_unit_budget_cap(observation([v], budget=0.053, fee=0.0), v)
+        cap = per_unit_budget_cap(0.053, 0.0, 3)
         assert 3 * cap <= 0.053
         assert 3 * math.nextafter(cap, math.inf) > 0.053
 
     @given(budget=st.floats(0.0, 1e6), fee=st.floats(0.0, 1.0), demand=st.integers(1, 64))
     def test_budget_cap_is_affordable_and_one_step_from_the_quotient(self, budget, fee, demand):
-        v = view(demand=demand)
-        cap = per_unit_budget_cap(observation([v], budget=budget, fee=fee), v)
+        cap = per_unit_budget_cap(budget, fee, demand)
         quotient = (budget - fee) / demand
         assert demand * cap <= budget - fee
         assert cap in (quotient, math.nextafter(quotient, -math.inf))
@@ -444,53 +455,55 @@ class TestMyopic:
     def test_chases_fastest_station(self):
         slow = view(station_id=0, rate=3.0)
         fast = view(station_id=1, tier=SBS, reserve=0.2, rate=5.0)
-        decision = myopic_decide(observation([slow, fast]))
-        assert decision.station_id == 1
+        assert fastest_view([slow, fast]).station_id == 1
 
     def test_rate_tie_prefers_small_cell_then_lower_id(self):
         tied_macro = view(station_id=0, tier=MBS, rate=4.0)
         tied_small = view(station_id=2, tier=SBS, reserve=0.2, rate=4.0)
-        assert myopic_decide(observation([tied_macro, tied_small])).station_id == 2
+        assert fastest_view([tied_macro, tied_small]).station_id == 2
         twin_a = view(station_id=1, tier=SBS, reserve=0.2, rate=4.0)
         twin_b = view(station_id=2, tier=SBS, reserve=0.2, rate=4.0)
-        assert myopic_decide(observation([twin_b, twin_a])).station_id == 1
+        assert fastest_view([twin_b, twin_a]).station_id == 1
 
     def test_truthful_when_affordable(self):
         v = view(rate=4.0, reserve=0.3)
-        decision = myopic_decide(observation([v], budget=15.0, fee=0.1))
+        decision = decide_myopic(observation([v], budget=15.0, fee=0.1))
         assert decision.per_unit_bid == pytest.approx(4.0)
 
     def test_budget_clamp(self):
         v = view(rate=4.0, reserve=0.3, demand=1)
-        decision = myopic_decide(observation([v], budget=1.5, fee=0.1))
+        decision = decide_myopic(observation([v], budget=1.5, fee=0.1))
         assert decision.per_unit_bid == pytest.approx(1.4)
 
     def test_clamped_bid_below_reserve_is_still_submitted(self):
         v = view(rate=4.0, reserve=0.5, demand=4)
-        decision = myopic_decide(observation([v], budget=1.5, fee=0.1))
+        decision = decide_myopic(observation([v], budget=1.5, fee=0.1))
         assert not decision.abstained
         assert decision.per_unit_bid == pytest.approx(0.35)
 
     def test_abstains_when_reserve_unaffordable(self):
         v = view(rate=4.0, reserve=0.5)
-        decision = myopic_decide(observation([v], budget=0.55, fee=0.1))
+        decision = decide_myopic(observation([v], budget=0.55, fee=0.1))
         assert decision.abstained
 
     def test_never_shops_below_the_fastest_station(self):
         pricey_fast = view(station_id=0, rate=6.0, reserve=5.0)
         cheap_slow = view(station_id=1, tier=SBS, rate=2.0, reserve=0.2)
-        decision = myopic_decide(observation([pricey_fast, cheap_slow],
+        decision = decide_myopic(observation([pricey_fast, cheap_slow],
                                              budget=3.0, fee=0.1))
         assert decision.abstained
 
     def test_no_stations_means_abstention(self):
-        assert myopic_decide(observation([])).abstained
+        assert decide_myopic(observation([])).abstained
+
+    def test_no_stations_has_no_fastest_view(self):
+        assert fastest_view(()) is None
 
     def test_clamped_bid_is_affordable_in_floats(self):
         v = view(reserve=0.0, demand=3)
         obs = observation([v], budget=0.053, fee=0.0)
-        decision = myopic_decide(obs)
-        assert decision.per_unit_bid == per_unit_budget_cap(obs, v)
+        decision = decide_myopic(obs)
+        assert decision.per_unit_bid == budget_cap(obs, v)
         assert 3 * decision.per_unit_bid <= 0.053
 
 
@@ -533,7 +546,7 @@ def test_greedy_respects_budget_and_reserve(obs):
 
 @given(obs=market_observations())
 def test_myopic_respects_budget(obs):
-    decision = myopic_decide(obs)
+    decision = decide_myopic(obs)
     if decision.abstained:
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
@@ -542,12 +555,18 @@ def test_myopic_respects_budget(obs):
 
 
 @given(obs=market_observations())
+def test_myopic_equals_the_reference(obs):
+    decision = decide_myopic(obs)
+    assert (decision.station_id, decision.per_unit_bid) == myopic_reference(obs)
+
+
+@given(obs=market_observations())
 def test_grid_argmax_reports_a_grid_point(obs):
     best = grid_argmax(obs)
     if best is None:
         return
     _, bid, chosen = best
-    cap = per_unit_budget_cap(obs, chosen)
+    cap = budget_cap(obs, chosen)
     assert chosen.reserve_price <= bid <= cap
 
 
@@ -559,7 +578,7 @@ def reference_grid_argmax(obs):
         prices = v.price_history.or_prior(v.reserve_price)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
-                              per_unit_budget_cap(obs, v))
+                              budget_cap(obs, v))
         for bid in grid:
             utility = expected_utility(bid, value, prices, v.competitors, v.capacity)
             scored.append(((utility, -bid, -v.station_id), (utility, bid, v)))
@@ -593,7 +612,7 @@ def reference_most_winnable_bid(obs, pace_cap):
         prices = v.price_history.or_prior(v.reserve_price)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
-                              min(per_unit_budget_cap(obs, v), pace_cap))
+                              min(budget_cap(obs, v), pace_cap))
         if not grid:
             continue
         prob = win_probability(grid[-1], v.competitors, v.capacity, prices)
