@@ -117,6 +117,8 @@ def _load_config(args: argparse.Namespace) -> SimulationConfig:
             config = load_scenario_file(args.config)
         except OSError as exc:
             raise ConfigurationError([str(exc)]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError([f"{args.config} is not UTF-8 text: {exc}"]) from exc
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

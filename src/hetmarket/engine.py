@@ -240,6 +240,9 @@ class SimulationConfig:
         # a radius of 0 places every UE on the macro station
         if self.topology.macro_radius_m <= 0:
             problems.append(f"macro_radius_m must be positive, not {self.topology.macro_radius_m}")
+        # a negative radius turns the ring by half a turn
+        if self.topology.sbs_ring_radius_m < 0:
+            problems.append("sbs_ring_radius_m cannot be negative")
         num_classes = len(self.population.qos_classes_mbps)
         miscounted = [
             name
@@ -394,15 +397,14 @@ class _UeRuntime:
     strategy: str
     budget: float
     class_index: int
-    # static per-run market data keyed by station id
-    rate_mbps: dict[int, float]
-    demand: dict[int, int]
     # shared by every user of the class with the same loss streak
     urgency: UrgencyState
-    # candidate stations in id order; rebuilt only when competitor counts change
-    views: tuple[StationView, ...] = ()
-    # fastest_view(views), rebuilt with them: the one a myopic user decides from
-    fastest: StationView | None = None
+    # candidate stations in id order, fixed for the run, and the same views
+    # by station id
+    views: tuple[StationView, ...]
+    by_station: dict[int, StationView]
+    # fastest_view(views): the one a myopic user decides from
+    fastest: StationView | None
     # totals over the rounds played so far, added in round order
     gross: float = 0.0
     fees: float = 0.0
@@ -433,9 +435,13 @@ class SimulationRun:
         self._chains: list[list[UrgencyState]] = [
             [config.urgency.for_class(k)] for k in range(len(config.population.qos_classes_mbps))
         ]
+        # rivals expected at each station, one map for every observation of a
+        # round; oracle mode replaces it after each round, never changing it in
+        # place, so an observation keeps the counts it was built with
+        uniform = max(0, config.population.num_ues // len(self.stations) - 1)
+        self.competitors = {bs.id: uniform for bs in self.stations}
         self.rounds_played = 0
         self.ues = self._build_population(random.Random(run_seed))
-        self._build_views()
 
     def _build_population(self, rng: random.Random) -> list[_UeRuntime]:
         pop = self.config.population
@@ -452,8 +458,7 @@ class SimulationRun:
                 position=position,
                 qos_rate_bps=classes[class_index] * 1e6,
             )
-            rates: dict[int, float] = {}
-            demands: dict[int, int] = {}
+            views = []
             for bs in self.stations:
                 rate = achievable_rate_bps(bs, ue, self.topology)
                 need = channel_demand(ue, rate)
@@ -461,50 +466,30 @@ class SimulationRun:
                 # capacity are not candidates at all
                 if need is None or need > bs.num_channels:
                     continue
-                rates[bs.id] = rate / 1e6
-                demands[bs.id] = need
+                views.append(
+                    StationView(
+                        station_id=bs.id,
+                        tier=bs.tier,
+                        capacity=bs.num_channels,
+                        reserve_price=self.reserves[bs.id],
+                        rate_mbps=rate / 1e6,
+                        demand=need,
+                        price_history=self.price_models[bs.id],
+                    )
+                )
             ues.append(
                 _UeRuntime(
                     ue=ue,
                     strategy=roster[uid],
                     budget=pop.budget,
                     class_index=class_index,
-                    rate_mbps=rates,
-                    demand=demands,
                     urgency=self._chains[class_index][0],
+                    views=tuple(views),
+                    by_station={v.station_id: v for v in views},
+                    fastest=fastest_view(views),
                 )
             )
         return ues
-
-    def _build_views(self, requests: dict[int, list[AuctionRequest]] | None = None) -> None:
-        """Give every runtime its station views for the current competitor counts.
-
-        A view holds constants of the run and the station's shared price
-        model, which grows in place, so this runs once per run, and again
-        after each round in oracle mode, with that round's ``requests``: each
-        requester then counts the others at its station as competitors.
-        """
-        if requests is None:
-            uniform = max(0, self.config.population.num_ues // len(self.stations) - 1)
-            competitors = {bs.id: uniform for bs in self.stations}
-        else:
-            competitors = {bs_id: max(0, len(reqs) - 1) for bs_id, reqs in requests.items()}
-        for runtime in self.ues:
-            runtime.views = tuple(
-                StationView(
-                    station_id=bs.id,
-                    tier=bs.tier,
-                    capacity=bs.num_channels,
-                    reserve_price=self.reserves[bs.id],
-                    rate_mbps=runtime.rate_mbps[bs.id],
-                    demand=runtime.demand[bs.id],
-                    competitors=competitors[bs.id],
-                    price_history=self.price_models[bs.id],
-                )
-                for bs in self.stations
-                if bs.id in runtime.rate_mbps
-            )
-            runtime.fastest = fastest_view(runtime.views)
 
     def observation_for(self, runtime: _UeRuntime, round_index: int) -> MarketObservation:
         return MarketObservation(
@@ -514,6 +499,7 @@ class SimulationRun:
             entrance_fee=self.fee,
             urgency=runtime.urgency,
             stations=runtime.views,
+            competitors=self.competitors,
         )
 
     def _decide(self, runtime: _UeRuntime, observation: MarketObservation) -> BidDecision:
@@ -589,7 +575,7 @@ class SimulationRun:
             requests_by_station[decision.station_id].append(
                 AuctionRequest(
                     bidder_id=runtime.ue.id,
-                    quantity=runtime.demand[decision.station_id],
+                    quantity=runtime.by_station[decision.station_id].demand,
                     per_unit_bid=decision.per_unit_bid,
                 )
             )
@@ -609,19 +595,19 @@ class SimulationRun:
             # a round adds to the totals in round order; it skips only adds of
             # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
             if not abstained:
-                station = decision.station_id
+                view = runtime.by_station[decision.station_id]
                 fee_paid = self.fee
                 runtime.fees += fee_paid
                 runtime.bids += 1
-                quantity = runtime.demand[station]
-                outcome = outcomes[station]
+                quantity = view.demand
+                outcome = outcomes[view.station_id]
                 won = outcome.allocations.get(runtime.ue.id, 0)
                 if won > 0:
                     per_unit_payment = outcome.per_unit_payments[runtime.ue.id]
                     paid = won * per_unit_payment
                     runtime.budget -= paid
                     runtime.payments += paid
-                    value = channel_valuation(runtime.urgency, runtime.rate_mbps[station])
+                    value = channel_valuation(runtime.urgency, view.rate_mbps)
                     gross = won * (value - per_unit_payment)
                     runtime.gross += gross
                     runtime.channels += won
@@ -675,7 +661,10 @@ class SimulationRun:
             self.price_models[bs.id].append(outcome.clearing_price)
 
         if self.config.auction.competitor_mode == COMPETITORS_ORACLE:
-            self._build_views(requests_by_station)
+            # each requester counts the others at its station
+            self.competitors = {
+                bs_id: max(0, len(reqs) - 1) for bs_id, reqs in requests_by_station.items()
+            }
         return RoundLog(
             round_index=round_index,
             ues=tuple(ue_records),

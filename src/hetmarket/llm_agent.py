@@ -133,10 +133,13 @@ class ChatCompletionClient:
         if status != 200:
             raise LlmError(f"endpoint returned HTTP {status}")
         try:
-            payload = json.loads(reply)
-            return payload["choices"][0]["message"]["content"]
+            content = json.loads(reply)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError(f"malformed completion payload: {exc}") from exc
+        # null for a refusal or a tool call
+        if not isinstance(content, str):
+            raise LlmError(f"malformed completion payload: content is {type(content).__name__}")
+        return content
 
 
 def render_prompt(observation: MarketObservation) -> str:
@@ -270,7 +273,7 @@ def _most_winnable_bid(
         if bounds is None:
             continue
         top = bounds[1]
-        prob = prices.win_probability(top, view.competitors, view.capacity)
+        prob = prices.win_probability(top, observation.competitors[view.station_id], view.capacity)
         if prob <= 0.0:
             continue
         key = (prob, -top, -view.station_id)

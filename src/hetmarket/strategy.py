@@ -200,7 +200,7 @@ def grid_bounds(
 
 @dataclass(frozen=True)
 class StationView:
-    """Everything one user knows about one station before bidding."""
+    """What one user knows of one station: fixed for its run but the shared price model."""
 
     station_id: int
     tier: str
@@ -208,13 +208,16 @@ class StationView:
     reserve_price: float
     rate_mbps: float
     demand: int
-    competitors: int
     price_history: EmpiricalPriceModel
 
 
 @dataclass(frozen=True)
 class MarketObservation:
-    """Decision input for one user in one round; built from past rounds only."""
+    """Decision input for one user in one round; built from past rounds only.
+
+    ``competitors`` holds the rivals expected at each station id, the same
+    for every user of the round.
+    """
 
     round_index: int
     rounds_total: int
@@ -222,6 +225,7 @@ class MarketObservation:
     entrance_fee: float
     urgency: UrgencyState
     stations: tuple[StationView, ...]
+    competitors: dict[int, int]
 
     @property
     def rounds_remaining(self) -> int:
@@ -287,6 +291,7 @@ def grid_argmax(
         # grid point of each count is scored: the cheapest end alone when
         # both ends have the same count
         ranked = prices._sorted
+        competitors = observation.competitors[view.station_id]
         low, high = bounds
         if bisect_right(ranked, low) == bisect_right(ranked, high):
             grid = (low,)
@@ -298,7 +303,7 @@ def grid_argmax(
             if count == scored:
                 continue
             scored = count
-            prob = prices.win_probability_at(count, view.competitors, view.capacity)
+            prob = prices.win_probability_at(count, competitors, view.capacity)
             utility = prob * surplus
             key = (utility, -bid, -view.station_id)
             if best_key is None or key > best_key:

@@ -192,8 +192,9 @@ def test_ac04_conservation_and_safety_across_matrix():
                     if rec.abstained:
                         continue
                     runtime = runtimes[rec.ue_id]
-                    assert rec.quantity == runtime.demand[rec.station_id]
-                    delivered = rec.quantity * runtime.rate_mbps[rec.station_id] * 1e6
+                    view = runtime.by_station[rec.station_id]
+                    assert rec.quantity == view.demand
+                    delivered = rec.quantity * view.rate_mbps * 1e6
                     assert delivered >= runtime.ue.qos_rate_bps * (1 - 1e-12)
     _verdict(
         4,
@@ -372,6 +373,7 @@ class ChaosClient:
 
 def _random_observation(rng: random.Random) -> MarketObservation:
     stations = []
+    competitors = {}
     for k in range(rng.randint(1, 3)):
         history = [rng.uniform(0.1, 8.0) for _ in range(rng.randint(0, 10))]
         stations.append(StationView(
@@ -381,9 +383,9 @@ def _random_observation(rng: random.Random) -> MarketObservation:
             reserve_price=rng.uniform(0.0, 3.0),
             rate_mbps=rng.uniform(0.5, 10.0),
             demand=rng.randint(1, 4),
-            competitors=rng.randint(0, 8),
             price_history=EmpiricalPriceModel(history),
         ))
+        competitors[k] = rng.randint(0, 8)
     return MarketObservation(
         round_index=rng.randint(1, 40),
         rounds_total=40,
@@ -394,6 +396,7 @@ def _random_observation(rng: random.Random) -> MarketObservation:
             consecutive_losses=rng.randint(0, 7),
         ),
         stations=tuple(stations),
+        competitors=competitors,
     )
 
 

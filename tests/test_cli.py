@@ -362,6 +362,15 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_scenario_file_not_in_utf8_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[population]\n; d\xe9bit\nnum_ues = 4\n".encode("latin-1"))
+        code = run_cli("run", "--config", str(path), "--offline", "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} is not UTF-8 text")
+        assert "Traceback" not in err
+
     def test_invalid_override_is_exit_two(self, tmp_path, capsys):
         code = run_cli("run", "--preset", "scenario1", "--offline",
                        "--episodes", "0", "--out", str(tmp_path / "out"))
@@ -401,6 +410,8 @@ class TestExitCodes:
             # every UE would stand on the macro station
             ("topology", "macro_radius_m", "0"),
             ("topology", "macro_radius_m", "-5"),
+            # small cell 1 would stand at (-250, 0), the ring turned by half a turn
+            ("topology", "sbs_ring_radius_m", "-250"),
             # the rate in bit/s overflows to inf
             ("population", "qos_classes_mbps", "1e303"),
             # the sums of channel values overflow: fsum raises, or inf is written

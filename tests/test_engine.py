@@ -26,7 +26,8 @@ from hetmarket.engine import (
     run_simulation,
     spawn_run_seeds,
 )
-from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig
+from hetmarket.llm_agent import ChatCompletionClient, LlmEndpointConfig, foresight_decide
+from hetmarket.strategy import ABSTAIN, MarketObservation, greedy_decide
 from hetmarket.valuation import UrgencyState
 
 from oracles import (
@@ -68,8 +69,8 @@ class TestSingleUserClosedForm:
     def test_uncontested_truthful_rounds(self):
         report, (result,) = play(self.config)
         run = rebuild_run(self.config, result)
-        rate = run.ues[0].rate_mbps[0]
-        assert run.ues[0].demand[0] == 1
+        rate = run.ues[0].by_station[0].rate_mbps
+        assert run.ues[0].by_station[0].demand == 1
 
         assert len(result.rounds) == 3
         budget = 15.0
@@ -241,9 +242,10 @@ class TestAccounting:
                 if rec.abstained:
                     continue
                 runtime = runtimes[rec.ue_id]
-                assert rec.station_id in runtime.demand
-                assert rec.quantity == runtime.demand[rec.station_id]
-                delivered = rec.quantity * runtime.rate_mbps[rec.station_id] * 1e6
+                assert rec.station_id in runtime.by_station
+                view = runtime.by_station[rec.station_id]
+                assert rec.quantity == view.demand
+                delivered = rec.quantity * view.rate_mbps * 1e6
                 assert delivered >= runtime.ue.qos_rate_bps * (1 - 1e-12)
                 assert rec.channels_won <= rec.quantity
 
@@ -357,14 +359,18 @@ class TestCompetitorEstimates:
         obs = run.observation_for(run.ues[0], 1)
         for view in obs.stations:
             # 6 users over 3 stations leaves one rival after ourselves.
-            assert view.competitors == 1
+            assert obs.competitors[view.station_id] == 1
         run.run_round(1)
         obs = run.observation_for(run.ues[0], 2)
         for view in obs.stations:
-            assert view.competitors == 1
+            assert obs.competitors[view.station_id] == 1
 
-    def test_uniform_mode_builds_views_once_per_run(self, monkeypatch):
-        config = config_with({MYOPIC: 6, GREEDY: 3, FORESIGHT: 3}, episodes=4)
+    @pytest.mark.parametrize("mode", [COMPETITORS_UNIFORM, COMPETITORS_ORACLE])
+    def test_views_are_built_once_per_run(self, monkeypatch, mode):
+        config = config_with(
+            {MYOPIC: 6, GREEDY: 3, FORESIGHT: 3}, episodes=4,
+            auction=AuctionConfig(competitor_mode=mode),
+        )
         run = SimulationRun(config, 0, spawn_run_seeds(config.seed, 1)[0])
         first = {r.ue.id: run.observation_for(r, 1).stations for r in run.ues}
 
@@ -393,7 +399,7 @@ class TestCompetitorEstimates:
                 requested[rec.station_id] += 1
         obs = run.observation_for(run.ues[0], 2)
         for view in obs.stations:
-            assert view.competitors == max(0, requested[view.station_id] - 1)
+            assert obs.competitors[view.station_id] == max(0, requested[view.station_id] - 1)
 
 
 def step_against_myopic_reference(run: SimulationRun) -> list[dict[int, tuple]]:
@@ -470,6 +476,58 @@ class TestMyopicReference:
             r.budget = steps[k % len(steps)](r.fastest.reserve_price + fee)
         first = step_against_myopic_reference(run)[0]
         assert {first[r.ue.id][0] is None for r in myopic} == {True, False}
+
+
+class TestOracleReference:
+    """In oracle mode a greedy or foresight UE decides from each station's
+    requesters of the last round minus one; its observation, rebuilt from its
+    views and a recount of the records, gives the same decision."""
+
+    def test_counts_and_decisions_follow_the_records(self):
+        config = config_with(
+            {GREEDY: 8, FORESIGHT: 4, MYOPIC: 18}, episodes=30,
+            auction=AuctionConfig(competitor_mode=COMPETITORS_ORACLE),
+        )
+        run = SimulationRun(config, 0, 17)
+        fee = config.auction.entrance_fee
+        policies = {
+            GREEDY: greedy_decide,
+            FORESIGHT: lambda obs: foresight_decide(obs, config.foresight),
+        }
+        # 30 UEs over 3 stations: 9 rivals each before any round is played
+        recount = {bs.id: 9 for bs in run.stations}
+        counts_seen, stations_bid = set(), set()
+        for t in range(1, config.episodes + 1):
+            expected = {}
+            for r in run.ues:
+                assert run.observation_for(r, t).competitors == recount
+                if r.strategy not in policies:
+                    continue
+                rebuilt = MarketObservation(
+                    round_index=t, rounds_total=config.episodes, budget=r.budget,
+                    entrance_fee=fee, urgency=r.urgency, stations=r.views,
+                    competitors=dict(recount),
+                )
+                decide = policies[r.strategy]
+                expected[r.ue.id] = decide(rebuilt) if r.budget >= fee else ABSTAIN
+            held = run.observation_for(run.ues[0], t).competitors
+            log = run.run_round(t)
+            # the map a decision read is replaced, never changed in place
+            assert held == recount
+            requesters = {bs.id: 0 for bs in run.stations}
+            for rec in log.ues:
+                if not rec.abstained:
+                    requesters[rec.station_id] += 1
+                if rec.ue_id in expected:
+                    decision = expected[rec.ue_id]
+                    assert (rec.station_id, rec.per_unit_bid.hex()) == (
+                        decision.station_id, decision.per_unit_bid.hex(),
+                    )
+                    stations_bid.add(rec.station_id)
+            recount = {s: max(0, n - 1) for s, n in requesters.items()}
+            counts_seen.add(tuple(recount.values()))
+        assert len(counts_seen) > 2
+        assert None in stations_bid and len(stations_bid) > 2
 
 
 class TestOfflineLlm:

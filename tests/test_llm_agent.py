@@ -38,20 +38,24 @@ def flat_urgency(value_per_mbps=1.0, losses=0):
 
 
 def view(station_id=0, tier=MBS, capacity=4, reserve=2.0, rate=3.0, demand=1,
-         competitors=2, history=()):
+         history=()):
     return StationView(
         station_id=station_id, tier=tier, capacity=capacity,
         reserve_price=reserve, rate_mbps=rate, demand=demand,
-        competitors=competitors, price_history=EmpiricalPriceModel(history),
+        price_history=EmpiricalPriceModel(history),
     )
 
 
 def observation(stations, budget=15.0, fee=0.1, urgency=None,
-                round_index=1, rounds_total=40):
+                round_index=1, rounds_total=40, competitors=None):
+    """``competitors`` by station id; 2 at every station when not given."""
+    stations = tuple(stations)
+    if competitors is None:
+        competitors = {v.station_id: 2 for v in stations}
     return MarketObservation(
         round_index=round_index, rounds_total=rounds_total, budget=budget,
         entrance_fee=fee, urgency=urgency or flat_urgency(),
-        stations=tuple(stations),
+        stations=stations, competitors=competitors,
     )
 
 
@@ -105,12 +109,11 @@ def golden_observation():
     )
     stations = (
         view(station_id=0, tier=MBS, reserve=2.0, rate=5.5, demand=1,
-             competitors=12, history=[4.0, 3.0]),
-        view(station_id=2, tier=SBS, reserve=0.2, rate=2.25, demand=2,
-             competitors=12),
+             history=[4.0, 3.0]),
+        view(station_id=2, tier=SBS, reserve=0.2, rate=2.25, demand=2),
     )
     return observation(stations, budget=14.8, fee=0.1, urgency=urgency,
-                       round_index=3, rounds_total=40)
+                       round_index=3, rounds_total=40, competitors={0: 12, 2: 12})
 
 
 class TestPrompt:
@@ -304,12 +307,11 @@ class TestForesight:
         assert decision.per_unit_bid == pytest.approx(0.75)
 
     def test_starving_agent_still_skips_certain_losses(self):
-        hopeless = view(reserve=0.5, rate=1.0, competitors=6,
-                        history=[5.0] * 6)
+        hopeless = view(reserve=0.5, rate=1.0, history=[5.0] * 6)
         urgency = UrgencyState(base_value_per_mbps=0.5, max_value_per_mbps=1.0,
                                consecutive_losses=5)
         decision = foresight_decide(observation([hopeless], budget=15.0,
-                                                urgency=urgency))
+                                                urgency=urgency, competitors={0: 6}))
         assert decision.abstained
 
     def test_scenario1_run_chases_service(self, monkeypatch):
@@ -349,6 +351,7 @@ class TestForesight:
 @st.composite
 def foresight_observations(draw):
     stations = []
+    competitors = {}
     for k in range(draw(st.integers(min_value=1, max_value=3))):
         history = draw(st.lists(st.floats(0.1, 8.0), min_size=0, max_size=10))
         stations.append(StationView(
@@ -357,9 +360,9 @@ def foresight_observations(draw):
             reserve_price=draw(st.floats(0.0, 3.0)),
             rate_mbps=draw(st.floats(0.5, 10.0)),
             demand=draw(st.integers(1, 4)),
-            competitors=draw(st.integers(0, 8)),
             price_history=EmpiricalPriceModel(history),
         ))
+        competitors[k] = draw(st.integers(0, 8))
     urgency = UrgencyState(
         base_value_per_mbps=0.5, max_value_per_mbps=1.0,
         consecutive_losses=draw(st.integers(0, 7)),
@@ -367,7 +370,7 @@ def foresight_observations(draw):
     return MarketObservation(
         round_index=draw(st.integers(1, 40)), rounds_total=40,
         budget=draw(st.floats(0.2, 20.0)), entrance_fee=0.1,
-        urgency=urgency, stations=tuple(stations),
+        urgency=urgency, stations=tuple(stations), competitors=competitors,
     )
 
 

@@ -69,20 +69,24 @@ def flat_urgency(value_per_mbps=1.0):
 
 
 def view(station_id=0, tier=MBS, capacity=4, reserve=2.0, rate=3.0, demand=1,
-         competitors=2, history=()):
+         history=()):
     return StationView(
         station_id=station_id, tier=tier, capacity=capacity,
         reserve_price=reserve, rate_mbps=rate, demand=demand,
-        competitors=competitors, price_history=EmpiricalPriceModel(history),
+        price_history=EmpiricalPriceModel(history),
     )
 
 
 def observation(stations, budget=15.0, fee=0.1, urgency=None,
-                round_index=1, rounds_total=40):
+                round_index=1, rounds_total=40, competitors=None):
+    """``competitors`` by station id; 2 at every station when not given."""
+    stations = tuple(stations)
+    if competitors is None:
+        competitors = {v.station_id: 2 for v in stations}
     return MarketObservation(
         round_index=round_index, rounds_total=rounds_total, budget=budget,
         entrance_fee=fee, urgency=urgency or flat_urgency(),
-        stations=tuple(stations),
+        stations=stations, competitors=competitors,
     )
 
 
@@ -358,10 +362,10 @@ class TestObservationHelpers:
 
     def test_cold_start_prior_is_shared_until_the_first_price(self):
         shared = EmpiricalPriceModel()
-        a = StationView(0, MBS, 4, 2.0, 3.0, 1, 2, shared)
-        b = StationView(0, MBS, 4, 2.0, 5.0, 2, 2, shared)
+        a = StationView(0, MBS, 4, 2.0, 3.0, 1, shared)
+        b = StationView(0, MBS, 4, 2.0, 5.0, 2, shared)
         assert shared.or_prior(a.reserve_price) is shared.or_prior(b.reserve_price)
-        other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, 2, shared)
+        other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, shared)
         assert shared.or_prior(other_reserve.reserve_price).last == 1.5
         shared.append(2.5)
         assert shared.or_prior(a.reserve_price) is shared
@@ -398,25 +402,26 @@ class TestObservationHelpers:
 class TestGreedy:
     def test_prefers_station_with_higher_expected_utility(self):
         cheap_macro = view(station_id=0, tier=MBS, reserve=2.0, rate=3.0,
-                           competitors=2, history=[1.0] * 10)
+                           history=[1.0] * 10)
         pricey_small = view(station_id=1, tier=SBS, reserve=0.4, rate=4.0,
-                            competitors=2, history=[3.5] * 10)
-        decision = greedy_decide(observation([cheap_macro, pricey_small]))
+                            history=[3.5] * 10)
+        decision = greedy_decide(
+            observation([cheap_macro, pricey_small], competitors={0: 2, 1: 2})
+        )
         assert decision.station_id == 0
         # Flat utility across the grid resolves to the cheapest bid on it.
         assert decision.per_unit_bid == pytest.approx(2.0)
         assert not decision.fallback
 
     def test_cold_start_bids_reserve(self):
-        v = view(reserve=2.0, rate=3.0, competitors=2, capacity=4)
-        decision = greedy_decide(observation([v]))
+        v = view(reserve=2.0, rate=3.0, capacity=4)
+        decision = greedy_decide(observation([v], competitors={0: 2}))
         assert decision.station_id == 0
         assert decision.per_unit_bid == pytest.approx(2.0)
 
     def test_abstains_when_mean_price_exceeds_value(self):
-        v = view(reserve=0.5, rate=1.0, competitors=4, capacity=1,
-                 history=[2.0] * 5)
-        decision = greedy_decide(observation([v]))
+        v = view(reserve=0.5, rate=1.0, capacity=1, history=[2.0] * 5)
+        decision = greedy_decide(observation([v], competitors={0: 4}))
         assert decision.abstained
 
     def test_abstains_when_nothing_affordable(self):
@@ -437,12 +442,12 @@ class TestGreedy:
             )
             stations = [
                 view(station_id=0, tier=MBS, reserve=2.0 * scale, rate=5.0,
-                     competitors=3, history=[p * scale for p in (2.5, 3.0, 2.0)]),
+                     history=[p * scale for p in (2.5, 3.0, 2.0)]),
                 view(station_id=1, tier=SBS, reserve=0.2 * scale, rate=2.5,
-                     competitors=3, history=[p * scale for p in (0.5, 0.8)]),
+                     history=[p * scale for p in (0.5, 0.8)]),
             ]
             return observation(stations, budget=15.0 * scale, fee=0.1 * scale,
-                               urgency=urgency)
+                               urgency=urgency, competitors={0: 3, 1: 3})
 
         base = greedy_decide(build(1.0))
         doubled = greedy_decide(build(2.0))
@@ -510,6 +515,7 @@ class TestMyopic:
 @st.composite
 def market_observations(draw):
     stations = []
+    competitors = {}
     for k in range(draw(st.integers(min_value=1, max_value=3))):
         history = draw(st.lists(st.floats(0.1, 8.0), min_size=0, max_size=12))
         stations.append(StationView(
@@ -519,9 +525,9 @@ def market_observations(draw):
             reserve_price=draw(st.floats(0.0, 3.0)),
             rate_mbps=draw(st.floats(0.5, 10.0)),
             demand=draw(st.integers(1, 4)),
-            competitors=draw(st.integers(0, 8)),
             price_history=EmpiricalPriceModel(history),
         ))
+        competitors[k] = draw(st.integers(0, 8))
     urgency = UrgencyState(
         base_value_per_mbps=0.5, max_value_per_mbps=1.0,
         consecutive_losses=draw(st.integers(0, 7)),
@@ -529,7 +535,7 @@ def market_observations(draw):
     return MarketObservation(
         round_index=draw(st.integers(1, 40)), rounds_total=40,
         budget=draw(st.floats(0.2, 20.0)), entrance_fee=0.1,
-        urgency=urgency, stations=tuple(stations),
+        urgency=urgency, stations=tuple(stations), competitors=competitors,
     )
 
 
@@ -580,7 +586,8 @@ def reference_grid_argmax(obs):
         grid = candidate_bids(value, prices.last, v.reserve_price,
                               budget_cap(obs, v))
         for bid in grid:
-            utility = expected_utility(bid, value, prices, v.competitors, v.capacity)
+            competitors = obs.competitors[v.station_id]
+            utility = expected_utility(bid, value, prices, competitors, v.capacity)
             scored.append(((utility, -bid, -v.station_id), (utility, bid, v)))
     return max(scored, key=lambda item: item[0])[1] if scored else None
 
@@ -615,7 +622,8 @@ def reference_most_winnable_bid(obs, pace_cap):
                               min(budget_cap(obs, v), pace_cap))
         if not grid:
             continue
-        prob = win_probability(grid[-1], v.competitors, v.capacity, prices)
+        competitors = obs.competitors[v.station_id]
+        prob = win_probability(grid[-1], competitors, v.capacity, prices)
         if prob > 0.0:
             scored.append(((prob, -grid[-1], -v.station_id), (prob, grid[-1], v)))
     return max(scored, key=lambda item: item[0])[1] if scored else None

@@ -45,7 +45,8 @@ class LocalEndpoint:
     """Threaded HTTP/1.1 endpoint that plays a script of replies.
 
     Each request takes the next step of ``script`` (``"ok"`` once it runs
-    out): ``ok``, ``http500``, ``bad_json``, ``bad_shape``, ``slow`` (replies
+    out): ``ok``, ``http500``, ``bad_json``, ``bad_shape``, ``null_content``
+    (a JSON null for the content, as sent for a refusal), ``slow`` (replies
     after ``slow_s``) or ``drop`` (replies, then closes the connection without
     saying so).  A prompt that ``slow_if`` holds for is a ``slow`` step
     whatever the script says.  An ``ok`` reply carries ``answer(prompt)``
@@ -112,6 +113,8 @@ class LocalEndpoint:
                     body = "{not json"
                 elif step == "bad_shape":
                     body = json.dumps({"choices": []})
+                elif step == "null_content":
+                    body = json.dumps({"choices": [{"message": {"content": None}}]})
                 elif step == "slow":
                     time.sleep(slow_s)
                 elif step == "drop":
@@ -220,7 +223,7 @@ def test_http_500_raises_and_the_connection_stays_usable(endpoint_factory):
     assert endpoint.connections == 1
 
 
-@pytest.mark.parametrize("step", ["bad_json", "bad_shape"])
+@pytest.mark.parametrize("step", ["bad_json", "bad_shape", "null_content"])
 def test_malformed_payload_raises(endpoint_factory, step):
     endpoint = endpoint_factory(script=[step])
     client = client_for(endpoint)
@@ -305,17 +308,21 @@ def test_close_lets_the_server_handler_finish(endpoint_factory):
 def observation():
     view = StationView(
         station_id=0, tier=MBS, capacity=4, reserve_price=1.0, rate_mbps=3.0,
-        demand=1, competitors=2, price_history=EmpiricalPriceModel([1.5, 2.0]),
+        demand=1, price_history=EmpiricalPriceModel([1.5, 2.0]),
     )
     urgency = UrgencyState(base_value_per_mbps=1.0, max_value_per_mbps=1.0)
     return MarketObservation(
         round_index=3, rounds_total=10, budget=10.0, entrance_fee=0.1,
-        urgency=urgency, stations=(view,),
+        urgency=urgency, stations=(view,), competitors={0: 2},
     )
 
 
-def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory):
-    endpoint = endpoint_factory(script=["http500", "bad_shape"])
+@pytest.mark.parametrize(
+    "script", [["http500", "bad_shape"], ["null_content", "null_content"]],
+    ids=["http500-bad_shape", "null_content-twice"],
+)
+def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory, script):
+    endpoint = endpoint_factory(script=script)
     config = LlmEndpointConfig(base_url=endpoint.base_url, max_retries=1)
     client = ChatCompletionClient(config)
     try:
@@ -327,7 +334,24 @@ def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory):
     assert (decision.station_id, decision.per_unit_bid) == (
         greedy.station_id, greedy.per_unit_bid,
     )
+    # the same prompt both times: neither failure is a format error
     assert endpoint.requests == 2
+    assert endpoint.prompts[0] == endpoint.prompts[1]
+
+
+def test_probe_answered_with_null_content_is_exit_three(endpoint_factory, tmp_path, capsys):
+    endpoint = endpoint_factory(script=["null_content"])
+    scenario = tmp_path / "live.ini"
+    scenario.write_text(
+        "[population]\nnum_ues = 2\nllm = 1\ngreedy = 1\n"
+        f"[llm]\nbase_url = {endpoint.base_url}\n"
+    )
+    code = main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "malformed completion payload" in err
+    assert "Traceback" not in err
+    assert endpoint.requests == 1
 
 
 def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
@@ -433,7 +457,7 @@ def test_timed_out_prompt_falls_back_in_ue_order(endpoint_factory, tmp_path):
     assert (fell_back.station_id, fell_back.per_unit_bid) == (
         expected.station_id, expected.per_unit_bid,
     )
-    assert fell_back.quantity == run.ues[slow_ue].demand[expected.station_id]
+    assert fell_back.quantity == run.ues[slow_ue].by_station[expected.station_id].demand
     # the first try and its one retry (max_retries = 1), each timed out
     assert endpoint.prompts.count(slow_prompt) == 2
 
