@@ -176,10 +176,6 @@ def write_summary_json(path: str, config: SimulationConfig, metrics: MetricsRepo
         handle.write("\n")
 
 
-# json's own string encoder (ensure_ascii), quotes included
-_json_string = json.encoder.encode_basestring_ascii
-
-
 def _json_map(values: dict) -> str:
     """An int-keyed map as a JSON object, its keys as text sorted as text
     ("10" before "2"), as ``sort_keys`` orders str keys."""
@@ -195,7 +191,7 @@ def _ue_json(r: UeRoundRecord) -> str:
         f' "losses_after": {r.losses_after!r}, "per_unit_bid": {r.per_unit_bid!r},'
         f' "per_unit_payment": {r.per_unit_payment!r}, "quantity": {r.quantity!r},'
         f' "station_id": {"null" if r.station_id is None else repr(r.station_id)},'
-        f' "strategy": {_json_string(r.strategy)}, "ue_id": {r.ue_id!r},'
+        f' "strategy": "{r.strategy}", "ue_id": {r.ue_id!r},'
         f' "value_factor": {r.value_factor!r}}}'
     )
 
@@ -210,22 +206,15 @@ def _station_json(s: StationRoundRecord) -> str:
     )
 
 
-def _json_object(record) -> dict:
-    """A record's fields by name, its int-keyed maps with str keys."""
-    return {
-        name: {str(k): v for k, v in value.items()} if isinstance(value, dict) else value
-        for name, value in dataclasses.asdict(record).items()
-    }
-
-
 def round_line(run_index: int, seed: int, log: RoundLog) -> str:
     """One ``rounds.jsonl`` line, equal to ``json.dumps`` with ``sort_keys``
     of the round's object: its keys, their order and its number forms.
 
     Each record type has one template with its keys in sorted order; a float
     is written as ``repr`` writes it, which is ``json``'s form for every
-    finite float.  A non-finite float's ``repr`` holds "nan" or "inf", which
-    no key does, so such a line is encoded again by ``json`` itself.
+    finite float, and a strategy is one of the ``STRATEGIES`` names.  A
+    non-finite float has no JSON form: its ``repr`` holds "nan" or "inf",
+    which no key or strategy name does, so such a line raises ``ValueError``.
     """
     line = (
         f'{{"round": {log.round_index!r}, "run": {run_index!r}, "seed": {seed!r},'
@@ -233,14 +222,7 @@ def round_line(run_index: int, seed: int, log: RoundLog) -> str:
         f' "ues": [{", ".join(map(_ue_json, log.ues))}]}}'
     )
     if "nan" in line or "inf" in line:
-        record = {
-            "run": run_index,
-            "seed": seed,
-            "round": log.round_index,
-            "ues": [_json_object(r) for r in log.ues],
-            "stations": [_json_object(s) for s in log.stations],
-        }
-        return json.dumps(record, sort_keys=True)
+        raise ValueError(f"round {log.round_index} of run {run_index} holds a non-finite value")
     return line
 
 

@@ -12,12 +12,11 @@ starvation forces its hand.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
 from dataclasses import dataclass, replace
-from urllib.parse import urlsplit
+from typing import TYPE_CHECKING
 
 from .strategy import (
     ABSTAIN,
@@ -30,6 +29,9 @@ from .strategy import (
     per_unit_budget_cap,
 )
 from .valuation import channel_valuation
+
+if TYPE_CHECKING:
+    import http.client
 
 FORMAT_REMINDER = (
     "Reminder: reply with exactly two lines in this format.\n"
@@ -77,6 +79,10 @@ class ChatCompletionClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
+            # imported here: a cold import or an offline run loads no HTTP stack
+            import http.client
+            from urllib.parse import urlsplit
+
             try:
                 url = urlsplit(self.config.base_url.rstrip("/"))
             except ValueError as exc:  # such as an unclosed or invalid [host]
@@ -103,6 +109,8 @@ class ChatCompletionClient:
         A kept-alive connection that the server has since closed fails on
         first use; only then is the request sent again, on a new connection.
         """
+        import http.client
+
         conn = self._connection()
         while True:
             reused = conn.sock is not None
@@ -180,15 +188,18 @@ def render_prompt(observation: MarketObservation) -> str:
     return "\n".join(lines)
 
 
+# markdown emphasis may wrap the label or the answer; a number that runs on
+# past the match (a digit separator such as "1,000.50") is refused, not cut
 _SELECTION_RE = re.compile(
-    r"selected\s+bs\s+and\s+bid\s+value\s*:\s*(?:bs\s*)?#?(\d+)\s*[,:;-]?\s*\$?"
-    r"(-?\d+(?:\.\d+)?)",
+    r"selected\s+bs\s+and\s+bid\s+value[\s*_]*:[\s*_]*(?:bs\s*)?#?(\d+)(?!\d)\s*[,:;-]?\s*\$?"
+    r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)(?![.,_]?\d|e[-+]?\d)",
     re.IGNORECASE,
 )
 
 
 def parse_reply(text: str, station_ids: set[int]) -> BidDecision:
-    """The selection line as a decision, not yet clamped; loose about punctuation."""
+    """The selection line as a decision, not yet clamped; loose about punctuation
+    and emphasis, strict about the number."""
     match = _SELECTION_RE.search(text)
     if match is None:
         raise ParseError("missing 'Selected BS and bid value' line")

@@ -211,12 +211,14 @@ class StationView:
     price_history: EmpiricalPriceModel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MarketObservation:
     """Decision input for one user in one round; built from past rounds only.
 
     ``competitors`` holds the rivals expected at each station id, the same
-    for every user of the round.
+    for every user of the round.  An observation is built for one decision
+    and kept by nothing else, so unlike its views it is not frozen, which
+    saves an ``object.__setattr__`` per field.
     """
 
     round_index: int

@@ -152,6 +152,49 @@ class TestParse:
             parsed = parse_reply(text, {0, 1, 2})
             assert (parsed.station_id, parsed.per_unit_bid) == expected
 
+    @pytest.mark.parametrize("text", [
+        "**Selected BS and bid value:** BS 1, 2.50",
+        "Selected BS and bid value: **BS 1, 2.50**",
+        "*Selected BS and bid value*: BS 1, 2.50",
+        "__Selected BS and bid value__: _BS 1, 2.50_",
+    ])
+    def test_reads_markdown_emphasis(self, text):
+        parsed = parse_reply(text, {0, 1})
+        assert (parsed.station_id, parsed.per_unit_bid) == (1, 2.5)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("2.5e1", 25.0), ("2.5E+1", 25.0), ("1.175494351e-38", 1.175494351e-38),
+    ])
+    def test_reads_an_exponent(self, value, expected):
+        parsed = parse_reply(f"Selected BS and bid value: BS 1, {value}", {0, 1})
+        assert (parsed.station_id, parsed.per_unit_bid) == (1, expected)
+
+    @given(bid=st.floats(min_value=0.0, allow_infinity=False))
+    def test_reads_every_float_repr_exactly(self, bid):
+        parsed = parse_reply(f"Selected BS and bid value: BS 1, {bid!r}", {0, 1})
+        assert parsed.per_unit_bid == bid
+
+    @pytest.mark.parametrize("text", [
+        "Selected BS and bid value: BS 1, 1,000.50",
+        "Selected BS and bid value: BS 1, 1.000,50",
+        "Selected BS and bid value: BS 1, 1_000",
+        # a shorter station id would leave "2" as a bid that runs on no further
+        "Selected BS and bid value: BS 12, 1,000.50",
+        "Selected BS and bid value: BS 1, 2.5e1.5",
+    ])
+    def test_refuses_a_bid_with_digit_separators(self, text):
+        with pytest.raises(ParseError):
+            parse_reply(text, {0, 1, 12})
+
+    def test_digit_separators_take_the_reminder_retry(self):
+        obs = observation([view(reserve=2.0, demand=1)], budget=15.0, fee=0.1)
+        client = ScriptedClient(["Selected BS and bid value: BS 0, 1,000.50",
+                                 "Selected BS and bid value: BS 0, 3.25"])
+        decision = llm_decide(obs, client)
+        assert (decision.station_id, decision.per_unit_bid) == (0, 3.25)
+        assert not decision.fallback
+        assert client.prompts[1].endswith(FORMAT_REMINDER)
+
     def test_rejects_missing_selection_line(self):
         with pytest.raises(ParseError):
             parse_reply("I think BS 0 looks best at around 2.0", {0})

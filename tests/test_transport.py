@@ -507,10 +507,17 @@ def test_lanes_end_with_the_run_even_when_one_raises(endpoint_factory, tmp_path,
 
 
 def loaded_modules(names):
-    """Which of ``names`` a fresh ``import hetmarket.cli`` loads."""
+    """Which of ``names`` a fresh ``import hetmarket.cli`` loads.
+
+    A module the interpreter loaded before the import (a site ``.pth`` file
+    may load ``urllib.parse``) is not counted.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = f"import sys, hetmarket.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    code = (
+        "import sys; before = set(sys.modules); import hetmarket.cli; "
+        f"print(sorted({set(names)!r} & (set(sys.modules) - before)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -524,3 +531,8 @@ def test_cli_import_leaves_out_third_party_packages():
 def test_cli_import_leaves_out_process_and_thread_pools():
     # a pool is imported where the first one starts: a cold import skips both
     assert loaded_modules({"multiprocessing", "concurrent.futures.thread"}) == "[]"
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # a client imports it where it opens its first connection
+    assert loaded_modules({"http.client", "ssl", "email", "urllib.parse"}) == "[]"
