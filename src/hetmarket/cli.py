@@ -23,6 +23,7 @@ from typing import Iterable
 from .engine import (
     LLM,
     STRATEGIES,
+    AbstentionRecord,
     ConfigurationError,
     MetricsReport,
     RoundLog,
@@ -183,8 +184,21 @@ def _json_map(values: dict) -> str:
     return "{" + ", ".join([f'"{k}": {v!r}' for k, v in items]) + "}"
 
 
+class _NonFinite(Exception):
+    """A float of a round record has no JSON form."""
+
+
+def _finite_repr(x: float) -> str:
+    """``repr(x)``, json's form for a finite float; raises _NonFinite for the
+    others, whose ``repr`` ("nan", "inf", "-inf") alone holds an "n"."""
+    text = repr(x)
+    if "n" in text:
+        raise _NonFinite
+    return text
+
+
 def _ue_json(r: UeRoundRecord) -> str:
-    return (
+    text = (
         f'{{"abstained": {"true" if r.abstained else "false"}, "budget_after": {r.budget_after!r},'
         f' "channels_won": {r.channels_won!r}, "fallback": {"true" if r.fallback else "false"},'
         f' "fee_paid": {r.fee_paid!r}, "gross_utility": {r.gross_utility!r},'
@@ -194,43 +208,92 @@ def _ue_json(r: UeRoundRecord) -> str:
         f' "strategy": "{r.strategy}", "ue_id": {r.ue_id!r},'
         f' "value_factor": {r.value_factor!r}}}'
     )
+    # no key and no strategy name holds "nan" or "inf"
+    if "nan" in text or "inf" in text:
+        raise _NonFinite
+    return text
+
+
+def _abstention_json(r: AbstentionRecord, kept: dict[int, list]) -> str:
+    """The template of ``_ue_json`` with the eight fixed values filled in.
+
+    ``kept[ue_id]`` is ``[budget, its text, value factor, its text]`` of the
+    UE's last abstention.  Its text is reused while the record holds the same
+    float object, which an abstaining UE's budget and a saturated value factor
+    do; identity, unlike equality, also tells 0.0 from -0.0.
+    """
+    texts = kept.get(r.ue_id)
+    if texts is None:
+        texts = kept[r.ue_id] = [None, "", None, ""]
+    budget = r.budget_after
+    if texts[0] is not budget:
+        texts[1] = _finite_repr(budget)
+        texts[0] = budget
+    factor = r.value_factor
+    if texts[2] is not factor:
+        texts[3] = _finite_repr(factor)
+        texts[2] = factor
+    return (
+        f'{{"abstained": true, "budget_after": {texts[1]}, "channels_won": 0,'
+        f' "fallback": {"true" if r.fallback else "false"}, "fee_paid": 0.0,'
+        f' "gross_utility": 0.0, "losses_after": {r.losses_after!r}, "per_unit_bid": 0.0,'
+        f' "per_unit_payment": 0.0, "quantity": 0, "station_id": null,'
+        f' "strategy": "{r.strategy}", "ue_id": {r.ue_id!r}, "value_factor": {texts[3]}}}'
+    )
 
 
 def _station_json(s: StationRoundRecord) -> str:
-    return (
+    text = (
         f'{{"allocations": {_json_map(s.allocations)}, "clearing_price": {s.clearing_price!r},'
         f' "fees_collected": {s.fees_collected!r},'
         f' "per_unit_payments": {_json_map(s.per_unit_payments)}, "revenue": {s.revenue!r},'
         f' "seller_utility_terms": {_json_map(s.seller_utility_terms)},'
         f' "station_id": {s.station_id!r}}}'
     )
+    if "nan" in text or "inf" in text:
+        raise _NonFinite
+    return text
 
 
-def round_line(run_index: int, seed: int, log: RoundLog) -> str:
+def round_line(
+    run_index: int, seed: int, log: RoundLog, kept: dict[int, list] | None = None
+) -> str:
     """One ``rounds.jsonl`` line, equal to ``json.dumps`` with ``sort_keys``
     of the round's object: its keys, their order and its number forms.
 
     Each record type has one template with its keys in sorted order; a float
     is written as ``repr`` writes it, which is ``json``'s form for every
     finite float, and a strategy is one of the ``STRATEGIES`` names.  A
-    non-finite float has no JSON form: its ``repr`` holds "nan" or "inf",
-    which no key or strategy name does, so such a line raises ``ValueError``.
+    non-finite float has no JSON form, so a round that holds one raises
+    ``ValueError``: an abstention's float text is checked once, when it is
+    made, and a full record's or station's text is searched for it.
+    ``kept`` holds the abstentions' float texts of earlier rounds of the same
+    run, one entry per UE id (see ``_abstention_json``).
     """
-    line = (
+    if kept is None:
+        kept = {}
+    try:
+        ues = [
+            _abstention_json(r, kept) if type(r) is AbstentionRecord else _ue_json(r)
+            for r in log.ues
+        ]
+        stations = [_station_json(s) for s in log.stations]
+    except _NonFinite:
+        raise ValueError(
+            f"round {log.round_index} of run {run_index} holds a non-finite value"
+        ) from None
+    return (
         f'{{"round": {log.round_index!r}, "run": {run_index!r}, "seed": {seed!r},'
-        f' "stations": [{", ".join(map(_station_json, log.stations))}],'
-        f' "ues": [{", ".join(map(_ue_json, log.ues))}]}}'
+        f' "stations": [{", ".join(stations)}], "ues": [{", ".join(ues)}]}}'
     )
-    if "nan" in line or "inf" in line:
-        raise ValueError(f"round {log.round_index} of run {run_index} holds a non-finite value")
-    return line
 
 
 def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
     """One line per round of one run, as it is played, to ``<path>.<run_index>``."""
+    kept: dict[int, list] = {}
     with open(f"{path}.{run_index}", "w", encoding="utf-8") as handle:
         for log in rounds:
-            handle.write(round_line(run_index, seed, log))
+            handle.write(round_line(run_index, seed, log, kept))
             handle.write("\n")
 
 

@@ -333,6 +333,31 @@ class UeRoundRecord:
     losses_after: int
 
 
+@dataclass
+class AbstentionRecord:
+    """A round in which the UE did not bid.  Its fields are those of
+    ``UeRoundRecord``, in the same order, but only six vary; the other eight
+    are the class's own values, so it is built from the six positionally.
+    Every abstention bids 0.0: it is ``ABSTAIN``, or that marked a fallback.
+    """
+
+    __slots__ = ("ue_id", "strategy", "fallback", "budget_after", "value_factor", "losses_after")
+    ue_id: int
+    strategy: str
+    station_id: None = field(default=None, init=False)
+    per_unit_bid: float = field(default=0.0, init=False)
+    quantity: int = field(default=0, init=False)
+    abstained: bool = field(default=True, init=False)
+    fallback: bool
+    channels_won: int = field(default=0, init=False)
+    per_unit_payment: float = field(default=0.0, init=False)
+    fee_paid: float = field(default=0.0, init=False)
+    gross_utility: float = field(default=0.0, init=False)
+    budget_after: float
+    value_factor: float
+    losses_after: int
+
+
 @dataclass(slots=True)
 class StationRoundRecord:
     station_id: int
@@ -347,7 +372,7 @@ class StationRoundRecord:
 @dataclass(slots=True)
 class RoundLog:
     round_index: int
-    ues: tuple[UeRoundRecord, ...]
+    ues: tuple[UeRoundRecord | AbstentionRecord, ...]
     stations: tuple[StationRoundRecord, ...]
 
 
@@ -549,7 +574,7 @@ class SimulationRun:
             bs.id: [] for bs in self.stations
         }
         fees_by_station: dict[int, float] = {bs.id: 0.0 for bs in self.stations}
-        decisions: list[tuple[BidDecision, bool]] = []
+        decisions: list[BidDecision] = []
         # a decision reads only its own UE's budget and the price models, and
         # no entry changes another UE's budget or any price model; so the live
         # UEs decide first, all at once, and each UE enters as soon as it has
@@ -566,9 +591,8 @@ class SimulationRun:
                 decision = live[runtime.ue.id]
             else:
                 decision = self._decide(runtime, self.observation_for(runtime, round_index))
-            abstained = decision.abstained
-            decisions.append((decision, abstained))
-            if abstained:
+            decisions.append(decision)
+            if decision.station_id is None:  # abstained
                 continue
             runtime.budget -= self.fee
             fees_by_station[decision.station_id] += self.fee
@@ -585,23 +609,29 @@ class SimulationRun:
             for bs in self.stations
         }
 
-        ue_records = []
-        for runtime, (decision, abstained) in zip(self.ues, decisions):
-            quantity = 0
-            won = 0
-            per_unit_payment = 0.0
-            gross = 0.0
-            fee_paid = 0.0
+        ue_records: list[UeRoundRecord | AbstentionRecord] = []
+        for runtime, decision in zip(self.ues, decisions):
+            if decision.fallback:
+                runtime.fallbacks += 1
             # a round adds to the totals in round order; it skips only adds of
             # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
-            if not abstained:
+            if decision.station_id is None:
+                # an abstention loses, and changes no total but the fallbacks
+                losses = runtime.urgency.consecutive_losses + 1
+                ue_records.append(
+                    AbstentionRecord(
+                        runtime.ue.id, runtime.strategy, decision.fallback,
+                        runtime.budget, runtime.urgency.value_per_mbps, losses,
+                    )
+                )
+            else:
                 view = runtime.by_station[decision.station_id]
-                fee_paid = self.fee
-                runtime.fees += fee_paid
+                runtime.fees += self.fee
                 runtime.bids += 1
-                quantity = view.demand
                 outcome = outcomes[view.station_id]
                 won = outcome.allocations.get(runtime.ue.id, 0)
+                per_unit_payment = 0.0
+                gross = 0.0
                 if won > 0:
                     per_unit_payment = outcome.per_unit_payments[runtime.ue.id]
                     paid = won * per_unit_payment
@@ -612,28 +642,26 @@ class SimulationRun:
                     runtime.gross += gross
                     runtime.channels += won
                     runtime.wins += 1
-            if decision.fallback:
-                runtime.fallbacks += 1
-            # a win resets the loss streak, anything else extends it
-            losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
-            ue_records.append(
-                UeRoundRecord(
-                    ue_id=runtime.ue.id,
-                    strategy=runtime.strategy,
-                    station_id=decision.station_id,
-                    per_unit_bid=decision.per_unit_bid,
-                    quantity=quantity,
-                    abstained=abstained,
-                    fallback=decision.fallback,
-                    channels_won=won,
-                    per_unit_payment=per_unit_payment,
-                    fee_paid=fee_paid,
-                    gross_utility=gross,
-                    budget_after=runtime.budget,
-                    value_factor=runtime.urgency.value_per_mbps,
-                    losses_after=losses,
+                # a win resets the loss streak, anything else extends it
+                losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
+                ue_records.append(
+                    UeRoundRecord(
+                        ue_id=runtime.ue.id,
+                        strategy=runtime.strategy,
+                        station_id=decision.station_id,
+                        per_unit_bid=decision.per_unit_bid,
+                        quantity=view.demand,
+                        abstained=False,
+                        fallback=decision.fallback,
+                        channels_won=won,
+                        per_unit_payment=per_unit_payment,
+                        fee_paid=self.fee,
+                        gross_utility=gross,
+                        budget_after=runtime.budget,
+                        value_factor=runtime.urgency.value_per_mbps,
+                        losses_after=losses,
+                    )
                 )
-            )
             chain = self._chains[runtime.class_index]
             if losses == len(chain):
                 chain.append(self.config.urgency.for_class(runtime.class_index, losses))

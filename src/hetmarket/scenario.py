@@ -117,6 +117,20 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigurationError(
+            [f"{source}: line {exc.lineno}: {exc.line.rstrip()!r} comes before any [section]"]
+        ) from exc
+    except configparser.ParsingError as exc:
+        # an entry holds the line as text from 3.13, its repr before, so the
+        # line is read from the text, which configparser splits at "\n" alone
+        lines = text.split("\n")
+        raise ConfigurationError(
+            [
+                f"{source}: line {n}: {lines[n - 1].rstrip()!r} is not a key = value line"
+                for n, _ in exc.errors
+            ]
+        ) from exc
     except configparser.Error as exc:
         raise ConfigurationError([str(exc)]) from exc
 

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import json
 import logging
 import math
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hetmarket import cli
 from hetmarket.cli import (
     METRICS_COLUMNS,
     main,
@@ -25,6 +31,7 @@ from hetmarket.cli import (
 )
 from hetmarket.engine import (
     STRATEGIES,
+    AbstentionRecord,
     RoundLog,
     SimulationRun,
     StationRoundRecord,
@@ -336,6 +343,165 @@ def test_round_line_is_json_dumps_with_sorted_keys(run_index, seed, log):
         assert round_line(run_index, seed, log) == expected
 
 
+def same_bits(x):
+    """A float object distinct from ``x`` with its bits: equal, but not ``x``."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# finite four times in five
+POOL_FLOATS = st.one_of(
+    st.sampled_from([0.1, 1.0, 1e308]), FINITE, FINITE, FINITE,
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+FINITE_STATIONS = st.builds(
+    StationRoundRecord,
+    station_id=st.integers(0, 12), clearing_price=FINITE,
+    allocations=st.dictionaries(st.integers(0, 30), st.integers(0, 4), max_size=3),
+    per_unit_payments=st.dictionaries(st.integers(0, 30), FINITE, max_size=3),
+    seller_utility_terms=st.dictionaries(st.integers(0, 30), FINITE, max_size=3),
+    fees_collected=FINITE, revenue=FINITE,
+)
+
+
+@st.composite
+def runs_of_rounds(draw):
+    """Rounds of one run over a few UE ids.  Their floats come from a small
+    pool that holds 0.0 and -0.0, each the pool's own object or a distinct one
+    with its bits, so a UE's record holds the object of an earlier round, an
+    equal one, or another value; 0.0 and -0.0 are equal but written apart."""
+    pool = [0.0, -0.0, *draw(st.lists(POOL_FLOATS, max_size=3))]
+
+    def pick():
+        x = pool[draw(st.integers(0, len(pool) - 1))]
+        return same_bits(x) if draw(st.booleans()) else x
+
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
+    logs = []
+    for round_index in range(1, draw(st.integers(1, 6)) + 1):
+        ues = []
+        for ue_id in ids:
+            strategy = draw(st.sampled_from(STRATEGIES))
+            fallback = draw(st.booleans())
+            losses = draw(st.integers(0, 20))
+            if draw(st.booleans()):
+                ues.append(AbstentionRecord(ue_id, strategy, fallback, pick(), pick(), losses))
+            else:
+                ues.append(UeRoundRecord(
+                    ue_id=ue_id, strategy=strategy, station_id=draw(st.integers(0, 12)),
+                    per_unit_bid=pick(), quantity=draw(st.integers(1, 4)), abstained=False,
+                    fallback=fallback, channels_won=draw(st.integers(0, 4)),
+                    per_unit_payment=pick(), fee_paid=pick(), gross_utility=pick(),
+                    budget_after=pick(), value_factor=pick(), losses_after=losses,
+                ))
+        stations = draw(st.lists(FINITE_STATIONS, max_size=1))
+        logs.append(RoundLog(round_index, tuple(ues), tuple(stations)))
+    return logs
+
+
+@contextlib.contextmanager
+def kept_maps_of_writes():
+    """The ``kept`` map of each ``round_line`` call the writer makes inside."""
+    maps = []
+
+    def keeping(run_index, seed, log, kept=None):
+        maps.append(kept)
+        return round_line(run_index, seed, log, kept)
+
+    with mock.patch.object(cli, "round_line", keeping):
+        yield maps
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(logs=runs_of_rounds())
+def test_written_lines_are_json_dumps_of_the_full_records(logs):
+    fields = [f.name for f in dataclasses.fields(UeRoundRecord)]
+    expected = []
+    for log in logs:
+        for record in log.ues:
+            assert [f.name for f in dataclasses.fields(record)] == fields
+        expected.append(json.dumps({
+            "run": 3, "seed": 9, "round": log.round_index,
+            "ues": [json_object(r) for r in log.ues],
+            "stations": [json_object(s) for s in log.stations],
+        }, sort_keys=True))
+    # the first round with no JSON form, if any, ends the run
+    bad = next((i for i, line in enumerate(expected) if "NaN" in line or "Infinity" in line),
+               None)
+    with tempfile.TemporaryDirectory() as folder, kept_maps_of_writes() as kept_maps:
+        path = os.path.join(folder, "rounds.jsonl")
+        if bad is None:
+            write_rounds_part(path, 3, 9, logs)
+        else:
+            with pytest.raises(ValueError, match=f"round {logs[bad].round_index} of run 3 "):
+                write_rounds_part(path, 3, 9, logs)
+        with open(f"{path}.3", encoding="utf-8") as handle:
+            written = handle.read().splitlines()
+    assert written == expected[:bad]
+    # one map for the run, holding at most one entry per UE id
+    assert all(kept is kept_maps[0] for kept in kept_maps)
+    assert set(kept_maps[0]) <= {r.ue_id for log in logs for r in log.ues}
+
+
+def test_kept_text_holds_one_entry_per_ue_however_long_the_run(tmp_path):
+    config = dataclasses.replace(preset("scenario1"), offline=True, episodes=400, runs=1)
+    with kept_maps_of_writes() as kept_maps:
+        run_simulation(config, functools.partial(write_rounds_part, str(tmp_path / "r")))
+    assert len(kept_maps) > 200
+    assert all(kept is kept_maps[0] for kept in kept_maps)
+    assert 0 < len(kept_maps[0]) <= config.population.num_ues
+
+
+# sha256 of ``run --preset <name> --offline --runs 2 --episodes 40 --seed 1``'s
+# artifacts, taken before abstentions had their own record type and kept
+# float text; a change to how rounds are played or written that moves a
+# byte of them fails here
+PINNED_DIGESTS = {
+    "scenario1": {
+        "rounds.jsonl": "7f1ee368678544aa89599d379612d9c64bbf3a7dcc83d48c67a8318186826366",
+        "metrics.csv": "1e3f82d5449593a405659efd6dd574b84628b79c3ace84df1986e8f11c7e7233",
+        "summary.json": "f6e0252bd17d8a8c132f43e18869b4f00b56af035b1caa52f1d62d385325bfd4",
+    },
+    "scenario2": {
+        "rounds.jsonl": "0fd087d4ac16af7603eb5e812eb4a72abe483c44298bebddd0c04ff41e00103c",
+        "metrics.csv": "6d280112784797d9eed9a10d18ff968a54f4ee860330c7be0f42d79e438084d0",
+        "summary.json": "57c6ec78fa7e9fcb3d2863b66ef053f8426549f0067727b222e42f7bf54e9263",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
+    out = tmp_path / name
+    assert run_cli("run", "--preset", name, "--offline", "--runs", "2", "--episodes", "40",
+                   "--seed", "1", "--out", str(out)) == 0
+    config = preset(name)
+    ues = [
+        ue
+        for line in (out / "rounds.jsonl").read_text().splitlines()
+        for ue in json.loads(line)["ues"]
+    ]
+    # the run holds bids and both kinds of abstention the writer keeps text for:
+    # a saturated urgency, and a greedy UE that cannot pay the fee
+    assert any(not ue["abstained"] for ue in ues)
+    assert any(
+        ue["abstained"]
+        and ue["losses_after"] > config.urgency.saturation_losses[0]
+        and ue["value_factor"] == config.urgency.max_value_per_mbps[0]
+        for ue in ues
+    )
+    assert any(
+        ue["abstained"] and ue["strategy"] == "greedy"
+        and ue["budget_after"] < config.auction.entrance_fee
+        for ue in ues
+    )
+    digests = {
+        file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+        for file in PINNED_DIGESTS[name]
+    }
+    assert digests == PINNED_DIGESTS[name]
+
+
 class TestExitCodes:
     def test_missing_endpoint_is_exit_three(self, tmp_path, capsys):
         code = run_cli("run", "--preset", "scenario1",
@@ -459,6 +625,33 @@ class TestExitCodes:
         assert all(line.startswith("config error: ") for line in lines)
         for key in ("bandwidth_hz", "channels_per_station", "episodes"):
             assert sum(key in line for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("num_ues = 3\n[population]\n",
+             ["line 1: 'num_ues = 3' comes before any [section]"]),
+            ("[population]\nnum_ues = 3\nthis is bad\nalso bad\n",
+             ["line 3: 'this is bad' is not a key = value line",
+              "line 4: 'also bad' is not a key = value line"]),
+        ],
+        ids=["no-section-header", "two-unparsable-lines"],
+    )
+    def test_ini_syntax_error_is_one_line_per_problem(self, tmp_path, text, expected):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetmarket", "run", "--config", str(path), "--offline",
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"config error: {path}: {problem}" for problem in expected
+        ]
 
     @pytest.mark.parametrize(
         "text",

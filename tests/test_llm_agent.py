@@ -303,6 +303,8 @@ class TestRetriesAndFallback:
         client = ScriptedClient([f"Selected BS and bid value: BS {station}, {bid}"])
         decision = llm_decide(obs, client)
         if decision.abstained:
+            # the engine's AbstentionRecord holds every abstention's bid as 0.0
+            assert decision.per_unit_bid == 0.0
             return
         chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
         assert decision.per_unit_bid >= chosen.reserve_price
@@ -421,6 +423,8 @@ def foresight_observations(draw):
 def test_foresight_respects_budget_and_reserve(obs):
     decision = foresight_decide(obs)
     if decision.abstained:
+        # the engine's AbstentionRecord holds every abstention's bid as 0.0
+        assert decision.per_unit_bid == 0.0
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
     assert decision.per_unit_bid >= chosen.reserve_price

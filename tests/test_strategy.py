@@ -543,6 +543,8 @@ def market_observations(draw):
 def test_greedy_respects_budget_and_reserve(obs):
     decision = greedy_decide(obs)
     if decision.abstained:
+        # the engine's AbstentionRecord holds every abstention's bid as 0.0
+        assert decision.per_unit_bid == 0.0
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
     assert decision.per_unit_bid >= chosen.reserve_price
@@ -554,6 +556,8 @@ def test_greedy_respects_budget_and_reserve(obs):
 def test_myopic_respects_budget(obs):
     decision = decide_myopic(obs)
     if decision.abstained:
+        # the engine's AbstentionRecord holds every abstention's bid as 0.0
+        assert decision.per_unit_bid == 0.0
         return
     chosen = next(v for v in obs.stations if v.station_id == decision.station_id)
     spend = chosen.demand * decision.per_unit_bid + obs.entrance_fee
