@@ -451,7 +451,7 @@ class SimulationRun:
         self.stations = self.topology.stations
         self.reserves = {bs.id: reservation_price(bs) for bs in self.stations}
         self.fee = config.auction.entrance_fee
-        self.price_models = {bs.id: EmpiricalPriceModel() for bs in self.stations}
+        self.price_models = {i: EmpiricalPriceModel(reserve=r) for i, r in self.reserves.items()}
         # the live lanes' threads and clients, started by the first live round
         self._lanes: ThreadPoolExecutor | None = None
         self._clients: list[ChatCompletionClient] = []

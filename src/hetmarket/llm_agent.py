@@ -276,7 +276,7 @@ def _most_winnable_bid(
     # station ids are distinct, so no two keys tie and the best does not
     # depend on the order of the stations
     for view in observation.stations:
-        prices = view.price_history.or_prior(view.reserve_price)
+        prices = view.price_history
         budget_cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
         cap = min(budget_cap, pace_cap)
         value = channel_valuation(observation.urgency, view.rate_mbps)

@@ -114,9 +114,19 @@ def _replaced(config: object, changes: dict) -> object:
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
     """Parse and validate scenario text; raises ConfigurationError listing problems."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is a section like any
+    # other, not one whose keys are copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=source)
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigurationError(
+            [f"{source}: line {exc.lineno}: section [{exc.section}] appears again"]
+        ) from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigurationError(
+            [f"{source}: line {exc.lineno}: key '{exc.option}' appears again in [{exc.section}]"]
+        ) from exc
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigurationError(
             [f"{source}: line {exc.lineno}: {exc.line.rstrip()!r} comes before any [section]"]

@@ -21,50 +21,45 @@ from .valuation import UrgencyState, channel_valuation
 GRID_SIZE = 11
 
 
-class NoPriceData(ValueError):
-    """Raised when a statistic is requested from an empty price history."""
-
-
 class EmpiricalPriceModel:
     """Clearing prices heard from one station: kept sorted, plus the latest.
 
-    One model is shared by every user of a station, so what it keeps (the
-    mean and the reserve prior) is computed once per station per round;
-    ``append`` clears both.  Its win probabilities are kept for its lifetime,
+    Until a price is heard the model holds one price, ``reserve``, as a
+    prior; the first ``append`` replaces it.  ``len`` counts heard prices
+    only, so it is 0 while the prior stands.  One model is shared by every
+    user of a station, so its mean is computed once per station per round;
+    ``append`` clears it.  Its win probabilities are kept for its lifetime,
     one run: each depends only on its key, so none goes stale on ``append``.
     """
 
-    __slots__ = ("_sorted", "_last", "_mean", "_prior", "_win")
+    __slots__ = ("_sorted", "_heard", "last", "_mean", "_win")
 
-    def __init__(self, prices: Iterable[float] = ()):
-        self._sorted: list[float] = [float(p) for p in prices]
-        self._last: float | None = self._sorted[-1] if self._sorted else None
-        self._sorted.sort()
+    def __init__(self, prices: Iterable[float] = (), reserve: float | None = None):
+        """Prices heard so far, in broadcast order; ``reserve`` stands in when there are none."""
+        heard = [float(p) for p in prices]
+        self._heard = len(heard)
+        known = heard or [float(reserve)]
+        # the latest price broadcast, or the prior
+        self.last: float = known[-1]
+        self._sorted: list[float] = sorted(known)
         self._mean: float | None = None
-        self._prior: EmpiricalPriceModel | None = None
         # (cdf, competitors, capacity) -> win_probability_given_cdf of it
         self._win: dict[tuple[float, int, int], float] = {}
 
     def append(self, price: float) -> None:
-        self._last = float(price)
-        insort(self._sorted, self._last)
+        self.last = float(price)
+        if self._heard:
+            insort(self._sorted, self.last)
+        else:
+            self._sorted = [self.last]
+        self._heard += 1
         self._mean = None
-        self._prior = None
 
     def __len__(self) -> int:
-        return len(self._sorted)
-
-    @property
-    def last(self) -> float:
-        """The latest price broadcast."""
-        if self._last is None:
-            raise NoPriceData("no clearing prices observed yet")
-        return self._last
+        return self._heard
 
     def cdf(self, x: float) -> float:
-        """Fraction of observed prices at or below x (right-continuous step)."""
-        if not self._sorted:
-            raise NoPriceData("no clearing prices observed yet")
+        """Fraction of prices at or below x (right-continuous step)."""
         return bisect_right(self._sorted, x) / len(self._sorted)
 
     def mean(self) -> float:
@@ -74,15 +69,11 @@ class EmpiricalPriceModel:
         does not change the mean.
         """
         if self._mean is None:
-            if not self._sorted:
-                raise NoPriceData("no clearing prices observed yet")
             self._mean = math.fsum(self._sorted) / len(self._sorted)
         return self._mean
 
     def win_probability(self, bid: float, competitors: int, capacity: int) -> float:
         """``win_probability_given_cdf(self.cdf(bid), competitors, capacity)``, memoised."""
-        if not self._sorted:
-            raise NoPriceData("no clearing prices observed yet")
         return self.win_probability_at(bisect_right(self._sorted, bid), competitors, capacity)
 
     def win_probability_at(self, count: int, competitors: int, capacity: int) -> float:
@@ -92,17 +83,6 @@ class EmpiricalPriceModel:
         if prob is None:
             prob = self._win[key] = win_probability_given_cdf(*key)
         return prob
-
-    def or_prior(self, reserve: float) -> EmpiricalPriceModel:
-        """This model, or before any data a one-point prior at ``reserve``.
-
-        The prior is kept until the next ``append`` (or a different reserve).
-        """
-        if self._sorted:
-            return self
-        if self._prior is None or self._prior.last != reserve:
-            self._prior = EmpiricalPriceModel([reserve])
-        return self._prior
 
 
 def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
@@ -278,7 +258,7 @@ def grid_argmax(
     # no two keys tie (distinct station ids, distinct bids per grid), so the
     # best does not depend on the order of the stations
     for view in observation.stations:
-        prices = view.price_history.or_prior(view.reserve_price)
+        prices = view.price_history
         cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
         value = channel_valuation(observation.urgency, view.rate_mbps)
         last = prices.last

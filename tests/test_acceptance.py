@@ -376,14 +376,16 @@ def _random_observation(rng: random.Random) -> MarketObservation:
     competitors = {}
     for k in range(rng.randint(1, 3)):
         history = [rng.uniform(0.1, 8.0) for _ in range(rng.randint(0, 10))]
+        capacity = rng.randint(1, 4)
+        reserve = rng.uniform(0.0, 3.0)
         stations.append(StationView(
             station_id=k,
             tier="MBS" if k == 0 else "SBS",
-            capacity=rng.randint(1, 4),
-            reserve_price=rng.uniform(0.0, 3.0),
+            capacity=capacity,
+            reserve_price=reserve,
             rate_mbps=rng.uniform(0.5, 10.0),
             demand=rng.randint(1, 4),
-            price_history=EmpiricalPriceModel(history),
+            price_history=EmpiricalPriceModel(history, reserve),
         ))
         competitors[k] = rng.randint(0, 8)
     return MarketObservation(

@@ -41,7 +41,7 @@ from hetmarket.engine import (
     spawn_run_seeds,
 )
 from hetmarket.llm_agent import ChatCompletionClient
-from hetmarket.scenario import preset
+from hetmarket.scenario import load_scenario_file, preset
 
 from oracles import play
 
@@ -452,10 +452,27 @@ def test_kept_text_holds_one_entry_per_ue_however_long_the_run(tmp_path):
     assert 0 < len(kept_maps[0]) <= config.population.num_ues
 
 
-# sha256 of ``run --preset <name> --offline --runs 2 --episodes 40 --seed 1``'s
-# artifacts, taken before abstentions had their own record type and kept
-# float text; a change to how rounds are played or written that moves a
-# byte of them fails here
+# 30 UEs with oracle competitor counts, as in the CI cross-version check
+ORACLE_INI = """\
+[population]
+num_ues = 30
+budget = 20.0
+greedy = 10
+foresight = 6
+llm = 2
+[auction]
+competitor_mode = oracle
+[simulation]
+episodes = 60
+"""
+
+# sha256 of the artifacts of ``run ... --offline --seed 1``, for each preset
+# with ``--runs 2 --episodes 40`` and for ORACLE_INI with ``--runs 3``.  The
+# preset digests were taken before abstentions had their own record type and
+# kept float text; the oracle ones while an empty price model still raised and
+# a second model held the reserve prior that decides round 1 of every policy
+# that reads prices.  A change to how rounds are played or written that moves
+# a byte of them fails here
 PINNED_DIGESTS = {
     "scenario1": {
         "rounds.jsonl": "7f1ee368678544aa89599d379612d9c64bbf3a7dcc83d48c67a8318186826366",
@@ -467,20 +484,28 @@ PINNED_DIGESTS = {
         "metrics.csv": "6d280112784797d9eed9a10d18ff968a54f4ee860330c7be0f42d79e438084d0",
         "summary.json": "57c6ec78fa7e9fcb3d2863b66ef053f8426549f0067727b222e42f7bf54e9263",
     },
+    "oracle": {
+        "rounds.jsonl": "60fc84bb688cb51c3351016f42af7fa8c1ed82fa8f9741d4d72272da0a471363",
+        "metrics.csv": "f79998717f42ec4bb747c15e46b09c8613db96c1021cdf93e3b423f977eb2545",
+        "summary.json": "14055747791a916523877b397aa95cb339f7225360dac4039796bd800740d513",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
     out = tmp_path / name
-    assert run_cli("run", "--preset", name, "--offline", "--runs", "2", "--episodes", "40",
-                   "--seed", "1", "--out", str(out)) == 0
-    config = preset(name)
-    ues = [
-        ue
-        for line in (out / "rounds.jsonl").read_text().splitlines()
-        for ue in json.loads(line)["ues"]
-    ]
+    if name == "oracle":
+        path = tmp_path / "oracle.ini"
+        path.write_text(ORACLE_INI)
+        config = load_scenario_file(str(path))
+        source = ("--config", str(path), "--runs", "3")
+    else:
+        config = preset(name)
+        source = ("--preset", name, "--runs", "2", "--episodes", "40")
+    assert run_cli("run", *source, "--offline", "--seed", "1", "--out", str(out)) == 0
+    rounds = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    ues = [ue for record in rounds for ue in record["ues"]]
     # the run holds bids and both kinds of abstention the writer keeps text for:
     # a saturated urgency, and a greedy UE that cannot pay the fee
     assert any(not ue["abstained"] for ue in ues)
@@ -494,6 +519,11 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
         ue["abstained"] and ue["strategy"] == "greedy"
         and ue["budget_after"] < config.auction.entrance_fee
         for ue in ues
+    )
+    # a greedy UE bids in round 1, where the reserve prior is all it reads
+    assert any(
+        not ue["abstained"] and ue["strategy"] == "greedy"
+        for record in rounds if record["round"] == 1 for ue in record["ues"]
     )
     digests = {
         file: hashlib.sha256((out / file).read_bytes()).hexdigest()
@@ -634,8 +664,13 @@ class TestExitCodes:
             ("[population]\nnum_ues = 3\nthis is bad\nalso bad\n",
              ["line 3: 'this is bad' is not a key = value line",
               "line 4: 'also bad' is not a key = value line"]),
+            ("[population]\nnum_ues = 3\n[simulation]\nepisodes = 2\n[population]\n",
+             ["line 5: section [population] appears again"]),
+            ("[population]\nnum_ues = 3\nllm = 1\nNUM_UES = 4\n",
+             ["line 4: key 'num_ues' appears again in [population]"]),
         ],
-        ids=["no-section-header", "two-unparsable-lines"],
+        ids=["no-section-header", "two-unparsable-lines", "repeated-section",
+             "repeated-key"],
     )
     def test_ini_syntax_error_is_one_line_per_problem(self, tmp_path, text, expected):
         path = tmp_path / "bad.ini"

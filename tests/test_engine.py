@@ -285,8 +285,18 @@ class TestLifecycle:
         assert rec.fee_paid == 0.0
         assert rec.budget_after == 0.05
 
-
-class TestUrgencyBookkeeping:
+    def test_price_models_start_from_each_reserve(self):
+        # round 1's greedy decision reads the reserve prior; each clearing
+        # price broadcast after it replaces the prior
+        config = config_with({GREEDY: 6}, episodes=1)
+        run = SimulationRun(config, 0, spawn_run_seeds(config.seed, 1)[0])
+        for bs in run.stations:
+            model, reserve = run.price_models[bs.id], run.reserves[bs.id]
+            assert (len(model), model.last, model.mean()) == (0, reserve, reserve)
+        log = run.run_round(1)
+        for station in log.stations:
+            model = run.price_models[station.station_id]
+            assert (len(model), model.mean()) == (1, station.clearing_price)
     def test_streaks_follow_outcomes(self):
         config = config_with({GREEDY: 2, MYOPIC: 10}, episodes=10, seed=21)
         _, (result,) = play(config)

@@ -42,7 +42,7 @@ def view(station_id=0, tier=MBS, capacity=4, reserve=2.0, rate=3.0, demand=1,
     return StationView(
         station_id=station_id, tier=tier, capacity=capacity,
         reserve_price=reserve, rate_mbps=rate, demand=demand,
-        price_history=EmpiricalPriceModel(history),
+        price_history=EmpiricalPriceModel(history, reserve),
     )
 
 
@@ -399,13 +399,14 @@ def foresight_observations(draw):
     competitors = {}
     for k in range(draw(st.integers(min_value=1, max_value=3))):
         history = draw(st.lists(st.floats(0.1, 8.0), min_size=0, max_size=10))
+        reserve = draw(st.floats(0.0, 3.0))
         stations.append(StationView(
             station_id=k, tier=MBS if k == 0 else SBS,
             capacity=draw(st.integers(1, 4)),
-            reserve_price=draw(st.floats(0.0, 3.0)),
+            reserve_price=reserve,
             rate_mbps=draw(st.floats(0.5, 10.0)),
             demand=draw(st.integers(1, 4)),
-            price_history=EmpiricalPriceModel(history),
+            price_history=EmpiricalPriceModel(history, reserve),
         ))
         competitors[k] = draw(st.integers(0, 8))
     urgency = UrgencyState(

@@ -149,20 +149,24 @@ class TestParsing:
                 assert types[name] == expected, path
 
     def test_readme_key_set_is_the_defaults_and_its_alternatives_parse(self):
+        # the block as printed, so that it can be pasted as a file
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        assert parse_scenario_text(block) == parse_scenario_text("")
+        # "; or <value>" on its own line names another value of the key above it
         lines = block.splitlines()
-        stripped = [line.split(";")[0].rstrip() for line in lines]
-        assert parse_scenario_text("\n".join(stripped)) == parse_scenario_text("")
         alternatives = [
-            (i, match.groups())
+            (i - 1, match.group(1))
             for i, line in enumerate(lines)
-            if (match := re.match(r"(\w+) = .*; or (\S+)$", line))
+            if (match := re.fullmatch(r"; or (\S+)", line))
         ]
         assert alternatives
-        for i, (key, value) in alternatives:
-            text = "\n".join(stripped[:i] + [f"{key} = {value}"] + stripped[i + 1:])
-            assert parse_scenario_text(text, source=f"README {key}").validate() == []
+        for i, value in alternatives:
+            key = re.fullmatch(r"(\w+) = \S+", lines[i]).group(1)
+            text = "\n".join(lines[:i] + [f"{key} = {value}"] + lines[i + 1:])
+            config = parse_scenario_text(text, source=f"README {key}")
+            assert config.validate() == []
+            assert config != parse_scenario_text("")
 
     def test_unfilled_myopic_count_absorbs_remainder(self):
         text = "[population]\nnum_ues = 40\ngreedy = 2\nllm = 1\n"
@@ -199,6 +203,22 @@ class TestRejection:
             parse_scenario_text("[turbo]\nboost = 1\n", source="bad.ini")
         assert "bad.ini" in str(err.value)
         assert "[turbo]" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nepisodes = 7\n",
+            "[DEFAULT]\nnum_ues = 5\n[population]\nllm = 1\n",
+            "[DEFAULT]\nnum_ues = 5\n[topology]\nnum_sbs = 1\n",
+        ],
+        ids=["alone", "beside-its-section", "beside-another-section"],
+    )
+    def test_default_section_is_an_unknown_section(self, text):
+        # configparser would copy its keys into every section; here it is
+        # one more section the scenario does not have
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario_text(text, source="bad.ini")
+        assert err.value.problems == ["bad.ini: unknown section [DEFAULT]"]
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError) as err:

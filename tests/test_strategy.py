@@ -24,7 +24,6 @@ from hetmarket.strategy import (
     BidDecision,
     EmpiricalPriceModel,
     MarketObservation,
-    NoPriceData,
     StationView,
     candidate_bids,
     fastest_view,
@@ -73,7 +72,7 @@ def view(station_id=0, tier=MBS, capacity=4, reserve=2.0, rate=3.0, demand=1,
     return StationView(
         station_id=station_id, tier=tier, capacity=capacity,
         reserve_price=reserve, rate_mbps=rate, demand=demand,
-        price_history=EmpiricalPriceModel(history),
+        price_history=EmpiricalPriceModel(history, reserve),
     )
 
 
@@ -121,30 +120,41 @@ class TestPriceModel:
         assert model.mean() == pytest.approx(1.5)
         assert model.cdf(0.5) == pytest.approx(1 / 3)
 
-    def test_empty_model_refuses_statistics(self):
-        model = EmpiricalPriceModel()
-        with pytest.raises(NoPriceData):
-            model.cdf(1.0)
-        with pytest.raises(NoPriceData):
-            model.mean()
-        with pytest.raises(NoPriceData):
-            model.last
+    def test_the_first_append_replaces_the_reserve_prior(self, monkeypatch):
+        # Before any price is heard the reserve is the one price, though len
+        # counts heard prices only; the first append drops it, and what the
+        # memo learnt from it stays valid, as an entry depends on its key alone.
+        evaluated = []
+
+        def counted(cdf, competitors, capacity):
+            evaluated.append((cdf, competitors, capacity))
+            return win_probability_given_cdf(cdf, competitors, capacity)
+
+        monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
+        model = EmpiricalPriceModel(reserve=2.0)
+        assert (len(model), model.last, model.mean()) == (0, 2.0, 2.0)
+        assert (model.cdf(1.99), model.cdf(2.0)) == (0.0, 1.0)
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(1.0, 5, 2)
+        model.append(3.0)
+        assert (len(model), model.last, model.mean()) == (1, 3.0, 3.0)
+        assert model.cdf(2.0) == 0.0
+        assert model.win_probability(3.0, 5, 2) == win_probability_given_cdf(1.0, 5, 2)
+        assert evaluated == [(1.0, 5, 2)]
+        # heard prices leave the reserve unused
+        assert EmpiricalPriceModel([3.0], reserve=2.0).cdf(2.0) == 0.0
 
     @given(steps=st.lists(st.one_of(st.floats(0.0, 10.0), st.none()),
                           min_size=1, max_size=40))
     def test_mean_follows_every_append(self, steps):
         # A float appends a price, None asks for the mean; a stale cached
         # mean would disagree with the exact sum of the prices so far.
-        model = EmpiricalPriceModel()
+        model = EmpiricalPriceModel(reserve=1.5)
         prices = []
         for step in steps:
             if step is None:
-                if prices:
-                    exact = sum(Fraction(p) for p in prices)
-                    assert model.mean() == float(exact) / len(prices)
-                else:
-                    with pytest.raises(NoPriceData):
-                        model.mean()
+                known = prices or [1.5]
+                exact = sum(Fraction(p) for p in known)
+                assert model.mean() == float(exact) / len(known)
             else:
                 model.append(step)
                 prices.append(step)
@@ -154,7 +164,7 @@ class TestPriceModel:
     def test_appended_prices_give_the_broadcast_last_and_mean(self, prices):
         # The model keeps its prices sorted; fsum is correctly rounded, so
         # its mean is that of the prices in the order they were broadcast.
-        model = EmpiricalPriceModel()
+        model = EmpiricalPriceModel(reserve=0.0)
         for price in prices:
             model.append(price)
         built = EmpiricalPriceModel(prices)
@@ -173,14 +183,13 @@ class TestPriceModel:
         ),
     )
     def test_memoised_win_probability_follows_every_append(self, prices, queries):
-        # The same lookups after every append; a memo entry keyed on less
-        # than the CDF value and both sizes would disagree with the
-        # unmemoised evaluation on the CDF of the prices so far.
-        model = EmpiricalPriceModel()
-        with pytest.raises(NoPriceData):
-            model.win_probability(*queries[0])
-        for price in prices:
-            model.append(price)
+        # The same lookups on the reserve prior and after every append; a
+        # memo entry keyed on less than the CDF value and both sizes would
+        # disagree with the unmemoised evaluation on the CDF of the prices so far.
+        model = EmpiricalPriceModel(reserve=2.0)
+        for price in [None, *prices]:
+            if price is not None:
+                model.append(price)
             for bid, competitors, capacity in queries:
                 assert model.win_probability(bid, competitors, capacity) == (
                     win_probability_given_cdf(model.cdf(bid), competitors, capacity)
@@ -353,23 +362,6 @@ class TestGridBounds:
 
 
 class TestObservationHelpers:
-    def test_cold_start_prior_sits_at_reserve(self):
-        v = view(reserve=2.0)
-        prior = v.price_history.or_prior(v.reserve_price)
-        assert (len(prior), prior.last) == (1, 2.0)
-        warm = view(history=[3.0])
-        assert warm.price_history.or_prior(warm.reserve_price) is warm.price_history
-
-    def test_cold_start_prior_is_shared_until_the_first_price(self):
-        shared = EmpiricalPriceModel()
-        a = StationView(0, MBS, 4, 2.0, 3.0, 1, shared)
-        b = StationView(0, MBS, 4, 2.0, 5.0, 2, shared)
-        assert shared.or_prior(a.reserve_price) is shared.or_prior(b.reserve_price)
-        other_reserve = StationView(0, MBS, 4, 1.5, 3.0, 1, shared)
-        assert shared.or_prior(other_reserve.reserve_price).last == 1.5
-        shared.append(2.5)
-        assert shared.or_prior(a.reserve_price) is shared
-
     def test_budget_cap_spreads_over_demand(self):
         assert per_unit_budget_cap(1.5, 0.1, 2) == pytest.approx(0.7)
 
@@ -518,14 +510,15 @@ def market_observations(draw):
     competitors = {}
     for k in range(draw(st.integers(min_value=1, max_value=3))):
         history = draw(st.lists(st.floats(0.1, 8.0), min_size=0, max_size=12))
+        reserve = draw(st.floats(0.0, 3.0))
         stations.append(StationView(
             station_id=k,
             tier=MBS if k == 0 else SBS,
             capacity=draw(st.integers(1, 4)),
-            reserve_price=draw(st.floats(0.0, 3.0)),
+            reserve_price=reserve,
             rate_mbps=draw(st.floats(0.5, 10.0)),
             demand=draw(st.integers(1, 4)),
-            price_history=EmpiricalPriceModel(history),
+            price_history=EmpiricalPriceModel(history, reserve),
         ))
         competitors[k] = draw(st.integers(0, 8))
     urgency = UrgencyState(
@@ -580,12 +573,19 @@ def test_grid_argmax_reports_a_grid_point(obs):
     assert chosen.reserve_price <= bid <= cap
 
 
+def prior_or_history(v):
+    """The view's heard prices, or before any a fresh one-point model at its reserve."""
+    if len(v.price_history) == 0:
+        return EmpiricalPriceModel([v.reserve_price])
+    return v.price_history
+
+
 def reference_grid_argmax(obs):
     """Every station's grid scored by ``expected_utility``; ties to the
     cheaper bid, then the lower station id."""
     scored = []
     for v in obs.stations:
-        prices = v.price_history.or_prior(v.reserve_price)
+        prices = prior_or_history(v)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
                               budget_cap(obs, v))
@@ -620,7 +620,7 @@ def reference_most_winnable_bid(obs, pace_cap):
     the cheaper bid, then the lower station id."""
     scored = []
     for v in obs.stations:
-        prices = v.price_history.or_prior(v.reserve_price)
+        prices = prior_or_history(v)
         value = channel_valuation(obs.urgency, v.rate_mbps)
         grid = candidate_bids(value, prices.last, v.reserve_price,
                               min(budget_cap(obs, v), pace_cap))
@@ -665,8 +665,8 @@ def test_each_batch_of_runs_starts_from_an_empty_memo(monkeypatch):
     models = []
     made = EmpiricalPriceModel.__init__
 
-    def tracked(self, prices=()):
-        made(self, prices)
+    def tracked(self, *args, **kwargs):
+        made(self, *args, **kwargs)
         models.append(self)
 
     def counted(cdf, competitors, capacity):
