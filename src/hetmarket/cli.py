@@ -181,7 +181,7 @@ def _json_map(values: dict) -> str:
     """An int-keyed map as a JSON object, its keys as text sorted as text
     ("10" before "2"), as ``sort_keys`` orders str keys."""
     items = sorted(zip(map(str, values), values.values()))
-    return "{" + ", ".join([f'"{k}": {v!r}' for k, v in items]) + "}"
+    return "{" + ", ".join([f'"{k}": {_finite_repr(v)}' for k, v in items]) + "}"
 
 
 class _NonFinite(Exception):
@@ -189,8 +189,9 @@ class _NonFinite(Exception):
 
 
 def _finite_repr(x: float) -> str:
-    """``repr(x)``, json's form for a finite float; raises _NonFinite for the
-    others, whose ``repr`` ("nan", "inf", "-inf") alone holds an "n"."""
+    """``repr(x)``, json's form for a finite float or an int; raises
+    _NonFinite for the other floats, whose ``repr`` ("nan", "inf", "-inf")
+    alone holds an "n"."""
     text = repr(x)
     if "n" in text:
         raise _NonFinite
@@ -198,20 +199,16 @@ def _finite_repr(x: float) -> str:
 
 
 def _ue_json(r: UeRoundRecord) -> str:
-    text = (
-        f'{{"abstained": {"true" if r.abstained else "false"}, "budget_after": {r.budget_after!r},'
+    return (
+        f'{{"abstained": false, "budget_after": {_finite_repr(r.budget_after)},'
         f' "channels_won": {r.channels_won!r}, "fallback": {"true" if r.fallback else "false"},'
-        f' "fee_paid": {r.fee_paid!r}, "gross_utility": {r.gross_utility!r},'
-        f' "losses_after": {r.losses_after!r}, "per_unit_bid": {r.per_unit_bid!r},'
-        f' "per_unit_payment": {r.per_unit_payment!r}, "quantity": {r.quantity!r},'
-        f' "station_id": {"null" if r.station_id is None else repr(r.station_id)},'
-        f' "strategy": "{r.strategy}", "ue_id": {r.ue_id!r},'
-        f' "value_factor": {r.value_factor!r}}}'
+        f' "fee_paid": {_finite_repr(r.fee_paid)},'
+        f' "gross_utility": {_finite_repr(r.gross_utility)},'
+        f' "losses_after": {r.losses_after!r}, "per_unit_bid": {_finite_repr(r.per_unit_bid)},'
+        f' "per_unit_payment": {_finite_repr(r.per_unit_payment)}, "quantity": {r.quantity!r},'
+        f' "station_id": {r.station_id!r}, "strategy": "{r.strategy}", "ue_id": {r.ue_id!r},'
+        f' "value_factor": {_finite_repr(r.value_factor)}}}'
     )
-    # no key and no strategy name holds "nan" or "inf"
-    if "nan" in text or "inf" in text:
-        raise _NonFinite
-    return text
 
 
 def _abstention_json(r: AbstentionRecord, kept: dict[int, list]) -> str:
@@ -243,16 +240,15 @@ def _abstention_json(r: AbstentionRecord, kept: dict[int, list]) -> str:
 
 
 def _station_json(s: StationRoundRecord) -> str:
-    text = (
-        f'{{"allocations": {_json_map(s.allocations)}, "clearing_price": {s.clearing_price!r},'
-        f' "fees_collected": {s.fees_collected!r},'
-        f' "per_unit_payments": {_json_map(s.per_unit_payments)}, "revenue": {s.revenue!r},'
+    return (
+        f'{{"allocations": {_json_map(s.allocations)},'
+        f' "clearing_price": {_finite_repr(s.clearing_price)},'
+        f' "fees_collected": {_finite_repr(s.fees_collected)},'
+        f' "per_unit_payments": {_json_map(s.per_unit_payments)},'
+        f' "revenue": {_finite_repr(s.revenue)},'
         f' "seller_utility_terms": {_json_map(s.seller_utility_terms)},'
         f' "station_id": {s.station_id!r}}}'
     )
-    if "nan" in text or "inf" in text:
-        raise _NonFinite
-    return text
 
 
 def round_line(
@@ -261,14 +257,12 @@ def round_line(
     """One ``rounds.jsonl`` line, equal to ``json.dumps`` with ``sort_keys``
     of the round's object: its keys, their order and its number forms.
 
-    Each record type has one template with its keys in sorted order; a float
-    is written as ``repr`` writes it, which is ``json``'s form for every
-    finite float, and a strategy is one of the ``STRATEGIES`` names.  A
+    Each record type has one template with its keys in sorted order, and a
+    strategy is one of the ``STRATEGIES`` names.  Every float is written by
+    ``_finite_repr``, as ``repr``, json's form for a finite float; a
     non-finite float has no JSON form, so a round that holds one raises
-    ``ValueError``: an abstention's float text is checked once, when it is
-    made, and a full record's or station's text is searched for it.
-    ``kept`` holds the abstentions' float texts of earlier rounds of the same
-    run, one entry per UE id (see ``_abstention_json``).
+    ``ValueError``.  ``kept`` holds the abstentions' float texts of earlier
+    rounds of the same run, one entry per UE id (see ``_abstention_json``).
     """
     if kept is None:
         kept = {}
@@ -298,14 +292,19 @@ def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[Rou
 
 
 def write_rounds_jsonl(path: str, runs: int) -> None:
-    """Join the parts of runs 0 to ``runs - 1`` into ``path``, removing them."""
+    """Join the parts of runs 0 to ``runs - 1`` into ``path``, removing them;
+    a join that fails after part 0 became ``path`` removes ``path``."""
     os.replace(f"{path}.0", path)
-    with open(path, "ab") as joined:
-        for run_index in range(1, runs):
-            part = f"{path}.{run_index}"
-            with open(part, "rb") as handle:
-                shutil.copyfileobj(handle, joined)
-            os.remove(part)
+    try:
+        with open(path, "ab") as joined:
+            for run_index in range(1, runs):
+                part = f"{path}.{run_index}"
+                with open(part, "rb") as handle:
+                    shutil.copyfileobj(handle, joined)
+                os.remove(part)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _print_strategy_table(metrics: MetricsReport) -> None:
@@ -327,13 +326,13 @@ def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
     path = os.path.join(args.out, "rounds.jsonl")
     try:
         metrics = run_simulation(config, functools.partial(write_rounds_part, path))
+        write_rounds_jsonl(path, config.runs)
     except BaseException:
-        # a failed run leaves no part of rounds.jsonl behind
+        # a failed run or join leaves no part of rounds.jsonl behind
         for run_index in range(config.runs):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(f"{path}.{run_index}")
         raise
-    write_rounds_jsonl(path, config.runs)
     if args.format in ("csv", "both"):
         write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
     if args.format in ("json", "both"):

@@ -319,10 +319,10 @@ class SimulationConfig:
 class UeRoundRecord:
     ue_id: int
     strategy: str
-    station_id: int | None
+    station_id: int
     per_unit_bid: float
     quantity: int
-    abstained: bool
+    abstained: bool = field(default=False, init=False)
     fallback: bool
     channels_won: int
     per_unit_payment: float
@@ -651,7 +651,6 @@ class SimulationRun:
                         station_id=decision.station_id,
                         per_unit_bid=decision.per_unit_bid,
                         quantity=view.demand,
-                        abstained=False,
                         fallback=decision.fallback,
                         channels_won=won,
                         per_unit_payment=per_unit_payment,

@@ -197,7 +197,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
 
 
 def load_scenario_file(path: str) -> SimulationConfig:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_scenario_text(handle.read(), source=path)
 
 

@@ -10,6 +10,7 @@ import logging
 import math
 import multiprocessing
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -180,22 +181,50 @@ class TestRunCommand:
             values = [getattr(metrics, name) for name in names]
             assert row == ["" if value is None else str(value) for value in values]
 
-    @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=forked)])
-    def test_failed_run_leaves_no_rounds_file(self, tmp_path, monkeypatch, jobs):
-        played = SimulationRun.run_round
-
-        def failing(self, round_index):
-            if self.run_index == 2 and round_index == 3:
-                raise RuntimeError("round 3 of run 2 failed")
-            return played(self, round_index)
-
-        monkeypatch.setattr(SimulationRun, "run_round", failing)
+    @pytest.mark.parametrize("jobs, failing", [
+        pytest.param("1", "run", id="1"),
+        pytest.param("2", "run", id="2", marks=forked),
+        pytest.param("1", "join", id="join"),
+        pytest.param("1", "directory", id="directory"),
+    ])
+    def test_failed_run_leaves_no_rounds_file(self, tmp_path, monkeypatch, jobs, failing):
         out = tmp_path / "out"
-        # runs 0 and 1 have written their parts when run 2 fails
-        with pytest.raises(RuntimeError, match="run 2"):
+        if failing == "run":
+            played = SimulationRun.run_round
+
+            def fail_run_2(self, round_index):
+                if self.run_index == 2 and round_index == 3:
+                    raise RuntimeError("round 3 of run 2 failed")
+                return played(self, round_index)
+
+            monkeypatch.setattr(SimulationRun, "run_round", fail_run_2)
+            # runs 0 and 1 have written their parts when run 2 fails
+            raised = pytest.raises(RuntimeError, match="run 2")
+        elif failing == "join":
+            copy = shutil.copyfileobj
+            copied = []
+
+            def fail_second_copy(source, target):
+                copied.append(source.name)
+                if len(copied) == 2:
+                    raise OSError(28, "No space left on device")
+                copy(source, target)
+
+            monkeypatch.setattr(shutil, "copyfileobj", fail_second_copy)
+            # rounds.jsonl holds parts 0 and 1 when part 2 fails to join
+            raised = pytest.raises(OSError, match="No space left")
+        else:
+            # a path the command never wrote is left as it is
+            (out / "rounds.jsonl").mkdir(parents=True)
+            raised = pytest.raises(IsADirectoryError)
+        with raised:
             run_cli("run", "--preset", "scenario1", "--offline", "--runs", "4",
                     "--episodes", "5", "--jobs", jobs, "--out", str(out))
-        assert list(out.glob("rounds.jsonl*")) == []
+        if failing == "directory":
+            assert (out / "rounds.jsonl").is_dir()
+            assert list(out.glob("rounds.jsonl.*")) == []
+        else:
+            assert list(out.glob("rounds.jsonl*")) == []
 
     def test_summary_json_contents(self, tmp_path):
         out = tmp_path / "out"
@@ -293,12 +322,19 @@ INTS = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
 # ids on both sides of 10, so text order and number order differ
 IDS = st.one_of(st.integers(0, 30), INTS)
 
-UE_RECORDS = st.builds(
-    UeRoundRecord,
-    ue_id=IDS, strategy=st.sampled_from(STRATEGIES), station_id=st.none() | IDS,
-    per_unit_bid=FLOATS, quantity=INTS, abstained=st.booleans(), fallback=st.booleans(),
-    channels_won=INTS, per_unit_payment=FLOATS, fee_paid=FLOATS, gross_utility=FLOATS,
-    budget_after=FLOATS, value_factor=FLOATS, losses_after=INTS,
+UE_RECORDS = st.one_of(
+    st.builds(
+        UeRoundRecord,
+        ue_id=IDS, strategy=st.sampled_from(STRATEGIES), station_id=IDS,
+        per_unit_bid=FLOATS, quantity=INTS, fallback=st.booleans(),
+        channels_won=INTS, per_unit_payment=FLOATS, fee_paid=FLOATS, gross_utility=FLOATS,
+        budget_after=FLOATS, value_factor=FLOATS, losses_after=INTS,
+    ),
+    st.builds(
+        AbstentionRecord,
+        ue_id=IDS, strategy=st.sampled_from(STRATEGIES), fallback=st.booleans(),
+        budget_after=FLOATS, value_factor=FLOATS, losses_after=INTS,
+    ),
 )
 STATION_RECORDS = st.builds(
     StationRoundRecord,
@@ -341,6 +377,64 @@ def test_round_line_is_json_dumps_with_sorted_keys(run_index, seed, log):
             round_line(run_index, seed, log)
     else:
         assert round_line(run_index, seed, log) == expected
+
+
+# one finite record of each type; the station's maps hold ids on both sides of
+# 10, so the entry written last ("3") is not the first in number order
+FINITE_RECORDS = (
+    UeRoundRecord(
+        ue_id=3, strategy="greedy", station_id=1, per_unit_bid=0.5, quantity=2,
+        fallback=False, channels_won=1, per_unit_payment=0.25, fee_paid=0.1,
+        gross_utility=1.5, budget_after=9.0, value_factor=0.75, losses_after=0,
+    ),
+    AbstentionRecord(12, "myopic", True, 2.0, 1.25, 3),
+    StationRoundRecord(
+        station_id=1, clearing_price=0.25, allocations={3: 1, 12: 2},
+        per_unit_payments={3: 0.25, 12: 0.5}, seller_utility_terms={3: 0.05, 12: 0.1},
+        fees_collected=0.2, revenue=1.45,
+    ),
+)
+
+
+def with_one_value(record, name, x):
+    """``record`` with field ``name``, or the entry of UE 3 in map ``name``, set to ``x``."""
+    value = getattr(record, name)
+    return dataclasses.replace(record, **{name: {**value, 3: x} if isinstance(value, dict) else x})
+
+
+def holds_floats(value):
+    return isinstance(value, float) or (
+        isinstance(value, dict) and all(isinstance(v, float) for v in value.values())
+    )
+
+
+# every float a round's records are built from: each float field, and one
+# value of each map of floats
+FLOAT_FIELDS = [
+    pytest.param(index, f.name, id=f"{type(record).__name__}.{f.name}")
+    for index, record in enumerate(FINITE_RECORDS)
+    for f in dataclasses.fields(record)
+    if f.init and holds_floats(getattr(record, f.name))
+]
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("index, name", FLOAT_FIELDS)
+def test_a_non_finite_value_in_any_one_field_fails(index, name, x):
+    finite = RoundLog(7, FINITE_RECORDS[:2], FINITE_RECORDS[2:])
+    assert json.loads(round_line(5, 1, finite))
+    records = list(FINITE_RECORDS)
+    records[index] = with_one_value(records[index], name, x)
+    log = RoundLog(7, tuple(records[:2]), tuple(records[2:]))
+    with pytest.raises(ValueError, match="^round 7 of run 5 holds a non-finite value$"):
+        round_line(5, 1, log)
+
+
+def test_a_ue_round_record_is_always_a_bid():
+    bid = FINITE_RECORDS[0]
+    assert not bid.abstained
+    with pytest.raises(TypeError, match="abstained"):
+        UeRoundRecord(**{f.name: getattr(bid, f.name) for f in dataclasses.fields(bid)})
 
 
 def same_bits(x):
@@ -389,7 +483,7 @@ def runs_of_rounds(draw):
             else:
                 ues.append(UeRoundRecord(
                     ue_id=ue_id, strategy=strategy, station_id=draw(st.integers(0, 12)),
-                    per_unit_bid=pick(), quantity=draw(st.integers(1, 4)), abstained=False,
+                    per_unit_bid=pick(), quantity=draw(st.integers(1, 4)),
                     fallback=fallback, channels_won=draw(st.integers(0, 4)),
                     per_unit_payment=pick(), fee_paid=pick(), gross_utility=pick(),
                     budget_after=pick(), value_factor=pick(), losses_after=losses,
@@ -530,6 +624,29 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
         for file in PINNED_DIGESTS[name]
     }
     assert digests == PINNED_DIGESTS[name]
+
+
+# sha256 of sweep.csv and of the stdout, its --out path written as OUT, of
+# ``sweep --preset scenario2 --offline --horizons 5,20 --seeds 4``, taken
+# before the round writer had one finiteness rule.  A change to how sweep
+# cells are played, averaged or printed that moves a byte of them fails here
+PINNED_SWEEP_DIGESTS = {
+    "sweep.csv": "515ae805de24db715479adc2cb0d042d91992fd2ba6c9240f01d37db8758e5f2",
+    "stdout": "4ee6a381c5af524d9a0d4d554b2c1252dddcd3d61d033cf98f492cca2b3f5b8a",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_seeded_sweep_keeps_its_bytes(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--preset", "scenario2", "--offline", "--horizons", "5,20",
+                   "--seeds", "4", "--jobs", jobs, "--out", str(out)) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    digests = {
+        "sweep.csv": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+    }
+    assert digests == PINNED_SWEEP_DIGESTS
 
 
 class TestExitCodes:

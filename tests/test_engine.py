@@ -13,6 +13,7 @@ from hetmarket.engine import (
     MYOPIC,
     COMPETITORS_ORACLE,
     COMPETITORS_UNIFORM,
+    AbstentionRecord,
     AuctionConfig,
     ConfigurationError,
     PopulationConfig,
@@ -564,18 +565,17 @@ class TestOfflineLlm:
 class TestMetrics:
     """The reference recount of a run's logs, and the per-strategy averages."""
 
-    def record(self, ue_id, *, abstained=False, won=0, pay=0.0,
-               fee=0.0, gross=0.0, fallback=False):
+    def record(self, ue_id, *, won=0, pay=0.0, fee=0.0, gross=0.0, fallback=False):
         return UeRoundRecord(
-            ue_id=ue_id, strategy="",
-            station_id=None if abstained else 0,
-            per_unit_bid=0.0 if abstained else 1.0,
-            quantity=0 if abstained else max(won, 1),
-            abstained=abstained, fallback=fallback,
+            ue_id=ue_id, strategy="", station_id=0, per_unit_bid=1.0,
+            quantity=max(won, 1), fallback=fallback,
             channels_won=won, per_unit_payment=pay, fee_paid=fee,
             gross_utility=gross, budget_after=0.0, value_factor=0.5,
             losses_after=0,
         )
+
+    def abstention(self, ue_id):
+        return AbstentionRecord(ue_id, "", False, 0.0, 0.5, 0)
 
     def reduce(self, config, rounds):
         return compute_metrics(metrics_from_logs(config, PlayedRun(0, 42, rounds)))
@@ -586,7 +586,7 @@ class TestMetrics:
         rounds = (
             RoundLog(round_index=1, ues=(
                 self.record(0, won=2, pay=1.5, fee=0.1, gross=3.0),
-                self.record(1, abstained=True),
+                self.abstention(1),
             ), stations=()),
             RoundLog(round_index=2, ues=(
                 self.record(0, won=0, pay=0.0, fee=0.1, gross=0.0),
@@ -612,7 +612,7 @@ class TestMetrics:
         assert metrics.per_strategy[MYOPIC].fallback_rounds == 1
 
     def test_zero_bids_has_no_precision(self):
-        rounds = (RoundLog(round_index=1, ues=(self.record(0, abstained=True),),
+        rounds = (RoundLog(round_index=1, ues=(self.abstention(0),),
                            stations=()),)
         metrics = self.reduce(config_with({MYOPIC: 1}), rounds)
         assert metrics.per_ue[0].bid_precision is None

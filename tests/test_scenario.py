@@ -255,6 +255,13 @@ class TestFiles:
         assert config.episodes == 7
         assert config.seed == 3
 
+    def test_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        # Windows editors start a UTF-8 file with U+FEFF, here before its first [section]
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_bytes(FULL_TEXT.lstrip().encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_scenario_file(str(marked)) == load_scenario_file(str(plain))
+
     def test_load_reports_path_in_errors(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[population]\nqos = 2\n")
