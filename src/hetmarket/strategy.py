@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .netmodel import SBS
@@ -37,13 +38,17 @@ class EmpiricalPriceModel:
     def __init__(self, prices: Iterable[float] = (), reserve: float | None = None):
         """Prices heard so far, in broadcast order; ``reserve`` stands in when there are none."""
         heard = [float(p) for p in prices]
+        if not heard and reserve is None:
+            raise ValueError("a price model needs prices or a reserve")
         self._heard = len(heard)
         known = heard or [float(reserve)]
         # the latest price broadcast, or the prior
         self.last: float = known[-1]
         self._sorted: list[float] = sorted(known)
         self._mean: float | None = None
-        # (cdf, competitors, capacity) -> win_probability_given_cdf of it
+        # (cdf as a float, competitors, capacity) -> win_probability_given_cdf
+        # of the exact cdf; distinct ratios whose denominators are below 2**26
+        # round to distinct floats, so the float names the ratio
         self._win: dict[tuple[float, int, int], float] = {}
 
     def append(self, price: float) -> None:
@@ -58,9 +63,9 @@ class EmpiricalPriceModel:
     def __len__(self) -> int:
         return self._heard
 
-    def cdf(self, x: float) -> float:
-        """Fraction of prices at or below x (right-continuous step)."""
-        return bisect_right(self._sorted, x) / len(self._sorted)
+    def cdf(self, x: float) -> Fraction:
+        """Exact share of prices at or below x (right-continuous step)."""
+        return Fraction(bisect_right(self._sorted, x), len(self._sorted))
 
     def mean(self) -> float:
         """``fsum`` of the prices over their count, kept until the next ``append``.
@@ -73,27 +78,37 @@ class EmpiricalPriceModel:
         return self._mean
 
     def win_probability(self, bid: float, competitors: int, capacity: int) -> float:
-        """``win_probability_given_cdf(self.cdf(bid), competitors, capacity)``, memoised."""
+        """``win_probability_given_cdf(self.cdf(bid), competitors, capacity)``, memoised.
+
+        Exact and rounded once, so it never falls as the bid rises.
+        """
         return self.win_probability_at(bisect_right(self._sorted, bid), competitors, capacity)
 
     def win_probability_at(self, count: int, competitors: int, capacity: int) -> float:
         """The win probability of a bid with ``count`` prices at or below it, memoised."""
-        key = (count / len(self._sorted), competitors, capacity)
+        size = len(self._sorted)
+        key = (count / size, competitors, capacity)
         prob = self._win.get(key)
         if prob is None:
-            prob = self._win[key] = win_probability_given_cdf(*key)
+            cdf = Fraction(count, size)
+            prob = self._win[key] = win_probability_given_cdf(cdf, competitors, capacity)
         return prob
 
 
-def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int) -> float:
+def win_probability_given_cdf(
+    cdf_at_bid: float | Fraction, competitors: int, capacity: int
+) -> float:
     """Chance that fewer than ``capacity`` of ``competitors`` outbid us.
 
     Competitor bids are modeled as independent draws from the observed price
     distribution; a draw counts against us only when strictly above our bid.
-    Exactly 1.0 with more units than competitors; otherwise the binomial terms
-    are summed directly, in log space only when a coefficient overflows a float.
+    ``cdf_at_bid`` is a float or a ``Fraction``, read as its exact ratio
+    ``leq / den``.  Exactly 1.0 with more units than competitors; otherwise
+    the binomial sum is an integer over ``den**competitors``, formed in
+    integers and rounded once.  The exact sum rises with the CDF value and
+    rounding keeps order, so the result never falls as the bid rises.
     """
-    if not 0.0 <= cdf_at_bid <= 1.0:
+    if not 0 <= cdf_at_bid <= 1:
         raise ValueError("cdf value must lie in [0, 1]")
     if competitors < 0:
         raise ValueError("competitors cannot be negative")
@@ -101,40 +116,19 @@ def win_probability_given_cdf(cdf_at_bid: float, competitors: int, capacity: int
         raise ValueError("capacity must be at least 1")
     if capacity > competitors:
         return 1.0
-    p_leq = cdf_at_bid
-    p_above = 1.0 - cdf_at_bid
-    total = 0.0
-    try:
-        for j in range(capacity):
-            total += math.comb(competitors, j) * p_above**j * p_leq ** (competitors - j)
-    except OverflowError:
-        total = _log_space_tail(p_leq, p_above, competitors, capacity)
-    return min(1.0, total)
-
-
-def _log_space_tail(p_leq: float, p_above: float, competitors: int, capacity: int) -> float:
-    """P(Binomial(competitors, p_above) < capacity), each term formed from lgamma.
-
-    Terms are at most 1, so they never overflow; those below the smallest
-    float vanish, as they would in the direct sum.  Needs ``capacity <=
-    competitors``, which its caller ensures.
-    """
-    if p_above == 0.0:
-        return 1.0
-    if p_leq == 0.0:
-        return 0.0
-    log_leq, log_above = math.log(p_leq), math.log(p_above)
-    log_n = math.lgamma(competitors + 1)
-    return math.fsum(
-        math.exp(
-            log_n
-            - math.lgamma(j + 1)
-            - math.lgamma(competitors - j + 1)
-            + j * log_above
-            + (competitors - j) * log_leq
-        )
-        for j in range(capacity)
-    )
+    leq, den = cdf_at_bid.as_integer_ratio()
+    above = den - leq
+    # sum over j < capacity of comb(n, j) * above**j * leq**(n - j), with
+    # leq**(n - capacity + 1) taken out and the rest in Horner form
+    total = 0
+    coef = 1
+    above_j = 1
+    for j in range(capacity):
+        total = total * leq + coef * above_j
+        above_j *= above
+        coef = coef * (competitors - j) // (j + 1)
+    # int by int true division is correctly rounded
+    return total * leq ** (competitors - capacity + 1) / den**competitors
 
 
 def candidate_bids(
@@ -255,8 +249,8 @@ def grid_argmax(
     """
     best: tuple[float, float, StationView] | None = None
     best_key: tuple[float, float, float] | None = None
-    # no two keys tie (distinct station ids, distinct bids per grid), so the
-    # best does not depend on the order of the stations
+    # no two keys tie (distinct station ids), so the best does not depend on
+    # the order of the stations
     for view in observation.stations:
         prices = view.price_history
         cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
@@ -265,32 +259,37 @@ def grid_argmax(
         bounds = grid_bounds(value, last, view.reserve_price, cap)
         if bounds is None:
             continue
-        # win probability times the surplus over the mean price, with the
-        # bid-independent surplus taken out of the loop
+        # utility is the win probability times the surplus over the mean
+        # price.  The probability never falls as the bid rises, and a product
+        # with a fixed factor rounds in order, so the utility is monotone in
+        # the bid and the cheaper bid wins a tie: with no surplus the cheapest
+        # grid point is best, and with one the cheapest that reaches the
+        # dearest point's utility
         surplus = value - prices.mean()
-        # the probability depends on the bid only through the count of prices
-        # at or below it, and the cheaper bid wins a tie, so only the cheapest
-        # grid point of each count is scored: the cheapest end alone when
-        # both ends have the same count
         ranked = prices._sorted
+        lookup = prices.win_probability_at
         competitors = observation.competitors[view.station_id]
         low, high = bounds
-        if bisect_right(ranked, low) == bisect_right(ranked, high):
-            grid = (low,)
-        else:
-            grid = candidate_bids(value, last, view.reserve_price, cap)
-        scored = -1
-        for bid in grid:
-            count = bisect_right(ranked, bid)
-            if count == scored:
-                continue
-            scored = count
-            prob = prices.win_probability_at(count, competitors, view.capacity)
-            utility = prob * surplus
-            key = (utility, -bid, -view.station_id)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (utility, bid, view)
+        bid = low
+        utility = lookup(bisect_right(ranked, low), competitors, view.capacity) * surplus
+        if surplus > 0.0:
+            top = lookup(bisect_right(ranked, high), competitors, view.capacity) * surplus
+            if top != utility:
+                # bisect the grid between its ends for the first point at the top
+                grid = candidate_bids(value, last, view.reserve_price, cap)
+                first, end = 1, len(grid) - 1
+                while first < end:
+                    middle = (first + end) // 2
+                    count = bisect_right(ranked, grid[middle])
+                    if lookup(count, competitors, view.capacity) * surplus == top:
+                        end = middle
+                    else:
+                        first = middle + 1
+                bid, utility = grid[first], top
+        key = (utility, -bid, -view.station_id)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (utility, bid, view)
     return best
 
 

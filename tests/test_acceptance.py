@@ -333,7 +333,7 @@ def test_ac09_price_estimators_match_arithmetic_oracles():
         model = EmpiricalPriceModel(prices)
         for _ in range(3):
             x = rng.choice([rng.uniform(-1.0, 11.0), rng.choice(prices)])
-            expected_cdf = sum(1 for p in prices if p <= x) / len(prices)
+            expected_cdf = Fraction(sum(1 for p in prices if p <= x), len(prices))
             assert model.cdf(x) == expected_cdf
         exact_sum = sum(Fraction(p) for p in prices)
         assert model.mean() == float(exact_sum) / len(prices)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -33,7 +36,6 @@ from hetmarket.strategy import (
     myopic_decide,
     per_unit_budget_cap,
     win_probability_given_cdf,
-    _log_space_tail,
 )
 from hetmarket.valuation import UrgencyState, channel_valuation
 
@@ -134,12 +136,12 @@ class TestPriceModel:
         model = EmpiricalPriceModel(reserve=2.0)
         assert (len(model), model.last, model.mean()) == (0, 2.0, 2.0)
         assert (model.cdf(1.99), model.cdf(2.0)) == (0.0, 1.0)
-        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(1.0, 5, 2)
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(Fraction(1), 5, 2)
         model.append(3.0)
         assert (len(model), model.last, model.mean()) == (1, 3.0, 3.0)
         assert model.cdf(2.0) == 0.0
-        assert model.win_probability(3.0, 5, 2) == win_probability_given_cdf(1.0, 5, 2)
-        assert evaluated == [(1.0, 5, 2)]
+        assert model.win_probability(3.0, 5, 2) == win_probability_given_cdf(Fraction(1), 5, 2)
+        assert evaluated == [(Fraction(1), 5, 2)]
         # heard prices leave the reserve unused
         assert EmpiricalPriceModel([3.0], reserve=2.0).cdf(2.0) == 0.0
 
@@ -206,14 +208,15 @@ class TestPriceModel:
 
         monkeypatch.setattr(strategy, "win_probability_given_cdf", counted)
         model = EmpiricalPriceModel([1.0, 3.0])
-        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
+        half = Fraction(1, 2)
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(half, 5, 2)
         model.append(0.5)
         model.append(7.0)
-        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
-        assert model.win_probability_at(2, 5, 2) == win_probability_given_cdf(0.5, 5, 2)
-        assert evaluated == [(0.5, 5, 2)]
+        assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(half, 5, 2)
+        assert model.win_probability_at(2, 5, 2) == win_probability_given_cdf(half, 5, 2)
+        assert evaluated == [(half, 5, 2)]
         EmpiricalPriceModel([2.0, 4.0]).win_probability(3.0, 5, 2)
-        assert evaluated == [(0.5, 5, 2)] * 2
+        assert evaluated == [(half, 5, 2)] * 2
 
     def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
@@ -224,7 +227,13 @@ class TestPriceModel:
            x=st.floats(-1.0, 11.0))
     def test_cdf_matches_direct_count(self, prices, x):
         model = EmpiricalPriceModel(prices)
-        assert model.cdf(x) == sum(1 for p in prices if p <= x) / len(prices)
+        assert model.cdf(x) == Fraction(sum(1 for p in prices if p <= x), len(prices))
+
+    def test_needs_prices_or_a_reserve(self):
+        with pytest.raises(ValueError, match="needs prices or a reserve"):
+            EmpiricalPriceModel()
+        with pytest.raises(ValueError, match="needs prices or a reserve"):
+            EmpiricalPriceModel([], None)
 
 
 class TestWinProbability:
@@ -248,25 +257,14 @@ class TestWinProbability:
            capacity=st.integers(1, 14))
     def test_matches_exact_binomial_sum(self, cdf, competitors, capacity):
         exact = float(exact_tail(cdf, competitors, capacity))
-        assert win_probability_given_cdf(cdf, competitors, capacity) == pytest.approx(
-            exact, abs=1e-12)
-
-    # the tail's contract: 1 <= capacity <= competitors
-    @given(cdf=st.floats(0.0, 1.0),
-           sizes=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
-    def test_log_space_tail_matches_exact_binomial_sum(self, cdf, sizes):
-        competitors, capacity = sizes
-        exact = float(exact_tail(cdf, competitors, capacity))
-        assert _log_space_tail(cdf, 1.0 - cdf, competitors, capacity) == pytest.approx(
-            exact, abs=1e-12)
+        assert win_probability_given_cdf(cdf, competitors, capacity) == exact
+        assert win_probability_given_cdf(Fraction(cdf), competitors, capacity) == exact
 
     def test_coefficients_too_large_for_a_float(self):
-        # comb(1100, 550) is about 1e329; the direct sum would overflow.
+        # comb(1100, 550) is about 1e329, far past the largest float.
         for cdf in (0.25, 0.5, 0.55, 0.75):
             prob = win_probability_given_cdf(cdf, 1100, 600)
-            assert 0.0 <= prob <= 1.0
-            assert prob == pytest.approx(float(exact_tail(cdf, 1100, 600)),
-                                         rel=1e-10, abs=1e-300)
+            assert prob == float(exact_tail(cdf, 1100, 600))
         assert win_probability_given_cdf(0.0, 1100, 600) == 0.0
         assert win_probability_given_cdf(1.0, 1100, 600) == 1.0
         assert win_probability_given_cdf(0.0, 1100, 1101) == 1.0
@@ -275,9 +273,31 @@ class TestWinProbability:
         with pytest.raises(ValueError):
             win_probability_given_cdf(1.5, 3, 1)
         with pytest.raises(ValueError):
+            win_probability_given_cdf(Fraction(3, 2), 3, 1)
+        with pytest.raises(ValueError):
+            win_probability_given_cdf(math.nan, 3, 1)
+        with pytest.raises(ValueError):
             win_probability_given_cdf(0.5, -1, 1)
         with pytest.raises(ValueError):
             win_probability_given_cdf(0.5, 3, 0)
+
+    @given(sizes=st.integers(1, 60).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           counts=st.integers(1, 2000).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+    # a summed-in-floats tail fell by 2 ulps here, from 0.9999999999999986
+    @example(sizes=(37, 29), counts=(1555, 1278))
+    def test_never_falls_as_the_count_rises(self, sizes, counts):
+        # One count more at or below the bid, of the same prices: as a float
+        # ratio, and as the price model evaluates it.
+        competitors, capacity = sizes
+        prices, count = counts
+        lower = win_probability_given_cdf(count / prices, competitors, capacity)
+        upper = win_probability_given_cdf((count + 1) / prices, competitors, capacity)
+        assert lower <= upper
+        model = EmpiricalPriceModel([1.0] * prices)
+        assert (model.win_probability_at(count, competitors, capacity)
+                <= model.win_probability_at(count + 1, competitors, capacity))
 
     @given(prices=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=20),
            low=st.floats(0.0, 9.0), bump=st.floats(0.0, 3.0),
@@ -532,6 +552,38 @@ def market_observations(draw):
     )
 
 
+@st.composite
+def crowded_observations(draw):
+    """Capacity near the competitor count and hundreds of prices: the shapes
+    where a tail summed in floats fell as the count of prices rose."""
+    stations = []
+    competitors = {}
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        rivals = draw(st.integers(1, 60))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        history = [rng.uniform(0.1, 8.0) for _ in range(draw(st.integers(100, 1600)))]
+        reserve = draw(st.floats(0.0, 3.0))
+        stations.append(StationView(
+            station_id=k,
+            tier=MBS if k == 0 else SBS,
+            capacity=draw(st.integers(max(1, rivals - 8), rivals)),
+            reserve_price=reserve,
+            rate_mbps=draw(st.floats(0.5, 10.0)),
+            demand=draw(st.integers(1, 4)),
+            price_history=EmpiricalPriceModel(history, reserve),
+        ))
+        competitors[k] = rivals
+    urgency = UrgencyState(
+        base_value_per_mbps=0.5, max_value_per_mbps=1.0,
+        consecutive_losses=draw(st.integers(0, 7)),
+    )
+    return MarketObservation(
+        round_index=draw(st.integers(1, 40)), rounds_total=40,
+        budget=draw(st.floats(0.2, 20.0)), entrance_fee=0.1,
+        urgency=urgency, stations=tuple(stations), competitors=competitors,
+    )
+
+
 @given(obs=market_observations())
 def test_greedy_respects_budget_and_reserve(obs):
     decision = greedy_decide(obs)
@@ -601,6 +653,30 @@ def test_grid_argmax_equals_the_reference_argmax(obs):
     assert grid_argmax(obs) == reference_grid_argmax(obs)
 
 
+@given(obs=market_observations() | crowded_observations())
+def test_grid_argmax_looks_up_one_or_a_few_probabilities(obs):
+    # A station whose surplus is not positive costs one lookup, at the
+    # cheapest grid point; otherwise both ends and a bisection of the grid
+    # between them.
+    looked_up = Counter()
+    lookup = EmpiricalPriceModel.win_probability_at
+
+    def counted(model, *args):
+        looked_up[id(model)] += 1
+        return lookup(model, *args)
+
+    with mock.patch.object(EmpiricalPriceModel, "win_probability_at", counted):
+        grid_argmax(obs)
+    for v in obs.stations:
+        lookups = looked_up[id(v.price_history)]
+        if budget_cap(obs, v) < v.reserve_price:
+            assert lookups == 0
+        elif channel_valuation(obs.urgency, v.rate_mbps) <= v.price_history.mean():
+            assert lookups == 1
+        else:
+            assert 2 <= lookups <= 2 + math.ceil(math.log2(strategy.GRID_SIZE))
+
+
 @given(obs=market_observations(), pace_cap=st.floats(0.0, 20.0))
 def test_argmaxes_do_not_depend_on_station_order(obs, pace_cap):
     backwards = dataclasses.replace(obs, stations=obs.stations[::-1])
@@ -635,6 +711,14 @@ def reference_most_winnable_bid(obs, pace_cap):
 
 @given(obs=market_observations(), pace_cap=st.floats(0.0, 20.0))
 def test_most_winnable_bid_equals_the_reference(obs, pace_cap):
+    assert _most_winnable_bid(obs, pace_cap) == reference_most_winnable_bid(obs, pace_cap)
+
+
+@given(obs=crowded_observations(), pace_cap=st.floats(0.0, 20.0))
+def test_crowded_argmaxes_equal_the_references(obs, pace_cap):
+    # the closed-form argmax equals the full grid scan only if the win
+    # probability never falls as the bid rises
+    assert grid_argmax(obs) == reference_grid_argmax(obs)
     assert _most_winnable_bid(obs, pace_cap) == reference_most_winnable_bid(obs, pace_cap)
 
 
