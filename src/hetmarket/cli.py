@@ -111,15 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> SimulationConfig:
-    if args.preset:
-        config = preset(args.preset)
-    else:
-        try:
-            config = load_scenario_file(args.config)
-        except OSError as exc:
-            raise ConfigurationError([str(exc)]) from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError([f"{args.config} is not UTF-8 text: {exc}"]) from exc
+    config = preset(args.preset) if args.preset else load_scenario_file(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -422,7 +422,7 @@ class _UeRuntime:
     strategy: str
     budget: float
     class_index: int
-    # shared by every user of the class with the same loss streak
+    # its class's chain state for its streak, shared with the class's users
     urgency: UrgencyState
     # candidate stations in id order, fixed for the run, and the same views
     # by station id
@@ -438,6 +438,7 @@ class _UeRuntime:
     bids: int = 0
     wins: int = 0
     fallbacks: int = 0
+    losses: int = 0  # rounds lost in a row
 
 
 class SimulationRun:
@@ -456,7 +457,9 @@ class SimulationRun:
         self._lanes: ThreadPoolExecutor | None = None
         self._clients: list[ChatCompletionClient] = []
         # per service class, the urgency state after n losses at index n; a
-        # streak only resets to 0 or grows by 1, so a chain grows by appending
+        # streak only resets to 0 or grows by 1, so a chain grows by appending.
+        # Longer streaks share its first saturated state at the ceiling (same
+        # value and starving test; base + increment * saturation_losses can round low)
         self._chains: list[list[UrgencyState]] = [
             [config.urgency.for_class(k)] for k in range(len(config.population.qos_classes_mbps))
         ]
@@ -617,7 +620,7 @@ class SimulationRun:
             # 0, and those leave a sum begun at 0.0 as it is (it is never -0.0)
             if decision.station_id is None:
                 # an abstention loses, and changes no total but the fallbacks
-                losses = runtime.urgency.consecutive_losses + 1
+                losses = runtime.losses + 1
                 ue_records.append(
                     AbstentionRecord(
                         runtime.ue.id, runtime.strategy, decision.fallback,
@@ -643,7 +646,7 @@ class SimulationRun:
                     runtime.channels += won
                     runtime.wins += 1
                 # a win resets the loss streak, anything else extends it
-                losses = 0 if won > 0 else runtime.urgency.consecutive_losses + 1
+                losses = 0 if won > 0 else runtime.losses + 1
                 ue_records.append(
                     UeRoundRecord(
                         ue_id=runtime.ue.id,
@@ -661,10 +664,17 @@ class SimulationRun:
                         losses_after=losses,
                     )
                 )
+            runtime.losses = losses
             chain = self._chains[runtime.class_index]
-            if losses == len(chain):
-                chain.append(self.config.urgency.for_class(runtime.class_index, losses))
-            runtime.urgency = chain[losses]
+            if losses < len(chain):
+                runtime.urgency = chain[losses]
+            else:
+                end = chain[-1]
+                if (end.consecutive_losses < end.saturation_losses
+                        or end.value_per_mbps < end.max_value_per_mbps):
+                    end = self.config.urgency.for_class(runtime.class_index, losses)
+                    chain.append(end)
+                runtime.urgency = end
 
         station_records = []
         for bs in self.stations:

@@ -113,7 +113,8 @@ def _replaced(config: object, changes: dict) -> object:
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
-    """Parse and validate scenario text; raises ConfigurationError listing problems."""
+    """Parse scenario text, checking its sections, keys and values; raises
+    ConfigurationError listing problems.  ``validate()`` is left to the caller."""
     # no header names the empty section, so [DEFAULT] is a section like any
     # other, not one whose keys are copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -197,8 +198,15 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
 
 
 def load_scenario_file(path: str) -> SimulationConfig:
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_scenario_text(handle.read(), source=path)
+    """Parse the file at ``path``; one not readable as UTF-8 is a ConfigurationError too."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigurationError([str(exc)]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError([f"{path} is not UTF-8 text: {exc}"]) from exc
+    return parse_scenario_text(text, source=path)
 
 
 def scenario1() -> SimulationConfig:

@@ -11,7 +11,7 @@ replayable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,16 +82,10 @@ class EmpiricalPriceModel:
 
         Exact and rounded once, so it never falls as the bid rises.
         """
-        return self.win_probability_at(bisect_right(self._sorted, bid), competitors, capacity)
-
-    def win_probability_at(self, count: int, competitors: int, capacity: int) -> float:
-        """The win probability of a bid with ``count`` prices at or below it, memoised."""
-        size = len(self._sorted)
-        key = (count / size, competitors, capacity)
+        key = (bisect_right(self._sorted, bid) / len(self._sorted), competitors, capacity)
         prob = self._win.get(key)
         if prob is None:
-            cdf = Fraction(count, size)
-            prob = self._win[key] = win_probability_given_cdf(cdf, competitors, capacity)
+            prob = self._win[key] = win_probability_given_cdf(self.cdf(bid), competitors, capacity)
         return prob
 
 
@@ -266,25 +260,20 @@ def grid_argmax(
         # grid point is best, and with one the cheapest that reaches the
         # dearest point's utility
         surplus = value - prices.mean()
-        ranked = prices._sorted
-        lookup = prices.win_probability_at
+        win = prices.win_probability
         competitors = observation.competitors[view.station_id]
         low, high = bounds
         bid = low
-        utility = lookup(bisect_right(ranked, low), competitors, view.capacity) * surplus
+        utility = win(low, competitors, view.capacity) * surplus
         if surplus > 0.0:
-            top = lookup(bisect_right(ranked, high), competitors, view.capacity) * surplus
+            top = win(high, competitors, view.capacity) * surplus
             if top != utility:
-                # bisect the grid between its ends for the first point at the top
+                # the first point between the grid's ends that reaches the top
                 grid = candidate_bids(value, last, view.reserve_price, cap)
-                first, end = 1, len(grid) - 1
-                while first < end:
-                    middle = (first + end) // 2
-                    count = bisect_right(ranked, grid[middle])
-                    if lookup(count, competitors, view.capacity) * surplus == top:
-                        end = middle
-                    else:
-                        first = middle + 1
+                first = bisect_left(
+                    grid, True, 1, len(grid) - 1,
+                    key=lambda b: win(b, competitors, view.capacity) * surplus == top,
+                )
                 bid, utility = grid[first], top
         key = (utility, -bid, -view.station_id)
         if best_key is None or key > best_key:

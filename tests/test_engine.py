@@ -50,6 +50,18 @@ def config_with(counts, num_ues=None, **overrides):
     return SimulationConfig(population=population, **overrides)
 
 
+def acts_as(state: UrgencyState, expected: UrgencyState) -> bool:
+    """Same parameters, value factor and foresight starving test."""
+    return (
+        (state.base_value_per_mbps, state.max_value_per_mbps, state.saturation_losses)
+        == (expected.base_value_per_mbps, expected.max_value_per_mbps,
+            expected.saturation_losses)
+        and state.value_per_mbps == expected.value_per_mbps
+        and (state.consecutive_losses >= state.saturation_losses)
+        == (expected.consecutive_losses >= expected.saturation_losses)
+    )
+
+
 def rebuild_run(config, result: PlayedRun) -> SimulationRun:
     """Reconstruct the seeded runtime to recover positions, rates, demands."""
     return SimulationRun(config, result.run_index, result.seed)
@@ -323,7 +335,7 @@ class TestLifecycle:
                 assert rec.value_factor == urgency_factor(state)
                 losses[rec.ue_id] = rec.losses_after
 
-    def test_urgency_after_n_losses_is_the_state_with_n_losses(self):
+    def test_urgency_after_n_losses_acts_as_the_state_with_n_losses(self):
         # a fee above every budget: each UE abstains, so loses, every round
         config = config_with(
             {MYOPIC: 3, GREEDY: 2}, episodes=9,
@@ -339,12 +351,15 @@ class TestLifecycle:
         for n in range(1, 10):
             run.run_round(n)
             for r, k in zip(run.ues, classes):
-                assert r.urgency == UrgencyState(
+                assert r.losses == n
+                assert acts_as(r.urgency, UrgencyState(
                     base_value_per_mbps=(0.5, 0.6)[k],
                     max_value_per_mbps=(1.0, 1.2)[k],
                     consecutive_losses=n,
                     saturation_losses=(3, 4)[k],
-                )
+                ))
+                # both classes reach their ceiling at their saturation
+                assert r.urgency.consecutive_losses == min(n, (3, 4)[k])
 
     def test_shared_streak_states_replay_record_outcome(self):
         config = config_with({GREEDY: 6, FORESIGHT: 4, MYOPIC: 20}, episodes=25, seed=8)
@@ -358,9 +373,29 @@ class TestLifecycle:
                 expected[rec.ue_id] = record_outcome(expected[rec.ue_id], won)
                 assert rec.losses_after == expected[rec.ue_id].consecutive_losses
             for r in run.ues:
-                assert r.urgency == expected[r.ue.id]
+                assert r.losses == expected[r.ue.id].consecutive_losses
+                assert acts_as(r.urgency, expected[r.ue.id])
                 assert r.urgency.value_per_mbps == urgency_factor(r.urgency)
         assert outcomes == {True, False}
+
+    def test_urgency_chains_stay_bounded_over_a_long_run(self):
+        # Some UEs lose round after round for the whole run; their streaks
+        # grow with it, but each class keeps a state per streak only up to
+        # the first saturated one at the ceiling.
+        config = SimulationConfig(episodes=2000, seed=1)
+        run = SimulationRun(config, 0, spawn_run_seeds(config.seed, 1)[0])
+        longest = 0
+        for log in run.execute():
+            longest = max(longest, *(rec.losses_after for rec in log.ues))
+        assert run.rounds_played == 2000
+        assert longest > 1000
+        saturation = config.urgency.saturation_losses[0]
+        for chain in run._chains:
+            assert saturation < len(chain) <= saturation + 2
+            assert [s.consecutive_losses for s in chain] == list(range(len(chain)))
+            stops = [s.consecutive_losses >= saturation
+                     and s.value_per_mbps == s.max_value_per_mbps for s in chain]
+            assert stops[-1] and not any(stops[:-1])
 
 
 class TestCompetitorEstimates:

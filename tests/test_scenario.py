@@ -269,6 +269,18 @@ class TestFiles:
             load_scenario_file(str(path))
         assert "broken.ini" in str(err.value)
 
+    def test_unreadable_files_are_configuration_errors(self, tmp_path):
+        latin1 = tmp_path / "latin1.ini"
+        latin1.write_bytes("[population]\n; d\xe9bit\nnum_ues = 4\n".encode("latin-1"))
+        with pytest.raises(ConfigurationError) as err:
+            load_scenario_file(str(latin1))
+        assert err.value.problems[0].startswith(f"{latin1} is not UTF-8 text")
+        # a missing file, and a directory in place of a file
+        for path in (tmp_path / "absent.ini", tmp_path):
+            with pytest.raises(ConfigurationError) as err:
+                load_scenario_file(str(path))
+            assert str(path) in err.value.problems[0]
+
 
 class TestPresets:
     def test_scenario1_mix(self):

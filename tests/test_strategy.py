@@ -213,10 +213,32 @@ class TestPriceModel:
         model.append(0.5)
         model.append(7.0)
         assert model.win_probability(2.0, 5, 2) == win_probability_given_cdf(half, 5, 2)
-        assert model.win_probability_at(2, 5, 2) == win_probability_given_cdf(half, 5, 2)
+        # another bid with 2 of the 4 prices at or below it
+        assert model.win_probability(1.5, 5, 2) == win_probability_given_cdf(half, 5, 2)
         assert evaluated == [(half, 5, 2)]
         EmpiricalPriceModel([2.0, 4.0]).win_probability(3.0, 5, 2)
         assert evaluated == [(half, 5, 2)] * 2
+
+    def test_each_miss_evaluates_the_cdf_once(self, monkeypatch):
+        # The memo's one CDF is ``cdf``: a miss evaluates it once, at the bid
+        # asked about, and a hit evaluates it not at all.
+        asked = []
+        cdf = EmpiricalPriceModel.cdf
+
+        def counted(model, x):
+            asked.append(x)
+            return cdf(model, x)
+
+        monkeypatch.setattr(EmpiricalPriceModel, "cdf", counted)
+        model = EmpiricalPriceModel([1.0, 3.0, 5.0])
+        first = model.win_probability(2.0, 4, 2)
+        assert asked == [2.0]
+        assert first == win_probability_given_cdf(Fraction(1, 3), 4, 2)
+        assert model.win_probability(2.5, 4, 2) == first
+        assert asked == [2.0]
+        model.win_probability(4.0, 4, 2)
+        model.win_probability(4.0, 4, 3)
+        assert asked == [2.0, 4.0, 4.0]
 
     def test_cdf_and_mean_of_two_prices(self):
         model = EmpiricalPriceModel([2.0, 4.0])
@@ -289,15 +311,16 @@ class TestWinProbability:
     @example(sizes=(37, 29), counts=(1555, 1278))
     def test_never_falls_as_the_count_rises(self, sizes, counts):
         # One count more at or below the bid, of the same prices: as a float
-        # ratio, and as the price model evaluates it.
+        # ratio, and as the price model evaluates it, where the prices are
+        # 1, 2, ..., so a bid of k has k prices at or below it.
         competitors, capacity = sizes
         prices, count = counts
         lower = win_probability_given_cdf(count / prices, competitors, capacity)
         upper = win_probability_given_cdf((count + 1) / prices, competitors, capacity)
         assert lower <= upper
-        model = EmpiricalPriceModel([1.0] * prices)
-        assert (model.win_probability_at(count, competitors, capacity)
-                <= model.win_probability_at(count + 1, competitors, capacity))
+        model = EmpiricalPriceModel(range(1, prices + 1))
+        assert (model.win_probability(count, competitors, capacity)
+                <= model.win_probability(count + 1, competitors, capacity))
 
     @given(prices=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=20),
            low=st.floats(0.0, 9.0), bump=st.floats(0.0, 3.0),
@@ -659,13 +682,13 @@ def test_grid_argmax_looks_up_one_or_a_few_probabilities(obs):
     # cheapest grid point; otherwise both ends and a bisection of the grid
     # between them.
     looked_up = Counter()
-    lookup = EmpiricalPriceModel.win_probability_at
+    lookup = EmpiricalPriceModel.win_probability
 
     def counted(model, *args):
         looked_up[id(model)] += 1
         return lookup(model, *args)
 
-    with mock.patch.object(EmpiricalPriceModel, "win_probability_at", counted):
+    with mock.patch.object(EmpiricalPriceModel, "win_probability", counted):
         grid_argmax(obs)
     for v in obs.stations:
         lookups = looked_up[id(v.price_history)]
