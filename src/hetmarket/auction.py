@@ -2,26 +2,32 @@
 
 Each station sells ``capacity`` identical sub-channels per round.  A request
 names a quantity and a single per-unit bid; requests below the station's
-reservation price are discarded.  Remaining requests are expanded into unit
-claims and the highest claims win, so partial fills are possible.  A winner
-pays its externality: the best total value the others could have realized
-without it, minus the value the others actually realized, spread evenly over
-its units, never below the reservation price nor above its own bid.  That
-difference is the sum of the claims it displaces, which is taken exactly, so
-a seed gives the same payments on every Python version.
+reservation price are discarded.  Remaining requests are sorted by falling
+bid, then expanded into unit claims, and the highest claims win, so partial
+fills are possible.  A winner pays its externality: the best total value the
+others could have realized without it, minus the value the others actually
+realized, spread evenly over its units, never below the reservation price nor
+above its own bid.  That difference is the sum of the claims it displaces,
+which is taken exactly, so a seed gives the same payments on every Python
+version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .netmodel import BaseStation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuctionRequest:
-    """One bidder's sealed request: quantity at a flat per-unit price."""
+    """One bidder's sealed request: quantity at a flat per-unit price.
+
+    Built for one auction, and no code assigns to it, so it is not frozen,
+    which saves an ``object.__setattr__`` per field.
+    """
 
     bidder_id: int
     quantity: int
@@ -72,39 +78,39 @@ def run_vcg(
         seen.add(req.bidder_id)
 
     eligible = [r for r in requests if r.per_unit_bid >= reserve]
+    # falling bids, lower ids first among equal ones: a bidder's claims are
+    # equal, so expanding the sorted requests gives the claims in sorted order
+    eligible.sort(key=attrgetter("bidder_id"))
+    eligible.sort(key=attrgetter("per_unit_bid"), reverse=True)
     claims: list[tuple[float, int]] = []
-    for req in eligible:
-        claims.extend((req.per_unit_bid, req.bidder_id) for _ in range(req.quantity))
-    claims.sort(key=lambda c: (-c[0], c[1]))
-
-    winning = claims[:capacity]
+    winners: list[tuple[AuctionRequest, int, int]] = []  # (request, first claim, units won)
     allocations: dict[int, int] = {}
-    starts: dict[int, int] = {}
-    for index, (_, bidder_id) in enumerate(winning):
-        starts.setdefault(bidder_id, index)
-        allocations[bidder_id] = allocations.get(bidder_id, 0) + 1
+    for req in eligible:
+        start = len(claims)
+        if start < capacity:
+            won = min(req.quantity, capacity - start)
+            winners.append((req, start, won))
+            allocations[req.bidder_id] = won
+        claims += [(req.per_unit_bid, req.bidder_id)] * req.quantity
 
     if len(claims) > capacity:
         clearing_price = claims[capacity][0]
     else:
         clearing_price = reserve
 
-    by_id = {r.bidder_id: r for r in eligible}
-
     per_unit_payments: dict[int, float] = {}
     seller_utility_terms: dict[int, float] = {}
-    for bidder_id, won in allocations.items():
-        # equal sort keys keep a bidder's claims contiguous, so without its
-        # block the others' best ``capacity`` claims are the winners it sits
-        # beside plus the ``won`` claims just past both the block and the
-        # winners; those displaced claims are its externality, summed exactly
-        bid = by_id[bidder_id].per_unit_bid
-        displaced = max(starts[bidder_id] + by_id[bidder_id].quantity, capacity)
+    for req, start, won in winners:
+        # a bidder's claims are contiguous, so without its block the others'
+        # best ``capacity`` claims are the winners it sits beside plus the
+        # ``won`` claims just past both the block and the winners; those
+        # displaced claims are its externality, summed exactly
+        displaced = max(start + req.quantity, capacity)
         externality = math.fsum(claim for claim, _ in claims[displaced : displaced + won])
         # the clamp to the bid stops the division from rounding a few ulps above it
-        payment = min(bid, max(reserve, externality / won))
-        per_unit_payments[bidder_id] = payment
-        seller_utility_terms[bidder_id] = won * (payment - reserve)
+        payment = min(req.per_unit_bid, max(reserve, externality / won))
+        per_unit_payments[req.bidder_id] = payment
+        seller_utility_terms[req.bidder_id] = won * (payment - reserve)
 
     return AuctionOutcome(
         allocations=allocations,

@@ -220,7 +220,8 @@ class SimulationConfig:
             problems.append(
                 f"strategy counts sum to {total}, expected num_ues={self.population.num_ues}"
             )
-        if self.auction.entrance_fee < 0:
+        # a -0.0 fee passes ``< 0`` and would be written as every bid's fee_paid
+        if math.copysign(1.0, self.auction.entrance_fee) < 0:
             problems.append("entrance_fee cannot be negative")
         # a zero timeout makes the socket non-blocking, and a negative one raises
         if self.endpoint.timeout_ms < 1:
@@ -313,8 +314,9 @@ class SimulationConfig:
 
 
 # The round records are output values: ``run_round`` builds each one and only
-# the writer reads them, so unlike the policy and auction values they are not
-# frozen, which saves a ``object.__setattr__`` per field in ``__init__``.
+# the writer reads them, so like the decisions and requests they are not
+# frozen, which saves an ``object.__setattr__`` per field in ``__init__``.
+# ``run_round`` builds a bid's record positionally, in field order
 @dataclass(slots=True)
 class UeRoundRecord:
     ue_id: int
@@ -530,14 +532,6 @@ class SimulationRun:
             competitors=self.competitors,
         )
 
-    def _decide(self, runtime: _UeRuntime, observation: MarketObservation) -> BidDecision:
-        if runtime.strategy == GREEDY:
-            return greedy_decide(observation)
-        # validate() admits no other strategy, and run_round decides myopic UEs
-        # without an observation and live llm UEs on a lane; so this is a
-        # foresight UE or an offline llm UE, and both run the stand-in
-        return foresight_decide(observation, self.config.foresight)
-
     def _decide_live(self, round_index: int) -> dict[int, BidDecision]:
         """The decisions of the live llm UEs that can pay the fee, by UE id.
 
@@ -592,8 +586,14 @@ class SimulationRun:
                 )
             elif runtime.ue.id in live:
                 decision = live[runtime.ue.id]
+            elif runtime.strategy == GREEDY:
+                decision = greedy_decide(self.observation_for(runtime, round_index))
             else:
-                decision = self._decide(runtime, self.observation_for(runtime, round_index))
+                # validate() admits no other strategy, so this is a foresight
+                # UE or an offline llm UE, and both run the stand-in
+                decision = foresight_decide(
+                    self.observation_for(runtime, round_index), self.config.foresight
+                )
             decisions.append(decision)
             if decision.station_id is None:  # abstained
                 continue
@@ -601,9 +601,9 @@ class SimulationRun:
             fees_by_station[decision.station_id] += self.fee
             requests_by_station[decision.station_id].append(
                 AuctionRequest(
-                    bidder_id=runtime.ue.id,
-                    quantity=runtime.by_station[decision.station_id].demand,
-                    per_unit_bid=decision.per_unit_bid,
+                    runtime.ue.id,
+                    runtime.by_station[decision.station_id].demand,
+                    decision.per_unit_bid,
                 )
             )
 
@@ -649,19 +649,10 @@ class SimulationRun:
                 losses = 0 if won > 0 else runtime.losses + 1
                 ue_records.append(
                     UeRoundRecord(
-                        ue_id=runtime.ue.id,
-                        strategy=runtime.strategy,
-                        station_id=decision.station_id,
-                        per_unit_bid=decision.per_unit_bid,
-                        quantity=view.demand,
-                        fallback=decision.fallback,
-                        channels_won=won,
-                        per_unit_payment=per_unit_payment,
-                        fee_paid=self.fee,
-                        gross_utility=gross,
-                        budget_after=runtime.budget,
-                        value_factor=runtime.urgency.value_per_mbps,
-                        losses_after=losses,
+                        runtime.ue.id, runtime.strategy, decision.station_id,
+                        decision.per_unit_bid, view.demand, decision.fallback, won,
+                        per_unit_payment, self.fee, gross, runtime.budget,
+                        runtime.urgency.value_per_mbps, losses,
                     )
                 )
             runtime.losses = losses

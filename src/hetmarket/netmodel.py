@@ -35,7 +35,8 @@ class BaseStation:
             raise ValueError("tx_power_watts must be positive")
         if self.num_channels < 1:
             raise ValueError("num_channels must be at least 1")
-        if self.power_unit_price < 0:
+        # a -0.0 price passes ``< 0`` and would be broadcast as a -0.0 reserve
+        if math.copysign(1.0, self.power_unit_price) < 0:
             raise ValueError("power_unit_price must be nonnegative")
 
 

@@ -156,14 +156,28 @@ def grid_bounds(
     """
     if budget_cap < reserve:
         return None
-    lo = max(reserve, 0.8 * min(valuation, last_clearing))
-    hi = min(1.2 * max(valuation, last_clearing), budget_cap)
+    # each comparison keeps what ``min`` or ``max`` keeps, the earlier
+    # argument on a tie, so a zero keeps its sign
+    least = last_clearing if last_clearing < valuation else valuation
+    greatest = last_clearing if last_clearing > valuation else valuation
+    lo = 0.8 * least
+    lo = lo if lo > reserve else reserve
+    hi = 1.2 * greatest
+    hi = budget_cap if budget_cap < hi else hi
     steps = GRID_SIZE - 3
     start = lo + 0 * (hi - lo) / steps
     end = lo + steps * (hi - lo) / steps
-    least = min(valuation, last_clearing, start, end)
-    greatest = max(valuation, last_clearing, start, end)
-    return min(max(least, reserve), budget_cap), min(max(greatest, reserve), budget_cap)
+    # end is below start when hi is below lo, and it can round away from hi
+    least = start if start < least else least
+    least = end if end < least else least
+    greatest = start if start > greatest else greatest
+    greatest = end if end > greatest else greatest
+    # clipped to [reserve, budget_cap]; greatest is at least start, so at
+    # least the reserve already
+    least = reserve if reserve > least else least
+    least = budget_cap if budget_cap < least else least
+    greatest = budget_cap if budget_cap < greatest else greatest
+    return least, greatest
 
 
 @dataclass(frozen=True)
@@ -203,9 +217,12 @@ class MarketObservation:
         return self.rounds_total - self.round_index + 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BidDecision:
-    """An abstention, or a station and a per-unit bid; the engine sets the quantity."""
+    """An abstention, or a station and a per-unit bid; the engine sets the quantity.
+
+    Not frozen, like an observation, which saves an ``object.__setattr__`` per field.
+    """
 
     station_id: int | None
     per_unit_bid: float = 0.0
@@ -216,7 +233,7 @@ class BidDecision:
         return self.station_id is None
 
 
-# every abstention, shared because decisions are frozen
+# every abstention; shared, since no code assigns to a decision
 ABSTAIN = BidDecision(station_id=None)
 
 

@@ -248,6 +248,35 @@ def test_payments_equal_the_filtered_claims_formulation(requests, capacity, rese
     )
 
 
+def bit_for_bit(outcome):
+    """The outcome with its maps in order and its floats as hex, so a zero's sign counts."""
+    return (
+        list(outcome.allocations.items()),
+        [(i, p.hex()) for i, p in outcome.per_unit_payments.items()],
+        outcome.clearing_price.hex(),
+        [(i, m.hex()) for i, m in outcome.seller_utility_terms.items()],
+    )
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(1, 6), st.sampled_from([-0.0, 0.0, 0.5, 1.25, 2.0])),
+        min_size=1, max_size=8,
+    ),
+    capacity=st.integers(min_value=1, max_value=10),
+    reserve=st.sampled_from([0.0, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_outcome_does_not_depend_on_the_order_of_the_requests(rows, capacity, reserve, data):
+    # make_requests numbers bidders in list order; a drawn permutation hands
+    # run_vcg tied bids out of id order, and the lower id must still come first
+    requests = make_requests(rows)
+    shuffled = data.draw(st.permutations(requests))
+    assert bit_for_bit(run_vcg(shuffled, capacity, reserve)) == bit_for_bit(
+        run_vcg(requests, capacity, reserve)
+    )
+
+
 @given(
     requests=request_lists,
     capacity=st.integers(min_value=1, max_value=4),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -43,6 +44,7 @@ from hetmarket.engine import (
 )
 from hetmarket.llm_agent import ChatCompletionClient
 from hetmarket.scenario import load_scenario_file, preset
+from hetmarket.strategy import ABSTAIN, BidDecision
 
 from oracles import play
 
@@ -560,13 +562,31 @@ competitor_mode = oracle
 episodes = 60
 """
 
-# sha256 of the artifacts of ``run ... --offline --seed 1``, for each preset
-# with ``--runs 2 --episodes 40`` and for ORACLE_INI with ``--runs 3``.  The
-# preset digests were taken before abstentions had their own record type and
-# kept float text; the oracle ones while an empty price model still raised and
-# a second model held the reserve prior that decides round 1 of every policy
-# that reads prices.  A change to how rounds are played or written that moves
-# a byte of them fails here
+# bench/scenarios/crowd.ini: 800 UEs and 64 channels a station, so greedy
+# grids are bisected and hundreds of requests meet in one auction
+CROWD_INI = """\
+[topology]
+channels_per_station = 64
+[population]
+num_ues = 800
+budget = 1000000.0
+greedy = 400
+myopic = 400
+[simulation]
+episodes = 20
+runs = 1
+jobs = 1
+"""
+
+# sha256 of the artifacts of ``run ... --offline``: for each preset at
+# ``--seed 1 --runs 2 --episodes 40``, for ORACLE_INI at ``--seed 1 --runs 3``
+# and for CROWD_INI at ``--seed 1103``, where a greedy UE's win probability
+# rounds to 1.0 a grid point below the top of its grid.  The preset digests
+# were taken before abstentions had their own record type and kept float
+# text; the oracle ones while an empty price model still raised and a second
+# model held the reserve prior that decides round 1 of every policy that reads
+# prices; the crowd ones while the auction still sorted every unit claim.  A
+# change to how rounds are played or written that moves a byte of them fails here
 PINNED_DIGESTS = {
     "scenario1": {
         "rounds.jsonl": "7f1ee368678544aa89599d379612d9c64bbf3a7dcc83d48c67a8318186826366",
@@ -583,42 +603,59 @@ PINNED_DIGESTS = {
         "metrics.csv": "f79998717f42ec4bb747c15e46b09c8613db96c1021cdf93e3b423f977eb2545",
         "summary.json": "14055747791a916523877b397aa95cb339f7225360dac4039796bd800740d513",
     },
+    "crowd": {
+        "rounds.jsonl": "3895373c7e077261a3e339b95c91ce65400bbe5b06a19ef99defd1ddc663a4be",
+        "metrics.csv": "57988ae78bb358fb3bc7b269ce1ed6552b888aff72405ff47450192073ca6ea6",
+        "summary.json": "da73e8aedb7894a1bbe08847533603d7190e7638a2b337799c4ee1708355153a",
+    },
 }
+INLINE_INI = {"oracle": (ORACLE_INI, "1", "3"), "crowd": (CROWD_INI, "1103", "1")}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
     out = tmp_path / name
-    if name == "oracle":
-        path = tmp_path / "oracle.ini"
-        path.write_text(ORACLE_INI)
+    if name in INLINE_INI:
+        text, seed, runs = INLINE_INI[name]
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
         config = load_scenario_file(str(path))
-        source = ("--config", str(path), "--runs", "3")
+        source = ("--config", str(path), "--seed", seed, "--runs", runs)
     else:
         config = preset(name)
-        source = ("--preset", name, "--runs", "2", "--episodes", "40")
-    assert run_cli("run", *source, "--offline", "--seed", "1", "--out", str(out)) == 0
+        source = ("--preset", name, "--seed", "1", "--runs", "2", "--episodes", "40")
+    assert run_cli("run", *source, "--offline", "--out", str(out)) == 0
+    # the run left the abstention every policy shares as it was
+    assert ABSTAIN == BidDecision(station_id=None)
     rounds = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
     ues = [ue for record in rounds for ue in record["ues"]]
-    # the run holds bids and both kinds of abstention the writer keeps text for:
-    # a saturated urgency, and a greedy UE that cannot pay the fee
     assert any(not ue["abstained"] for ue in ues)
-    assert any(
-        ue["abstained"]
-        and ue["losses_after"] > config.urgency.saturation_losses[0]
-        and ue["value_factor"] == config.urgency.max_value_per_mbps[0]
-        for ue in ues
-    )
-    assert any(
-        ue["abstained"] and ue["strategy"] == "greedy"
-        and ue["budget_after"] < config.auction.entrance_fee
-        for ue in ues
-    )
     # a greedy UE bids in round 1, where the reserve prior is all it reads
     assert any(
         not ue["abstained"] and ue["strategy"] == "greedy"
         for record in rounds if record["round"] == 1 for ue in record["ues"]
     )
+    if name == "crowd":
+        # some auction has more requests than channels
+        requests = collections.Counter(
+            (record["round"], ue["station_id"])
+            for record in rounds for ue in record["ues"] if not ue["abstained"]
+        )
+        assert max(requests.values()) > config.topology.channels_per_station
+    else:
+        # the run holds both kinds of abstention the writer keeps text for: a
+        # saturated urgency, and a greedy UE that cannot pay the fee
+        assert any(
+            ue["abstained"]
+            and ue["losses_after"] > config.urgency.saturation_losses[0]
+            and ue["value_factor"] == config.urgency.max_value_per_mbps[0]
+            for ue in ues
+        )
+        assert any(
+            ue["abstained"] and ue["strategy"] == "greedy"
+            and ue["budget_after"] < config.auction.entrance_fee
+            for ue in ues
+        )
     digests = {
         file: hashlib.sha256((out / file).read_bytes()).hexdigest()
         for file in PINNED_DIGESTS[name]
@@ -743,6 +780,10 @@ class TestExitCodes:
                          id="population-budget-1.5e308-fee-1e308"),
             # the macro's reserve overflows to inf, written as a clearing price
             ("topology", "power_unit_price", "1e308"),
+            # a negative zero passes "< 0": it was written as every bid's fee_paid,
+            # and as the clearing price of every round that rejected no claim
+            ("auction", "entrance_fee", "-0.0"),
+            ("topology", "power_unit_price", "-0.0"),
             # the value increment divides by it as a float, which overflows
             pytest.param("valuation", "saturation_losses", str(10**400),
                          id="valuation-saturation_losses-1e400"),

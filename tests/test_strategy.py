@@ -390,6 +390,24 @@ class TestGridBounds:
            squeeze=st.none() | st.floats(0.0, 1.0))
     @example(valuation=5.0, clearing=2.5, reserve=0.5, cap=1.0, squeeze=None)
     @example(valuation=5.0, clearing=2.5, reserve=1.0, cap=0.5, squeeze=None)
+    # hi below lo, and end = lo + (hi - lo) rounds above hi, the cap, so the
+    # cheapest point is clipped down to the cap
+    @example(valuation=9.3, clearing=8.4, reserve=1.2, cap=1.7, squeeze=None)
+    # a valuation equal to the last price
+    @example(valuation=2.0, clearing=2.0, reserve=0.5, cap=10.0, squeeze=None)
+    # end rounds above hi, 1.2 times the valuation, and is the dearest point
+    @example(valuation=1.65, clearing=3.25, reserve=0.51, cap=10.91, squeeze=None)
+    # the reserve is above 80% of the smaller anchor, so lo is the reserve
+    @example(valuation=5.8, clearing=1.6, reserve=1.7, cap=4.7, squeeze=None)
+    # the reserve is above both anchors, so start is the dearest point
+    @example(valuation=1.3, clearing=0.3, reserve=1.4, cap=4.3, squeeze=None)
+    # hi is below the reserve, so end is clipped up to it
+    @example(valuation=1.0, clearing=0.5, reserve=2.0, cap=3.0, squeeze=None)
+    # start is 0.0, and the grid's cheapest point is the last price, -0.0
+    @example(valuation=1.0, clearing=-0.0, reserve=0.0, cap=2.0, squeeze=None)
+    # end rounds below hi, the cap, and the last price, clipped to the cap,
+    # is the dearest point
+    @example(valuation=0.4, clearing=7.5, reserve=1.1, cap=5.2, squeeze=None)
     def test_bounds_are_the_ends_of_the_grid(self, valuation, clearing, reserve, cap,
                                               squeeze):
         if squeeze is not None:

@@ -31,6 +31,8 @@ from hetmarket.llm_agent import (
 from hetmarket.netmodel import MBS
 from hetmarket.scenario import load_scenario_file
 from hetmarket.strategy import (
+    ABSTAIN,
+    BidDecision,
     EmpiricalPriceModel,
     MarketObservation,
     StationView,
@@ -430,6 +432,9 @@ def test_lanes_overlap_requests_and_match_a_single_lane(
     assert len({u["per_unit_bid"] for u in llm}) > 6
     # some decisions fell back to greedy, whose memo fills the lanes share
     assert 0 < sum(u["fallback"] for u in llm) < len(llm)
+    # a fallback marks a copy of greedy's decision, never the shared abstention
+    assert any(u["fallback"] and u["abstained"] for u in llm)
+    assert ABSTAIN == BidDecision(station_id=None)
     assert runs[1][1].peak_in_flight == 1
     # 6 deciders on 4 lanes
     assert 1 < runs[4][1].peak_in_flight <= 4
