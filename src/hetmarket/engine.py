@@ -220,9 +220,10 @@ class SimulationConfig:
             problems.append(
                 f"strategy counts sum to {total}, expected num_ues={self.population.num_ues}"
             )
-        # a -0.0 fee passes ``< 0`` and would be written as every bid's fee_paid
-        if math.copysign(1.0, self.auction.entrance_fee) < 0:
-            problems.append("entrance_fee cannot be negative")
+        # a -0.0 fee passes ``>= 0`` and would be written as every bid's fee_paid
+        fee = self.auction.entrance_fee
+        if not fee >= 0 or math.copysign(1.0, fee) < 0:
+            problems.append(f"entrance_fee must be 0.0 or positive, not {fee}")
         # a zero timeout makes the socket non-blocking, and a negative one raises
         if self.endpoint.timeout_ms < 1:
             problems.append(f"timeout_ms must be at least 1, not {self.endpoint.timeout_ms}")
@@ -236,14 +237,15 @@ class SimulationConfig:
             problems.append(f"max_retries cannot be negative, not {self.endpoint.max_retries}")
         if self.auction.competitor_mode not in (COMPETITORS_UNIFORM, COMPETITORS_ORACLE):
             problems.append(f"unknown competitor_mode {self.auction.competitor_mode!r}")
-        if self.topology.num_small_cells < 0:
-            problems.append("num_small_cells cannot be negative")
-        # a radius of 0 places every UE on the macro station
-        if self.topology.macro_radius_m <= 0:
-            problems.append(f"macro_radius_m must be positive, not {self.topology.macro_radius_m}")
-        # a negative radius turns the ring by half a turn
-        if self.topology.sbs_ring_radius_m < 0:
-            problems.append("sbs_ring_radius_m cannot be negative")
+        topo = self.topology
+        if topo.num_small_cells < 0:
+            problems.append("num_sbs (num_small_cells) cannot be negative")
+        # a radius of 0 places every UE on the macro station, and a negative
+        # one turns the ring by half a turn; each check fails for NaN too
+        if not topo.macro_radius_m > 0:
+            problems.append(f"macro_radius_m must be positive, not {topo.macro_radius_m}")
+        if not topo.sbs_ring_radius_m >= 0:
+            problems.append(f"sbs_ring_radius_m must be at least 0, not {topo.sbs_ring_radius_m}")
         num_classes = len(self.population.qos_classes_mbps)
         miscounted = [
             name
@@ -253,7 +255,6 @@ class SimulationConfig:
         problems.extend(f"{n} must have 1 entry or one per service class" for n in miscounted)
         # the constructors of the stations and of the urgency states hold the
         # physical rules; building them once here stops a run before round one
-        topo = self.topology
         try:
             stations = topo.build().stations
         except ValueError as exc:

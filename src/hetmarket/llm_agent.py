@@ -2,12 +2,12 @@
 
 The live path renders the round's market state into a deterministic prompt,
 sends it to a chat-completion endpoint, and parses a one-line answer.  Any
-transport or format failure is retried once and then silently degrades to the
-greedy policy, so a flaky endpoint can never stall a simulation or produce an
-unaffordable bid.  The offline stand-in is a scripted policy with the same
-flavor of longer-horizon reasoning: it paces spending across the remaining
-rounds and sits out rounds with weak expected surplus unless service
-starvation forces its hand.
+transport or format failure is retried up to ``max_retries`` times (once by
+default) and then silently degrades to the greedy policy, so a flaky endpoint
+can never stall a simulation or produce an unaffordable bid.  The offline
+stand-in is a scripted policy with the same flavor of longer-horizon
+reasoning: it paces spending across the remaining rounds and sits out rounds
+with weak expected surplus unless service starvation forces its hand.
 """
 
 from __future__ import annotations

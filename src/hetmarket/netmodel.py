@@ -65,14 +65,17 @@ class ChannelModel:
     interference_mode: str = FULL_COCHANNEL
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
+        # each check fails for NaN, which would crash the demand's ceil
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be positive")
-        if self.noise_density_w_per_hz <= 0:
+        if not self.noise_density_w_per_hz > 0:
             raise ValueError("noise_density_w_per_hz must be positive")
-        if self.reference_distance_m <= 0:
+        if not self.reference_distance_m > 0:
             raise ValueError("reference_distance_m must be positive")
-        if self.mbs_pathloss_exponent < 2 or self.sbs_pathloss_exponent < 2:
-            raise ValueError("pathloss exponents below 2 are not supported")
+        if not self.mbs_pathloss_exponent >= 2:
+            raise ValueError("mbs_pathloss_exponent must be at least 2")
+        if not self.sbs_pathloss_exponent >= 2:
+            raise ValueError("sbs_pathloss_exponent must be at least 2")
         if self.interference_mode not in (FULL_COCHANNEL, NO_INTERFERENCE):
             raise ValueError(f"unknown interference_mode {self.interference_mode!r}")
 

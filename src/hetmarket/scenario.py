@@ -103,18 +103,23 @@ def _parse(text: str, default: object) -> object:
     return value
 
 
-def _replaced(config: object, changes: dict) -> object:
-    """``config`` with ``changes`` applied: field name -> value, or -> nested changes."""
-    values = {
-        name: _replaced(_field(config, name), value) if isinstance(value, dict) else value
-        for name, value in changes.items()
-    }
-    return {**config, **values} if isinstance(config, dict) else replace(config, **values)
+def _with(config: object, path: str, value: object) -> object:
+    """``config`` with ``value`` at a dotted path: the write twin of ``_field``."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _with(_field(config, name), rest, value)
+    return {**config, name: value} if isinstance(config, dict) else replace(config, **{name: value})
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
     """Parse scenario text, checking its sections, keys and values; raises
-    ConfigurationError listing problems.  ``validate()`` is left to the caller."""
+    ConfigurationError listing problems.
+
+    One fold from ``SimulationConfig()`` sets each key's value at its path as it
+    is read; a value the channel model refuses is listed and left unset.  Only
+    when there are such values and every other key was read are ``validate()``'s
+    problems listed beside them; otherwise ``validate()`` is left to the caller.
+    """
     # no header names the empty section, so [DEFAULT] is a section like any
     # other, not one whose keys are copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
@@ -145,9 +150,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
     except configparser.Error as exc:
         raise ConfigurationError([str(exc)]) from exc
 
-    defaults = SimulationConfig()
-    problems: list[str] = []
-    values: dict[str, object] = {}  # dotted path -> parsed value
+    config = SimulationConfig()
+    problems: list[str] = []  # unknown sections and keys, unreadable values
+    refused: list[str] = []  # values the channel model refuses
     for section in parser.sections():
         keys = _KEYS.get(section)
         if keys is None:
@@ -157,44 +162,32 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
             if key not in keys:
                 problems.append(f"{source}: unknown key '{key}' in [{section}]")
                 continue
-            try:
-                values[keys[key]] = _parse(raw, _field(defaults, keys[key]))
+            try:  # a key appears once, so its path still holds the default
+                value = _parse(raw, _field(config, keys[key]))
             except ValueError:
-                problems.append(
-                    f"{source}: bad value {raw!r} for '{key}' in [{section}]"
-                )
+                problems.append(f"{source}: bad value {raw!r} for '{key}' in [{section}]")
+                continue
+            try:
+                config = _with(config, keys[key], value)
+            except ValueError as exc:  # the channel model checks its physical values
+                refused.append(f"{source}: {exc}")
     # a section the text leaves out defaults every one of its keys
     for section, keys in _KEYS.items():
         for key, path in keys.items():
             if not parser.has_option(section, key) and key != MYOPIC:
-                log.info(
-                    "%s: [%s] %s defaulted to %r", source, section, key, _field(defaults, path)
-                )
+                log.info("%s: [%s] %s defaulted to %r", source, section, key, _field(config, path))
     if problems:
-        raise ConfigurationError(problems)
+        raise ConfigurationError(problems + refused)
 
-    def value(path: str):
-        return values[path] if path in values else _field(defaults, path)
-
-    if _COUNTS + MYOPIC not in values:
-        explicit = sum(value(_COUNTS + s) for s in (GREEDY, LLM, FORESIGHT))
-        myopic = values[_COUNTS + MYOPIC] = max(0, value("population.num_ues") - explicit)
+    if not parser.has_option("population", MYOPIC):
+        explicit = sum(_field(config, _COUNTS + s) for s in (GREEDY, LLM, FORESIGHT))
+        myopic = max(0, config.population.num_ues - explicit)
+        config = _with(config, _COUNTS + MYOPIC, myopic)
         log.info("%s: [population] myopic defaulted to %d", source, myopic)
-
-    changes: dict = {}
-    for path, parsed in values.items():
-        *parents, name = path.split(".")
-        node = changes
-        for parent in parents:
-            node = node.setdefault(parent, {})
-        node[name] = parsed
-    try:
-        return _replaced(defaults, changes)
-    except ValueError as exc:  # the channel model checks its physical values
-        # list the other problems too, of the config with the default channel
-        changes.get("topology", {}).pop("channel", None)
-        others = _replaced(defaults, changes).validate()
-        raise ConfigurationError([f"{source}: {exc}", *others]) from exc
+    if refused:
+        # the other problems, of the config without the refused values
+        raise ConfigurationError(refused + config.validate())
+    return config
 
 
 def load_scenario_file(path: str) -> SimulationConfig:

@@ -27,11 +27,12 @@ class UrgencyState:
     value_per_mbps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.base_value_per_mbps <= 0:
+        # each check fails for NaN, which min() would turn into the ceiling
+        if not self.base_value_per_mbps > 0:
             raise ValueError("base_value_per_mbps must be positive")
-        if self.max_value_per_mbps < self.base_value_per_mbps:
+        if not self.max_value_per_mbps >= self.base_value_per_mbps:
             raise ValueError("max_value_per_mbps must be at least the base value")
-        if self.saturation_losses < 1:
+        if not self.saturation_losses >= 1:
             raise ValueError("saturation_losses must be at least 1")
         # the increment divides by it as a float
         if self.saturation_losses > sys.float_info.max:

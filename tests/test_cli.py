@@ -787,6 +787,9 @@ class TestExitCodes:
             # the value increment divides by it as a float, which overflows
             pytest.param("valuation", "saturation_losses", str(10**400),
                          id="valuation-saturation_losses-1e400"),
+            ("topology", "num_sbs", "-1"),
+            pytest.param("population", "qos_classes_mbps", "",
+                         id="population-qos_classes_mbps-empty"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -803,15 +806,18 @@ class TestExitCodes:
 
     def test_bad_channel_setting_lists_every_other_problem(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text("[topology]\nbandwidth_hz = -1\nchannels_per_station = 0\n"
+        path.write_text("[topology]\nbandwidth_hz = -1\nreference_distance_m = 0\n"
+                        "mbs_pathloss_exponent = 1.5\nchannels_per_station = 0\n"
                         "[simulation]\nepisodes = 0\n")
         code = run_cli("run", "--config", str(path), "--offline",
                        "--out", str(tmp_path / "out"))
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 3
+        # each refused channel value is a line of its own
+        assert len(lines) == 5
         assert all(line.startswith("config error: ") for line in lines)
-        for key in ("bandwidth_hz", "channels_per_station", "episodes"):
+        for key in ("bandwidth_hz", "reference_distance_m", "mbs_pathloss_exponent",
+                    "channels_per_station", "episodes"):
             assert sum(key in line for line in lines) == 1
 
     @pytest.mark.parametrize(

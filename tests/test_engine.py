@@ -5,7 +5,7 @@ import socket
 
 import pytest
 
-from hetmarket import engine
+from hetmarket import engine, scenario
 from hetmarket.engine import (
     FORESIGHT,
     GREEDY,
@@ -736,3 +736,29 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="base_value_per_mbps"):
             run_simulation(config)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "topology.macro_radius_m",
+            "topology.sbs_ring_radius_m",
+            "topology.channel.reference_distance_m",
+            "topology.channel.mbs_pathloss_exponent",
+            "topology.channel.sbs_pathloss_exponent",
+            "auction.entrance_fee",
+            "urgency.base_value_per_mbps",
+            "urgency.saturation_losses",
+        ],
+    )
+    def test_nan_is_refused_before_round_one(self, path):
+        # a scenario file cannot hold NaN, but a config built in Python can
+        name = path.rpartition(".")[2]
+        value = (math.nan,) if path.startswith("urgency.") else math.nan
+        try:
+            config = scenario._with(SimulationConfig(episodes=3), path, value)
+        except ValueError as exc:
+            assert name in str(exc)
+            return
+        with pytest.raises(ConfigurationError) as err:
+            run_simulation(config)
+        assert any(name in problem for problem in err.value.problems)

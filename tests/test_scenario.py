@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import logging
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetmarket.engine import (
     FORESIGHT,
@@ -110,6 +112,33 @@ class TestParsing:
         assert config.runs == 2
         assert config.seed == 99
         assert config.jobs == 2
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_drawn_keys_in_a_drawn_order_set_their_paths_alone(self, data):
+        full, default = parse_scenario_text(FULL_TEXT), SimulationConfig()
+        paths = [path for keys in scenario._KEYS.values() for path in keys.values()]
+        # FULL_TEXT sets every key to a value other than its default
+        assert all(scenario._field(full, p) != scenario._field(default, p) for p in paths)
+        parser = configparser.ConfigParser()
+        parser.read_string(FULL_TEXT)
+        lines = {(s, k): f"{k} = {v}" for s in parser.sections() for k, v in parser.items(s)}
+        chosen = data.draw(st.lists(st.sampled_from(sorted(lines)), unique=True))
+        sections: dict[str, list[str]] = {}  # a section's keys stay together
+        for section, key in chosen:
+            sections.setdefault(section, []).append(lines[section, key])
+        text = "".join(f"[{s}]\n" + "\n".join(body) + "\n" for s, body in sections.items())
+        config = parse_scenario_text(text)
+        set_paths = {scenario._KEYS[s][k] for s, k in chosen}
+        for section, keys in scenario._KEYS.items():
+            for key, path in keys.items():
+                expected = scenario._field(full if path in set_paths else default, path)
+                if key == MYOPIC and path not in set_paths:
+                    # an omitted myopic count absorbs the UEs the other counts leave
+                    counts = config.population.strategy_counts
+                    others = counts[GREEDY] + counts[LLM] + counts[FORESIGHT]
+                    expected = max(0, config.population.num_ues - others)
+                assert scenario._field(config, path) == expected, (path, text)
 
     def test_empty_text_gives_documented_defaults(self):
         config = parse_scenario_text("")

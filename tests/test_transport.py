@@ -289,10 +289,13 @@ def test_refused_connection_raises():
     client.close()
 
 
-@pytest.mark.parametrize("base_url", ["http://[::1", "https://[::1", "http://[zz]"])
-def test_malformed_bracketed_host_raises(base_url):
+@pytest.mark.parametrize(
+    "base_url", ["http://[::1", "https://[::1", "http://[zz]", "http://localhost:notaport"]
+)
+def test_unsupported_base_url_raises(base_url):
     client = ChatCompletionClient(LlmEndpointConfig(base_url=base_url))
-    # an older urlsplit accepts [zz], and then the connection fails instead
+    # an older urlsplit accepts [zz], and then the connection fails instead;
+    # a port that is not a number passes urlsplit and is refused by the connection
     with pytest.raises(LlmError):
         client.complete("x")
     client.close()
