@@ -333,23 +333,27 @@ def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
     print(f"wrote {args.out}/")
 
 
-def _sweep_cells(args: argparse.Namespace, config: SimulationConfig) -> list[SimulationConfig]:
-    """One single-run config per (horizon, seed), horizons outermost."""
+def _sweep_cells(
+    args: argparse.Namespace, config: SimulationConfig
+) -> tuple[list[SimulationConfig], list[str]]:
+    """One single-run config per (horizon, seed), horizons outermost, and no
+    problems; or no cells and every problem of ``--horizons`` and ``--seeds``."""
+    problems = [] if args.seeds >= 1 else ["seeds must be at least 1"]
     try:
         horizons = [int(part) for part in args.horizons.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigurationError([f"bad --horizons value: {exc}"]) from exc
+        return [], [f"bad --horizons value: {exc}", *problems]
     if not horizons or any(h < 1 for h in horizons):
-        raise ConfigurationError(["horizons must be positive integers"])
-    if len(set(horizons)) != len(horizons):
-        raise ConfigurationError(["horizons must be distinct"])
-    if args.seeds < 1:
-        raise ConfigurationError(["seeds must be at least 1"])
+        problems.insert(0, "horizons must be positive integers")
+    elif len(set(horizons)) != len(horizons):
+        problems.insert(0, "horizons must be distinct")
+    if problems:
+        return [], problems
     return [
         dataclasses.replace(config, episodes=horizon, seed=config.seed + offset, runs=1)
         for horizon in horizons
         for offset in range(args.seeds)
-    ]
+    ], []
 
 
 def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
@@ -433,9 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         config = _load_config(args)
-        cells = _sweep_cells(args, config) if args.command == "sweep" else None
-        # a bad config must not reach the endpoint probe's socket
-        validate_all(cells or [config])
+        cells, problems = _sweep_cells(args, config) if args.command == "sweep" else (None, [])
+        # a bad config must not reach the endpoint probe's socket; with bad
+        # flags there are no cells, and the config itself is checked
+        validate_all(cells or [config], problems)
         endpoint_problem = _check_endpoint(config)
         if endpoint_problem is not None:
             print(endpoint_problem, file=sys.stderr)

@@ -35,7 +35,9 @@ from .llm_agent import (
     llm_decide,
 )
 from .netmodel import (
+    FULL_COCHANNEL,
     MBS,
+    NO_INTERFERENCE,
     SBS,
     BaseStation,
     ChannelModel,
@@ -43,6 +45,8 @@ from .netmodel import (
     UserEquipment,
     achievable_rate_bps,
     channel_demand,
+    station_problems,
+    tier_power_problems,
 )
 from .strategy import (
     ABSTAIN,
@@ -54,7 +58,7 @@ from .strategy import (
     greedy_decide,
     myopic_decide,
 )
-from .valuation import UrgencyState, channel_valuation
+from .valuation import UrgencyState, channel_valuation, urgency_problems
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -155,16 +159,14 @@ class UrgencyConfig:
     max_value_per_mbps: tuple[float, ...] = (1.0,)
     saturation_losses: tuple[int, ...] = (5,)
 
-    def for_class(self, class_index: int, consecutive_losses: int = 0) -> UrgencyState:
-        def pick(values):
-            return values[0] if len(values) == 1 else values[class_index]
+    def class_settings(self, class_index: int) -> list:
+        """The class's base value, maximum value and saturation losses."""
+        values = (self.base_value_per_mbps, self.max_value_per_mbps, self.saturation_losses)
+        return [v[0] if len(v) == 1 else v[class_index] for v in values]
 
-        return UrgencyState(
-            base_value_per_mbps=pick(self.base_value_per_mbps),
-            max_value_per_mbps=pick(self.max_value_per_mbps),
-            consecutive_losses=consecutive_losses,
-            saturation_losses=pick(self.saturation_losses),
-        )
+    def for_class(self, class_index: int, consecutive_losses: int = 0) -> UrgencyState:
+        base, top, saturation = self.class_settings(class_index)
+        return UrgencyState(base, top, consecutive_losses, saturation)
 
 
 @dataclass(frozen=True)
@@ -188,130 +190,128 @@ class SimulationConfig:
     offline: bool = True
 
     def validate(self) -> list[str]:
-        problems = []
-        if self.episodes < 1:
-            problems.append("episodes must be at least 1")
-        if self.runs < 1:
-            problems.append("runs must be at least 1")
-        if self.jobs < 1:
-            problems.append("jobs must be at least 1")
-        if self.seed < 0:
-            problems.append("seed must be non-negative")
-        if self.population.num_ues < 1:
-            problems.append("num_ues must be at least 1")
-        if self.population.budget <= 0:
-            problems.append("budget must be positive")
-        # no budget goes below 0, so this bounds every sum of fees and payments
-        elif not math.isfinite(self.population.num_ues * self.runs * self.population.budget):
-            problems.append("num_ues * runs * budget is not finite")
-        if not self.population.qos_classes_mbps:
-            problems.append("qos_classes_mbps cannot be empty")
-        if any(c <= 0 for c in self.population.qos_classes_mbps):
-            problems.append("qos_classes_mbps entries must be positive")
-        if not all(math.isfinite(c * 1e6) for c in self.population.qos_classes_mbps):
-            problems.append("qos_classes_mbps entries must be finite in bit/s")
-        unknown = set(self.population.strategy_counts) - set(STRATEGIES)
-        if unknown:
-            problems.append(f"unknown strategies: {sorted(unknown)}")
-        if any(v < 0 for v in self.population.strategy_counts.values()):
-            problems.append("strategy counts cannot be negative")
-        total = sum(self.population.strategy_counts.get(s, 0) for s in STRATEGIES)
-        if not unknown and total != self.population.num_ues:
-            problems.append(
-                f"strategy counts sum to {total}, expected num_ues={self.population.num_ues}"
-            )
-        # a -0.0 fee passes ``>= 0`` and would be written as every bid's fee_paid
-        fee = self.auction.entrance_fee
-        if not fee >= 0 or math.copysign(1.0, fee) < 0:
-            problems.append(f"entrance_fee must be 0.0 or positive, not {fee}")
-        # a zero timeout makes the socket non-blocking, and a negative one raises
-        if self.endpoint.timeout_ms < 1:
-            problems.append(f"timeout_ms must be at least 1, not {self.endpoint.timeout_ms}")
-        # the largest timeout a socket accepts
-        if self.endpoint.timeout_ms > threading.TIMEOUT_MAX * 1000:
-            problems.append(
-                f"timeout_ms must be at most {threading.TIMEOUT_MAX * 1000:.0f},"
-                f" not {self.endpoint.timeout_ms}"
-            )
-        if self.endpoint.max_retries < 0:
-            problems.append(f"max_retries cannot be negative, not {self.endpoint.max_retries}")
-        if self.auction.competitor_mode not in (COMPETITORS_UNIFORM, COMPETITORS_ORACLE):
-            problems.append(f"unknown competitor_mode {self.auction.competitor_mode!r}")
-        topo = self.topology
-        if topo.num_small_cells < 0:
-            problems.append("num_sbs (num_small_cells) cannot be negative")
-        # a radius of 0 places every UE on the macro station, and a negative
-        # one turns the ring by half a turn; each check fails for NaN too
-        if not topo.macro_radius_m > 0:
-            problems.append(f"macro_radius_m must be positive, not {topo.macro_radius_m}")
-        if not topo.sbs_ring_radius_m >= 0:
-            problems.append(f"sbs_ring_radius_m must be at least 0, not {topo.sbs_ring_radius_m}")
-        num_classes = len(self.population.qos_classes_mbps)
-        miscounted = [
-            name
-            for name in ("base_value_per_mbps", "max_value_per_mbps", "saturation_losses")
-            if len(getattr(self.urgency, name)) not in (1, num_classes)
+        """Every rule the values break, once each, as a line naming its key;
+        values that break one are kept from the checks that combine values."""
+        pop, topo, channel = self.population, self.topology, self.topology.channel
+        endpoint, foresight, fee = self.endpoint, self.foresight, self.auction.entrance_fee
+        unknown = set(pop.strategy_counts) - set(STRATEGIES)
+        total = sum(pop.strategy_counts.get(s, 0) for s in STRATEGIES)
+        timeout_max = threading.TIMEOUT_MAX * 1000  # the largest a socket accepts
+        num_classes = len(pop.qos_classes_mbps)
+        names = ("base_value_per_mbps", "max_value_per_mbps", "saturation_losses")
+        miscounted = [n for n in names if len(getattr(self.urgency, n)) not in (1, num_classes)]
+        # (broken, line) per rule; a check written ``not x > 0`` fails for NaN too
+        rules = [
+            (self.episodes < 1, "episodes must be at least 1"),
+            (self.runs < 1, "runs must be at least 1"),
+            (self.jobs < 1, "jobs must be at least 1"),
+            (self.seed < 0, "seed must be non-negative"),
+            (pop.num_ues < 1, "num_ues must be at least 1"),
+            (pop.budget <= 0, "budget must be positive"),
+            # no budget goes below 0, so this bounds every sum of fees and payments
+            (not pop.budget <= 0 and not math.isfinite(pop.num_ues * self.runs * pop.budget),
+             "num_ues * runs * budget is not finite"),
+            (not pop.qos_classes_mbps, "qos_classes_mbps cannot be empty"),
+            (any(c <= 0 for c in pop.qos_classes_mbps),
+             "qos_classes_mbps entries must be positive"),
+            (not all(math.isfinite(c * 1e6) for c in pop.qos_classes_mbps),
+             "qos_classes_mbps entries must be finite in bit/s"),
+            (bool(unknown), f"unknown strategies: {sorted(unknown)}"),
+            (any(v < 0 for v in pop.strategy_counts.values()),
+             "strategy counts cannot be negative"),
+            (not unknown and total != pop.num_ues,
+             f"strategy counts sum to {total}, expected num_ues={pop.num_ues}"),
+            # a -0.0 fee passes ``>= 0`` and would be written as every bid's fee_paid
+            (not fee >= 0 or math.copysign(1.0, fee) < 0,
+             f"entrance_fee must be 0.0 or positive, not {fee}"),
+            # a zero timeout makes the socket non-blocking, and a negative one raises
+            (endpoint.timeout_ms < 1, f"timeout_ms must be at least 1, not {endpoint.timeout_ms}"),
+            (endpoint.timeout_ms > timeout_max,
+             f"timeout_ms must be at most {timeout_max:.0f}, not {endpoint.timeout_ms}"),
+            (endpoint.max_retries < 0,
+             f"max_retries cannot be negative, not {endpoint.max_retries}"),
+            # an inf temperature would be sent as Infinity
+            (not 0 <= endpoint.temperature < math.inf,
+             f"temperature must be finite and at least 0, not {endpoint.temperature}"),
+            (not foresight.threshold_fraction >= 0, "foresight_threshold (threshold_fraction)"
+             f" must be at least 0, not {foresight.threshold_fraction}"),
+            # a share of the remaining rounds
+            (not 0 <= foresight.pacing_fraction <= 1, "foresight_pacing (pacing_fraction)"
+             f" must be between 0 and 1, not {foresight.pacing_fraction}"),
+            (self.auction.competitor_mode not in (COMPETITORS_UNIFORM, COMPETITORS_ORACLE),
+             f"unknown competitor_mode {self.auction.competitor_mode!r}"),
+            (topo.num_small_cells < 0, "num_sbs (num_small_cells) cannot be negative"),
+            # a radius of 0 places every UE on the macro station, and a
+            # negative one turns the ring by half a turn
+            (not topo.macro_radius_m > 0,
+             f"macro_radius_m must be positive, not {topo.macro_radius_m}"),
+            (not topo.sbs_ring_radius_m >= 0,
+             f"sbs_ring_radius_m must be at least 0, not {topo.sbs_ring_radius_m}"),
         ]
-        problems.extend(f"{n} must have 1 entry or one per service class" for n in miscounted)
-        # the constructors of the stations and of the urgency states hold the
-        # physical rules; building them once here stops a run before round one
-        try:
-            stations = topo.build().stations
-        except ValueError as exc:
-            problems.append(
-                f"station settings rejected ({exc}): mbs_power_watts = {topo.mbs_power_watts},"
-                f" sbs_power_watts = {topo.sbs_power_watts},"
-                f" channels_per_station = {topo.channels_per_station},"
-                f" power_unit_price = {topo.power_unit_price}"
+        problems = [line for broken, line in rules if broken]
+        problems += [f"{n} must have 1 entry or one per service class" for n in miscounted]
+        # the rules of the stations that build() places, and of the channel
+        smalls = [topo.sbs_power_watts] if topo.num_small_cells > 0 else []
+        physical = []
+        for tier, power in [(MBS, topo.mbs_power_watts), *((SBS, p) for p in smalls)]:
+            physical += station_problems(
+                tier, power, topo.channels_per_station, topo.power_unit_price,
+                f"{tier.lower()}_power_watts", "channels_per_station",
             )
-        else:
-            # each reserve is broadcast as a clearing price
-            if not all(math.isfinite(reservation_price(bs)) for bs in stations):
-                problems.append(
-                    "a station's reserve power_unit_price * tx power is not finite:"
-                    f" power_unit_price = {topo.power_unit_price},"
-                    f" mbs_power_watts = {topo.mbs_power_watts}"
-                )
-            # no UE's SINR exceeds the macro power over the noise: path gains
-            # are at most 1, the macro is the strongest station, and
-            # interference only lowers SINR; so this best-case rate bounds
-            # every UE's rate, and a finite one keeps every demand finite
-            bandwidth = topo.channel.bandwidth_hz
-            density = topo.channel.noise_density_w_per_hz
-            noise = density * bandwidth
-            settings = f"bandwidth_hz = {bandwidth}, noise_density_w_per_hz = {density}"
-            if noise == 0.0:
-                problems.append(
-                    f"noise power bandwidth_hz * noise_density_w_per_hz is 0: {settings}"
-                )
-            else:
-                best_rate = bandwidth * math.log2(1.0 + topo.mbs_power_watts / noise)
-                if not math.isfinite(best_rate):
-                    problems.append(
-                        "best-case rate bandwidth_hz * log2(1 + mbs_power_watts / noise power)"
-                        f" is not finite: {settings}, mbs_power_watts = {topo.mbs_power_watts}"
-                    )
-                else:
-                    # no UE-round wins more channels than a station has, each
-                    # worth at most the top value at the best-case rate; so
-                    # this bounds every sum of channel values in the artifacts
-                    top = max(self.urgency.max_value_per_mbps, default=0.0)
-                    bound = (
-                        self.population.num_ues * self.runs * self.episodes
-                        * topo.channels_per_station * top * (best_rate / 1e6)
-                    )
-                    if not math.isfinite(bound):
-                        problems.append(
-                            "num_ues * runs * episodes * channels_per_station"
-                            " * max_value_per_mbps * best-case rate in Mbps is not finite:"
-                            f" max_value_per_mbps = {top}"
-                        )
+        physical += tier_power_problems(topo.mbs_power_watts, smalls)
+        # NaN fails each channel check, as it would crash the demand's ceil
+        physical += [line for broken, line in [
+            (not channel.bandwidth_hz > 0, "bandwidth_hz must be positive"),
+            (not channel.noise_density_w_per_hz > 0, "noise_density_w_per_hz must be positive"),
+            (not channel.reference_distance_m > 0, "reference_distance_m must be positive"),
+            (not channel.mbs_pathloss_exponent >= 2, "mbs_pathloss_exponent must be at least 2"),
+            (not channel.sbs_pathloss_exponent >= 2, "sbs_pathloss_exponent must be at least 2"),
+            (channel.interference_mode not in (FULL_COCHANNEL, NO_INTERFERENCE),
+             f"unknown interference_mode {channel.interference_mode!r}"),
+        ] if broken]
+        urgency = []
         for class_index in range(0 if miscounted else num_classes):
-            try:
-                self.urgency.for_class(class_index)
-            except ValueError as exc:
-                problems.append(str(exc))
-        return list(dict.fromkeys(problems))
+            urgency += urgency_problems(*self.urgency.class_settings(class_index))
+        problems = list(dict.fromkeys(problems + physical + urgency))
+        # the checks below combine values that each passed their own rules
+        if physical:
+            return problems
+        # each reserve, power_unit_price * tx power, is broadcast as a clearing
+        # price; the macro's is the largest
+        if not math.isfinite(topo.power_unit_price * topo.mbs_power_watts):
+            problems.append(
+                "a station's reserve power_unit_price * tx power is not finite:"
+                f" power_unit_price = {topo.power_unit_price},"
+                f" mbs_power_watts = {topo.mbs_power_watts}"
+            )
+        # no UE's SINR exceeds the macro power over the noise: path gains are
+        # at most 1, the macro is the strongest station, and interference only
+        # lowers SINR; so this best-case rate bounds every UE's rate, and a
+        # finite one keeps every demand finite
+        bandwidth, density = channel.bandwidth_hz, channel.noise_density_w_per_hz
+        noise = density * bandwidth
+        settings = f"bandwidth_hz = {bandwidth}, noise_density_w_per_hz = {density}"
+        if noise == 0.0:
+            return problems + [
+                f"noise power bandwidth_hz * noise_density_w_per_hz is 0: {settings}"
+            ]
+        best_rate = bandwidth * math.log2(1.0 + topo.mbs_power_watts / noise)
+        if not math.isfinite(best_rate):
+            return problems + [
+                "best-case rate bandwidth_hz * log2(1 + mbs_power_watts / noise power)"
+                f" is not finite: {settings}, mbs_power_watts = {topo.mbs_power_watts}"
+            ]
+        # no UE-round wins more channels than a station has, each worth at most
+        # the top value at the best-case rate; so this bounds every sum of
+        # channel values in the artifacts
+        top = max(self.urgency.max_value_per_mbps, default=0.0)
+        bound = pop.num_ues * self.runs * self.episodes * topo.channels_per_station * top
+        if not urgency and not math.isfinite(bound * (best_rate / 1e6)):
+            problems.append(
+                "num_ues * runs * episodes * channels_per_station * max_value_per_mbps"
+                f" * best-case rate in Mbps is not finite: max_value_per_mbps = {top}"
+            )
+        return problems
 
 
 # The round records are output values: ``run_round`` builds each one and only
@@ -761,9 +761,9 @@ def _execute_run(
     return run.per_ue()
 
 
-def validate_all(configs: Sequence[SimulationConfig]) -> None:
-    """Raise one ConfigurationError listing every problem of the configs once."""
-    problems = [problem for config in configs for problem in config.validate()]
+def validate_all(configs: Sequence[SimulationConfig], problems: Sequence[str] = ()) -> None:
+    """Raise one ConfigurationError listing ``problems`` and the configs' own, once each."""
+    problems = [*problems, *(problem for config in configs for problem in config.validate())]
     if problems:
         raise ConfigurationError(list(dict.fromkeys(problems)))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 MBS = "MBS"
 SBS = "SBS"
@@ -29,15 +30,26 @@ class BaseStation:
     power_unit_price: float
 
     def __post_init__(self) -> None:
-        if self.tier not in (MBS, SBS):
-            raise ValueError(f"unknown tier {self.tier!r}")
-        if self.tx_power_watts <= 0:
-            raise ValueError("tx_power_watts must be positive")
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be at least 1")
+        if problems := station_problems(
+            self.tier, self.tx_power_watts, self.num_channels, self.power_unit_price
+        ):
+            raise ValueError("; ".join(problems))
+
+
+def station_problems(
+    tier: str, tx_power_watts: float, num_channels: int, power_unit_price: float,
+    power_key: str = "tx_power_watts", channels_key: str = "num_channels",
+) -> list[str]:
+    """Every rule a station's settings break, naming its power and channel
+    count by the given keys."""
+    rules = [
+        (tier not in (MBS, SBS), f"unknown tier {tier!r}"),
+        (not tx_power_watts > 0, f"{power_key} must be positive"),  # NaN fails it too
+        (num_channels < 1, f"{channels_key} must be at least 1"),
         # a -0.0 price passes ``< 0`` and would be broadcast as a -0.0 reserve
-        if math.copysign(1.0, self.power_unit_price) < 0:
-            raise ValueError("power_unit_price must be nonnegative")
+        (math.copysign(1.0, power_unit_price) < 0, "power_unit_price must be nonnegative"),
+    ]
+    return [line for broken, line in rules if broken]
 
 
 @dataclass(frozen=True)
@@ -64,21 +76,6 @@ class ChannelModel:
     reference_distance_m: float = 1.0
     interference_mode: str = FULL_COCHANNEL
 
-    def __post_init__(self) -> None:
-        # each check fails for NaN, which would crash the demand's ceil
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if not self.noise_density_w_per_hz > 0:
-            raise ValueError("noise_density_w_per_hz must be positive")
-        if not self.reference_distance_m > 0:
-            raise ValueError("reference_distance_m must be positive")
-        if not self.mbs_pathloss_exponent >= 2:
-            raise ValueError("mbs_pathloss_exponent must be at least 2")
-        if not self.sbs_pathloss_exponent >= 2:
-            raise ValueError("sbs_pathloss_exponent must be at least 2")
-        if self.interference_mode not in (FULL_COCHANNEL, NO_INTERFERENCE):
-            raise ValueError(f"unknown interference_mode {self.interference_mode!r}")
-
     def pathloss_exponent(self, tier: str) -> float:
         return self.mbs_pathloss_exponent if tier == MBS else self.sbs_pathloss_exponent
 
@@ -97,9 +94,15 @@ class Topology:
         macros = [bs for bs in self.stations if bs.tier == MBS]
         if len(macros) != 1:
             raise ValueError("topology needs exactly one macro station")
-        smalls = [bs for bs in self.stations if bs.tier == SBS]
-        if any(bs.tx_power_watts >= macros[0].tx_power_watts for bs in smalls):
-            raise ValueError("macro tx power must exceed every small-cell tx power")
+        smalls = [bs.tx_power_watts for bs in self.stations if bs.tier == SBS]
+        if problems := tier_power_problems(macros[0].tx_power_watts, smalls):
+            raise ValueError("; ".join(problems))
+
+
+def tier_power_problems(mbs_power_watts: float, sbs_powers: Iterable[float]) -> list[str]:
+    """The rule the macro's and the small cells' powers break, if any."""
+    broken = any(power >= mbs_power_watts for power in sbs_powers)
+    return ["sbs_power_watts must be below mbs_power_watts"] if broken else []
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -112,13 +112,13 @@ def _with(config: object, path: str, value: object) -> object:
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConfig:
-    """Parse scenario text, checking its sections, keys and values; raises
-    ConfigurationError listing problems.
+    """Parse scenario text, checking its sections, its keys and the syntax of
+    its values; raises ConfigurationError listing every problem of these.
 
     One fold from ``SimulationConfig()`` sets each key's value at its path as it
-    is read; a value the channel model refuses is listed and left unset.  Only
-    when there are such values and every other key was read are ``validate()``'s
-    problems listed beside them; otherwise ``validate()`` is left to the caller.
+    is read.  No rule on the values is checked here: that is
+    ``SimulationConfig.validate``'s, which the caller runs on the config it
+    plays, after its own overrides.
     """
     # no header names the empty section, so [DEFAULT] is a section like any
     # other, not one whose keys are copied into every section
@@ -152,7 +152,6 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
 
     config = SimulationConfig()
     problems: list[str] = []  # unknown sections and keys, unreadable values
-    refused: list[str] = []  # values the channel model refuses
     for section in parser.sections():
         keys = _KEYS.get(section)
         if keys is None:
@@ -167,26 +166,20 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
             except ValueError:
                 problems.append(f"{source}: bad value {raw!r} for '{key}' in [{section}]")
                 continue
-            try:
-                config = _with(config, keys[key], value)
-            except ValueError as exc:  # the channel model checks its physical values
-                refused.append(f"{source}: {exc}")
+            config = _with(config, keys[key], value)
     # a section the text leaves out defaults every one of its keys
     for section, keys in _KEYS.items():
         for key, path in keys.items():
             if not parser.has_option(section, key) and key != MYOPIC:
                 log.info("%s: [%s] %s defaulted to %r", source, section, key, _field(config, path))
     if problems:
-        raise ConfigurationError(problems + refused)
+        raise ConfigurationError(problems)
 
     if not parser.has_option("population", MYOPIC):
         explicit = sum(_field(config, _COUNTS + s) for s in (GREEDY, LLM, FORESIGHT))
         myopic = max(0, config.population.num_ues - explicit)
         config = _with(config, _COUNTS + MYOPIC, myopic)
         log.info("%s: [population] myopic defaulted to %d", source, myopic)
-    if refused:
-        # the other problems, of the config without the refused values
-        raise ConfigurationError(refused + config.validate())
     return config
 
 

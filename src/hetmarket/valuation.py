@@ -27,21 +27,27 @@ class UrgencyState:
     value_per_mbps: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # each check fails for NaN, which min() would turn into the ceiling
-        if not self.base_value_per_mbps > 0:
-            raise ValueError("base_value_per_mbps must be positive")
-        if not self.max_value_per_mbps >= self.base_value_per_mbps:
-            raise ValueError("max_value_per_mbps must be at least the base value")
-        if not self.saturation_losses >= 1:
-            raise ValueError("saturation_losses must be at least 1")
-        # the increment divides by it as a float
-        if self.saturation_losses > sys.float_info.max:
-            raise ValueError("saturation_losses must be at most the largest float")
-        if self.consecutive_losses < 0:
-            raise ValueError("consecutive_losses cannot be negative")
+        settings = (self.base_value_per_mbps, self.max_value_per_mbps, self.saturation_losses)
+        if problems := urgency_problems(*settings, self.consecutive_losses):
+            raise ValueError("; ".join(problems))
         increment = (self.max_value_per_mbps - self.base_value_per_mbps) / self.saturation_losses
         raw = self.base_value_per_mbps + increment * self.consecutive_losses
         object.__setattr__(self, "value_per_mbps", min(self.max_value_per_mbps, raw))
+
+
+def urgency_problems(base: float, ceiling: float, saturation: int, losses: int = 0) -> list[str]:
+    """Every rule an urgency state's base value, maximum value, saturation
+    losses and consecutive losses break."""
+    # each of the first three checks fails for NaN, which min() would turn
+    # into the ceiling; the increment divides by saturation_losses as a float
+    rules = [
+        (not base > 0, "base_value_per_mbps must be positive"),
+        (not ceiling >= base, "max_value_per_mbps must be at least the base value"),
+        (not saturation >= 1, "saturation_losses must be at least 1"),
+        (saturation > sys.float_info.max, "saturation_losses must be at most the largest float"),
+        (losses < 0, "consecutive_losses cannot be negative"),
+    ]
+    return [line for broken, line in rules if broken]
 
 
 def channel_valuation(state: UrgencyState, rate_mbps: float) -> float:

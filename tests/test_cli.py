@@ -11,6 +11,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -790,6 +791,10 @@ class TestExitCodes:
             ("topology", "num_sbs", "-1"),
             pytest.param("population", "qos_classes_mbps", "",
                          id="population-qos_classes_mbps-empty"),
+            ("llm", "temperature", "-5"),
+            ("llm", "foresight_threshold", "-3"),
+            # a share of the remaining rounds
+            ("llm", "foresight_pacing", "7"),
         ],
     )
     def test_invalid_physical_value_is_exit_two(self, tmp_path, capsys, command,
@@ -819,6 +824,42 @@ class TestExitCodes:
         for key in ("bandwidth_hz", "reference_distance_m", "mbs_pathloss_exponent",
                     "channels_per_station", "episodes"):
             assert sum(key in line for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "command, text, extra, keys",
+        [
+            ("run", "[topology]\nmbs_power_watts = 0\nchannels_per_station = 0\n", [],
+             # the last is the rule that small-cell power is below macro power
+             {"mbs_power_watts", "channels_per_station", "sbs_power_watts"}),
+            ("run", "[valuation]\nbase_value_per_mbps = 0\nmax_value_per_mbps = -1\n"
+             "saturation_losses = 0\n", [],
+             {"base_value_per_mbps", "max_value_per_mbps", "saturation_losses"}),
+            ("run", "[topology]\nsbs_power_watts = 50\nchannels_per_station = 0\n", [],
+             {"sbs_power_watts", "channels_per_station"}),
+            # the file's episodes = 0 is overridden before the rules are checked
+            ("run", "[topology]\nbandwidth_hz = -1\n[simulation]\nepisodes = 0\n",
+             ["--episodes", "5"], {"bandwidth_hz"}),
+            ("sweep", "[population]\nbudget = -1\n", ["--horizons", "0"],
+             {"horizons", "budget"}),
+            ("run", "[llm]\ntemperature = -5\nforesight_threshold = -3\nforesight_pacing = 7\n",
+             [], {"temperature", "foresight_threshold", "foresight_pacing"}),
+        ],
+        ids=["station-powers-and-channels", "urgency", "small-cell-power-and-channels",
+             "override-before-rules", "sweep-flags-and-config", "llm-ranges"],
+    )
+    def test_each_failed_rule_is_one_line_named_by_its_key(
+        self, tmp_path, capsys, command, text, extra, keys
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(path), "--offline", "--out", str(out), *extra)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        named = [re.match(r"config error: (\w+) ", line).group(1) for line in lines]
+        assert len(named) == len(keys)
+        assert set(named) == keys
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, expected",

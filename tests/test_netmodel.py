@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from hetmarket.engine import SimulationConfig, TopologyConfig
 from hetmarket.netmodel import (
     FULL_COCHANNEL,
     MBS,
@@ -162,12 +163,14 @@ class TestValidation:
             UserEquipment(id=0, position=(0.0, 0.0), qos_rate_bps=0.0)
 
     def test_channel_model_field_checks(self):
-        with pytest.raises(ValueError):
-            ChannelModel(bandwidth_hz=0.0)
-        with pytest.raises(ValueError):
-            ChannelModel(mbs_pathloss_exponent=1.5)
-        with pytest.raises(ValueError):
-            ChannelModel(interference_mode="partial")
+        # the channel model holds values; the config's validate() holds its rules
+        for channel, problem in [
+            (ChannelModel(bandwidth_hz=0.0), "bandwidth_hz must be positive"),
+            (ChannelModel(mbs_pathloss_exponent=1.5), "mbs_pathloss_exponent must be at least 2"),
+            (ChannelModel(interference_mode="partial"), "unknown interference_mode 'partial'"),
+        ]:
+            config = SimulationConfig(topology=TopologyConfig(channel=channel))
+            assert config.validate() == [problem]
 
     def test_topology_needs_exactly_one_macro(self):
         with pytest.raises(ValueError):
