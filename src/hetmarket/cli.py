@@ -8,7 +8,6 @@ endpoint is required but unreachable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -18,6 +17,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 from typing import Iterable
 
 from .engine import (
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--config", help="scenario file path")
         source.add_argument("--preset", choices=PRESETS, help="built-in scenario")
         p.add_argument("--seed", type=int, help="override master seed")
-        p.add_argument("--episodes", type=int, help="override rounds per run")
         p.add_argument("--jobs", type=int, help="worker processes for runs and sweep cells")
         p.add_argument(
             "--offline",
@@ -87,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one scenario")
     add_common(run_p)
+    run_p.add_argument("--episodes", type=int, help="override rounds per run")
     run_p.add_argument("--runs", type=int, help="override number of runs")
     run_p.add_argument(
         "--format",
@@ -112,17 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> SimulationConfig:
     config = preset(args.preset) if args.preset else load_scenario_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if getattr(args, "runs", None) is not None:
-        overrides["runs"] = args.runs
-    overrides["offline"] = bool(args.offline)
-    return dataclasses.replace(config, **overrides)
+    # ``--episodes`` and ``--runs`` are flags of ``run`` alone
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "episodes", "jobs", "runs")
+        if getattr(args, name, None) is not None
+    }
+    return dataclasses.replace(config, offline=bool(args.offline), **overrides)
 
 
 def _check_endpoint(config: SimulationConfig) -> str | None:
@@ -283,20 +279,15 @@ def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[Rou
             handle.write("\n")
 
 
-def write_rounds_jsonl(path: str, runs: int) -> None:
-    """Join the parts of runs 0 to ``runs - 1`` into ``path``, removing them;
-    a join that fails after part 0 became ``path`` removes ``path``."""
-    os.replace(f"{path}.0", path)
-    try:
-        with open(path, "ab") as joined:
-            for run_index in range(1, runs):
-                part = f"{path}.{run_index}"
-                with open(part, "rb") as handle:
-                    shutil.copyfileobj(handle, joined)
-                os.remove(part)
-    except BaseException:
-        os.remove(path)
-        raise
+def write_rounds_jsonl(path: str, parts: str, runs: int) -> None:
+    """Join the parts ``<parts>.0`` to ``<parts>.<runs - 1>`` into ``path``:
+    the others are appended to part 0, which then replaces ``path`` in one
+    step.  Removing the parts is left to the directory that holds them."""
+    with open(f"{parts}.0", "ab") as joined:
+        for run_index in range(1, runs):
+            with open(f"{parts}.{run_index}", "rb") as handle:
+                shutil.copyfileobj(handle, joined)
+    os.replace(f"{parts}.0", path)
 
 
 def _print_strategy_table(metrics: MetricsReport) -> None:
@@ -315,16 +306,12 @@ def _print_strategy_table(metrics: MetricsReport) -> None:
 
 
 def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
-    path = os.path.join(args.out, "rounds.jsonl")
-    try:
-        metrics = run_simulation(config, functools.partial(write_rounds_part, path))
-        write_rounds_jsonl(path, config.runs)
-    except BaseException:
-        # a failed run or join leaves no part of rounds.jsonl behind
-        for run_index in range(config.runs):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(f"{path}.{run_index}")
-        raise
+    # the parts are written and joined in a scratch directory whose removal
+    # takes every part with it, whether the command succeeds or fails
+    with tempfile.TemporaryDirectory(prefix="rounds.jsonl.", dir=args.out) as scratch:
+        parts = os.path.join(scratch, "rounds.jsonl")
+        metrics = run_simulation(config, functools.partial(write_rounds_part, parts))
+        write_rounds_jsonl(os.path.join(args.out, "rounds.jsonl"), parts, config.runs)
     if args.format in ("csv", "both"):
         write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
     if args.format in ("json", "both"):
@@ -333,11 +320,9 @@ def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
     print(f"wrote {args.out}/")
 
 
-def _sweep_cells(
-    args: argparse.Namespace, config: SimulationConfig
-) -> tuple[list[SimulationConfig], list[str]]:
-    """One single-run config per (horizon, seed), horizons outermost, and no
-    problems; or no cells and every problem of ``--horizons`` and ``--seeds``."""
+def _sweep_horizons(args: argparse.Namespace) -> tuple[list[int], list[str]]:
+    """The horizons of ``--horizons``, and every problem of ``--horizons`` and
+    ``--seeds``; read from the flags alone, before any scenario file."""
     problems = [] if args.seeds >= 1 else ["seeds must be at least 1"]
     try:
         horizons = [int(part) for part in args.horizons.split(",") if part.strip()]
@@ -347,13 +332,7 @@ def _sweep_cells(
         problems.insert(0, "horizons must be positive integers")
     elif len(set(horizons)) != len(horizons):
         problems.insert(0, "horizons must be distinct")
-    if problems:
-        return [], problems
-    return [
-        dataclasses.replace(config, episodes=horizon, seed=config.seed + offset, runs=1)
-        for horizon in horizons
-        for offset in range(args.seeds)
-    ], []
+    return horizons, problems
 
 
 def cmd_sweep(args: argparse.Namespace, cells: list[SimulationConfig]) -> None:
@@ -436,8 +415,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
-        config = _load_config(args)
-        cells, problems = _sweep_cells(args, config) if args.command == "sweep" else (None, [])
+        horizons, problems = _sweep_horizons(args) if args.command == "sweep" else ([], [])
+        try:
+            config = _load_config(args)
+        except ConfigurationError as exc:
+            # a file that cannot be read does not hide the flags' problems
+            raise ConfigurationError([*problems, *exc.problems]) from None
+        # one single-run config per (horizon, seed), horizons outermost
+        cells = [] if problems else [
+            dataclasses.replace(config, episodes=horizon, seed=config.seed + offset, runs=1)
+            for horizon in horizons
+            for offset in range(args.seeds)
+        ]
         # a bad config must not reach the endpoint probe's socket; with bad
         # flags there are no cells, and the config itself is checked
         validate_all(cells or [config], problems)
@@ -450,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError([f"cannot make --out directory: {exc}"]) from exc
-        if cells is None:
+        if args.command == "run":
             cmd_run(args, config)
         else:
             cmd_sweep(args, cells)

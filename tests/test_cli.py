@@ -65,13 +65,19 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+def entries(folder):
+    """Each entry of ``folder`` by name: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in folder.iterdir()}
+
+
 TWO_SHORT_RUNS = dataclasses.replace(preset("scenario1"), offline=True, episodes=4, runs=2)
 
 
 def write_two_short_runs(path):
     """rounds.jsonl of TWO_SHORT_RUNS at ``path``, as ``run`` writes it."""
-    metrics = run_simulation(TWO_SHORT_RUNS, functools.partial(write_rounds_part, str(path)))
-    write_rounds_jsonl(str(path), TWO_SHORT_RUNS.runs)
+    parts = f"{path}.part"
+    metrics = run_simulation(TWO_SHORT_RUNS, functools.partial(write_rounds_part, parts))
+    write_rounds_jsonl(str(path), parts, TWO_SHORT_RUNS.runs)
     return metrics
 
 
@@ -192,6 +198,14 @@ class TestRunCommand:
     ])
     def test_failed_run_leaves_no_rounds_file(self, tmp_path, monkeypatch, jobs, failing):
         out = tmp_path / "out"
+        out.mkdir()
+        if failing == "directory":
+            # a path the command never wrote is left as it is
+            (out / "rounds.jsonl").mkdir()
+            raised = pytest.raises(IsADirectoryError)
+        else:
+            # the rounds.jsonl of an earlier command is kept, byte for byte
+            (out / "rounds.jsonl").write_bytes(b'{"round": 1, "run": 0}\n')
         if failing == "run":
             played = SimulationRun.run_round
 
@@ -214,20 +228,14 @@ class TestRunCommand:
                 copy(source, target)
 
             monkeypatch.setattr(shutil, "copyfileobj", fail_second_copy)
-            # rounds.jsonl holds parts 0 and 1 when part 2 fails to join
+            # part 0 holds part 1 when part 2 fails to join
             raised = pytest.raises(OSError, match="No space left")
-        else:
-            # a path the command never wrote is left as it is
-            (out / "rounds.jsonl").mkdir(parents=True)
-            raised = pytest.raises(IsADirectoryError)
+        before = entries(out)
         with raised:
             run_cli("run", "--preset", "scenario1", "--offline", "--runs", "4",
                     "--episodes", "5", "--jobs", jobs, "--out", str(out))
-        if failing == "directory":
-            assert (out / "rounds.jsonl").is_dir()
-            assert list(out.glob("rounds.jsonl.*")) == []
-        else:
-            assert list(out.glob("rounds.jsonl*")) == []
+        # no part, no scratch directory and no half-joined file is left
+        assert entries(out) == before
 
     def test_summary_json_contents(self, tmp_path):
         out = tmp_path / "out"
@@ -579,14 +587,32 @@ runs = 1
 jobs = 1
 """
 
+# bench/scenarios/horizon.ini: one llm and 39 greedy UEs over 1600 rounds,
+# so price histories and loss streaks grow long
+HORIZON_INI = """\
+[population]
+num_ues = 40
+budget = 600.0
+llm = 1
+greedy = 39
+myopic = 0
+
+[simulation]
+episodes = 1600
+runs = 1
+jobs = 1
+"""
+
 # sha256 of the artifacts of ``run ... --offline``: for each preset at
-# ``--seed 1 --runs 2 --episodes 40``, for ORACLE_INI at ``--seed 1 --runs 3``
-# and for CROWD_INI at ``--seed 1103``, where a greedy UE's win probability
-# rounds to 1.0 a grid point below the top of its grid.  The preset digests
+# ``--seed 1 --runs 2 --episodes 40``, for ORACLE_INI at ``--seed 1 --runs 3``,
+# for CROWD_INI at ``--seed 1103``, where a greedy UE's win probability
+# rounds to 1.0 a grid point below the top of its grid, and for HORIZON_INI at
+# ``--seed 1``.  The preset digests
 # were taken before abstentions had their own record type and kept float
 # text; the oracle ones while an empty price model still raised and a second
 # model held the reserve prior that decides round 1 of every policy that reads
-# prices; the crowd ones while the auction still sorted every unit claim.  A
+# prices; the crowd ones while the auction still sorted every unit claim; the
+# horizon ones while the parts of rounds.jsonl were still joined in --out.  A
 # change to how rounds are played or written that moves a byte of them fails here
 PINNED_DIGESTS = {
     "scenario1": {
@@ -609,8 +635,17 @@ PINNED_DIGESTS = {
         "metrics.csv": "57988ae78bb358fb3bc7b269ce1ed6552b888aff72405ff47450192073ca6ea6",
         "summary.json": "da73e8aedb7894a1bbe08847533603d7190e7638a2b337799c4ee1708355153a",
     },
+    "horizon": {
+        "rounds.jsonl": "30921eab0d2b2b29ff6202283b342b7f4ae4376a632878744c3fc21e2fa37434",
+        "metrics.csv": "d8adf1240845a6f3e554bf3897a35ab7b2b8022ec0557fa8875d694bcb5ff1e6",
+        "summary.json": "0aea447fa2a1bca22bed0b97361ea4a3c24be96d5c1909534b889b2da8351adb",
+    },
 }
-INLINE_INI = {"oracle": (ORACLE_INI, "1", "3"), "crowd": (CROWD_INI, "1103", "1")}
+INLINE_INI = {
+    "oracle": (ORACLE_INI, "1", "3"),
+    "crowd": (CROWD_INI, "1103", "1"),
+    "horizon": (HORIZON_INI, "1", "1"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
@@ -665,26 +700,36 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
 
 
 # sha256 of sweep.csv and of the stdout, its --out path written as OUT, of
-# ``sweep --preset scenario2 --offline --horizons 5,20 --seeds 4``, taken
-# before the round writer had one finiteness rule.  A change to how sweep
-# cells are played, averaged or printed that moves a byte of them fails here
+# ``sweep --preset <name> --offline --seeds 4`` over each preset's horizons:
+# the scenario2 ones taken before the round writer had one finiteness rule,
+# the scenario1 ones while the parts of rounds.jsonl were still joined in
+# --out.  A change to how sweep cells are played, averaged or printed that
+# moves a byte of them fails here
 PINNED_SWEEP_DIGESTS = {
-    "sweep.csv": "515ae805de24db715479adc2cb0d042d91992fd2ba6c9240f01d37db8758e5f2",
-    "stdout": "4ee6a381c5af524d9a0d4d554b2c1252dddcd3d61d033cf98f492cca2b3f5b8a",
+    "scenario1": ("5,10,20", {
+        "sweep.csv": "7b15619265ac1959d382690fdb63b28ba78496059da4eff78eb6cad9dfc873c1",
+        "stdout": "30ac4362a67e5018bcd830682356c5f84bb11f4556fb1dce43dc3933349336f0",
+    }),
+    "scenario2": ("5,20", {
+        "sweep.csv": "515ae805de24db715479adc2cb0d042d91992fd2ba6c9240f01d37db8758e5f2",
+        "stdout": "4ee6a381c5af524d9a0d4d554b2c1252dddcd3d61d033cf98f492cca2b3f5b8a",
+    }),
 }
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_seeded_sweep_keeps_its_bytes(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEP_DIGESTS))
+def test_seeded_sweep_keeps_its_bytes(tmp_path, capsys, name, jobs):
+    horizons, pinned = PINNED_SWEEP_DIGESTS[name]
     out = tmp_path / "out"
-    assert run_cli("sweep", "--preset", "scenario2", "--offline", "--horizons", "5,20",
+    assert run_cli("sweep", "--preset", name, "--offline", "--horizons", horizons,
                    "--seeds", "4", "--jobs", jobs, "--out", str(out)) == 0
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
     digests = {
         "sweep.csv": hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest(),
         "stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
     }
-    assert digests == PINNED_SWEEP_DIGESTS
+    assert digests == pinned
 
 
 class TestExitCodes:
@@ -824,6 +869,40 @@ class TestExitCodes:
         for key in ("bandwidth_hz", "reference_distance_m", "mbs_pathloss_exponent",
                     "channels_per_station", "episodes"):
             assert sum(key in line for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "text, flags, expected",
+        [
+            ("[population]\nnum_ues = many\n", ["--horizons", "0", "--seeds", "0"],
+             ["horizons must be positive integers", "seeds must be at least 1",
+              "{path}: bad value 'many' for 'num_ues' in [population]"]),
+            ("[population]\ncolour = red\n", ["--horizons", "5,5"],
+             ["horizons must be distinct",
+              "{path}: unknown key 'colour' in [population]"]),
+        ],
+        ids=["unreadable-value", "unknown-key"],
+    )
+    def test_sweep_flag_lines_come_before_the_file_lines(
+        self, tmp_path, capsys, text, flags, expected
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli("sweep", "--config", str(path), "--offline", "--out", str(out), *flags)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"config error: {line.format(path=path)}" for line in expected]
+        assert not out.exists()
+
+    def test_sweep_takes_no_episodes(self, tmp_path, capsys):
+        # each horizon is a cell's episodes, so sweep has no --episodes to ignore
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            run_cli("sweep", "--preset", "scenario1", "--offline", "--episodes", "0",
+                    "--horizons", "3", "--seeds", "1", "--out", str(out))
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --episodes 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, text, extra, keys",
