@@ -1,7 +1,8 @@
 """Language-model bidder: prompt/parse plumbing plus an offline stand-in.
 
 The live path renders the round's market state into a deterministic prompt,
-sends it to a chat-completion endpoint, and parses a one-line answer.  Any
+sends it to a chat-completion endpoint over a small HTTP/1.1 client on the
+standard library's ``socket`` and ``ssl``, and parses a one-line answer.  Any
 transport or format failure is retried up to ``max_retries`` times (once by
 default) and then silently degrades to the greedy policy, so a flaky endpoint
 can never stall a simulation or produce an unaffordable bid.  The offline
@@ -16,7 +17,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .strategy import (
     ABSTAIN,
@@ -31,7 +32,8 @@ from .strategy import (
 from .valuation import channel_valuation
 
 if TYPE_CHECKING:
-    import http.client
+    import socket
+    import ssl
 
 FORMAT_REMINDER = (
     "Reminder: reply with exactly two lines in this format.\n"
@@ -65,79 +67,161 @@ class LlmEndpointConfig:
 
 
 class ChatCompletionClient:
-    """Minimal JSON client for ``POST <base_url>/chat/completions``.
+    """Minimal HTTP/1.1 JSON client for ``POST <base_url>/chat/completions``.
 
-    The client keeps one connection alive across requests; ``close`` ends it.
-    Every socket operation times out after ``timeout_ms``.  A client serves
-    one thread at a time, so each of a run's live lanes has its own.
+    The client keeps one connection, and one buffered reader on it, alive
+    across requests; ``close`` ends both.  Each request goes out in a single
+    write.  A reply's body is read by ``Content-Length``, by chunked transfer
+    coding, or up to the server's close (HTTP/1.0, or neither header); interim
+    ``1xx`` replies are skipped, and a reply that says ``Connection: close``
+    ends the connection.  ``https`` is verified by the default TLS context,
+    which honours ``SSL_CERT_FILE``.  Every socket operation times out after
+    ``timeout_ms``.  A client serves one thread at a time, so each of a run's
+    live lanes has its own.
     """
 
     def __init__(self, config: LlmEndpointConfig):
         self.config = config
-        self._conn: http.client.HTTPConnection | None = None
-        self._path = ""
+        # (host, port, TLS context or None), read from base_url at the first connection
+        self._target: tuple[str, int, ssl.SSLContext | None] | None = None
+        self._head = b""
+        self._sock: socket.socket | None = None
+        self._reader: BinaryIO | None = None
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            # imported here: a cold import or an offline run loads no HTTP stack
-            import http.client
-            from urllib.parse import urlsplit
+    def _parse_base_url(self) -> tuple[str, int, ssl.SSLContext | None]:
+        # imported here: a cold import or an offline run loads no network stack
+        import ssl
+        from urllib.parse import urlsplit
 
-            try:
-                url = urlsplit(self.config.base_url.rstrip("/"))
-            except ValueError as exc:  # such as an unclosed or invalid [host]
-                raise LlmError(f"unsupported base_url: {exc}") from exc
-            if url.scheme not in ("http", "https") or not url.netloc:
-                raise LlmError(f"unsupported base_url {self.config.base_url!r}")
-            https = url.scheme == "https"
-            kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            try:
-                self._conn = kind(url.netloc, timeout=self.config.timeout_ms / 1000.0)
-            except http.client.InvalidURL as exc:
-                raise LlmError(f"unsupported base_url: {exc}") from exc
-            self._path = url.path + "/chat/completions"
-        return self._conn
+        try:
+            url = urlsplit(self.config.base_url.rstrip("/"))
+            port = url.port
+        except ValueError as exc:  # such as an unclosed [host] or a port out of range
+            raise LlmError(f"unsupported base_url: {exc}") from exc
+        path = url.path + "/chat/completions"
+        # userinfo is refused, and so is a space, a control or a non-ASCII
+        # character in the host or the path (an IDN host goes in its xn-- form)
+        if url.scheme not in ("http", "https") or not url.hostname or "@" in url.netloc \
+                or re.search(r"[^\x21-\x7e]", url.netloc + path):
+            raise LlmError(f"unsupported base_url {self.config.base_url!r}")
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {url.netloc}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\n"
+        ).encode("ascii")
+        https = url.scheme == "https"
+        tls = ssl.create_default_context() if https else None
+        return url.hostname, (443 if https else 80) if port is None else port, tls
+
+    def _connect(self) -> None:
+        import socket
+
+        if self._target is None:
+            self._target = self._parse_base_url()
+        host, port, tls = self._target
+        self._sock = socket.create_connection((host, port), self.config.timeout_ms / 1000.0)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if tls is not None:
+            self._sock = tls.wrap_socket(self._sock, server_hostname=host)
+        self._reader = self._sock.makefile("rb")
 
     def close(self) -> None:
         """End the kept-alive connection; a later request opens a new one."""
-        if self._conn is not None:
-            self._conn.close()
+        if self._sock is not None:
+            if self._reader is not None:
+                self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    def _post(self, request: bytes) -> tuple[int, bytes]:
         """Send one request and read the whole reply, so the connection stays usable.
 
         A kept-alive connection that the server has since closed fails on
         first use; only then is the request sent again, on a new connection.
         """
-        import http.client
-
-        conn = self._connection()
         while True:
-            reused = conn.sock is not None
+            reused = self._sock is not None
             try:
-                conn.request("POST", self._path, body=body, headers=headers)
-                response = conn.getresponse()
-                return response.status, response.read()
-            # RemoteDisconnected is a ConnectionResetError
-            except (ConnectionResetError, BrokenPipeError) as exc:
-                conn.close()
                 if not reused:
+                    self._connect()
+                self._sock.sendall(self._head + request)
+                return self._read_reply()
+            except (OSError, ValueError) as exc:
+                self.close()
+                if not reused or not isinstance(exc, (ConnectionResetError, BrokenPipeError)):
                     raise LlmError(f"request failed: {exc}") from exc
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
-                raise LlmError(f"request failed: {exc}") from exc
+
+    def _line(self) -> bytes:
+        # a reply head's limits are http.client's: lines of 65536 bytes, 100 headers
+        line = self._reader.readline(65537)
+        if len(line) > 65536:
+            raise ValueError("reply line longer than 65536 bytes")
+        return line
+
+    def _exactly(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) != size:
+            raise ValueError(f"reply cut off after {len(data)} of {size} bytes")
+        return data
+
+    def _read_reply(self) -> tuple[int, bytes]:
+        """The next final reply's status and body; ends the connection if the reply does."""
+        status = 100
+        while 100 <= status < 200:  # an interim reply, such as 100 Continue
+            line = self._line()
+            if not line:
+                raise ConnectionResetError("the server closed the connection before replying")
+            parts = line.split(None, 2)
+            if len(parts) < 2 or not parts[0].startswith(b"HTTP/") \
+                    or len(parts[1]) != 3 or not parts[1].isdigit():
+                raise ValueError(f"bad status line {line[:80]!r}")
+            status = int(parts[1])
+            headers = {}
+            for _ in range(101):
+                line = self._line()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    raise ValueError("reply head cut off")
+                name, _, value = line.partition(b":")
+                headers[name.strip().lower()] = value.strip().lower()
+            else:
+                raise ValueError("more than 100 reply headers")
+        length = headers.get(b"content-length")
+        if b"chunked" in headers.get(b"transfer-encoding", b""):
+            chunks = []
+            while size := int(self._line().split(b";", 1)[0], 16):
+                if size < 0:
+                    raise ValueError(f"negative chunk size {size}")
+                chunks.append(self._exactly(size + 2)[:size])
+            while self._line() not in (b"\r\n", b"\n", b""):  # the trailer
+                pass
+            body = b"".join(chunks)
+        elif status in (204, 304):
+            body = b""
+        elif length is not None:
+            if not length.isdigit():
+                raise ValueError(f"bad Content-Length {length[:80]!r}")
+            body = self._exactly(int(length))
+        else:  # the body ends where the server closes the connection
+            body = self._reader.read()
+            self.close()
+        if parts[0] == b"HTTP/1.0" or b"close" in headers.get(b"connection", b""):
+            self.close()
+        return status, body
 
     def complete(self, prompt: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env_var, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        body = {
+        name = self.config.api_key_env_var
+        api_key = os.environ.get(name, "")
+        # only tab, printable ASCII and the rest of Latin-1
+        if re.search(r"[^\t\x20-\x7e\x80-\xff]", api_key):
+            raise LlmError(f"{name} holds a character a header cannot carry")
+        auth = f"Authorization: Bearer {api_key}\r\n".encode("latin-1") if api_key else b""
+        body = json.dumps({
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.config.temperature,
-        }
-        status, reply = self._post(json.dumps(body).encode("utf-8"), headers)
+        }).encode("utf-8")
+        status, reply = self._post(b"%sContent-Length: %d\r\n\r\n%s" % (auth, len(body), body))
         if status != 200:
             raise LlmError(f"endpoint returned HTTP {status}")
         try:

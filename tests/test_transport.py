@@ -6,7 +6,9 @@ import dataclasses
 import itertools
 import json
 import os
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -43,21 +45,56 @@ from hetmarket.valuation import UrgencyState
 GOOD_REPLY = 'Selected BS and bid value: BS 0, 1.50\nExplanation: "steady"'
 
 
+_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+
+
+def _chunked(data):
+    half = len(data) // 2
+    return (
+        _HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
+        + b"%x;note=first\r\n%s\r\n" % (half, data[:half])
+        + b"%x\r\n%s\r\n" % (len(data) - half, data[half:])
+        + b"0\r\nX-Checksum: none\r\n\r\n"
+    )
+
+
+def _sized(data, sent=None):
+    return _HEAD + b"Content-Length: %d\r\n\r\n" % len(data) + data[:sent]
+
+
+# replies written byte for byte: step -> (the reply's bytes from the body's, whether
+# the server then closes the connection); where it does not, only the client can
+# end the connection.  The last four are broken.
+RAW_REPLIES = {
+    "chunked": (_chunked, False),
+    "http10": (lambda data: b"HTTP/1.0 200 OK\r\n\r\n" + data, True),
+    # an HTTP/1.0 reply ends the connection even when it carries a length
+    "http10_sized": (lambda data: _sized(data).replace(b"HTTP/1.1", b"HTTP/1.0", 1), False),
+    "continue": (lambda data: b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(data), False),
+    "cut": (lambda data: _sized(data, len(data) // 2), True),
+    "bad_status": (lambda data: b"HTTP/1.1 two hundred\r\n\r\n", False),
+    "long_header": (lambda data: _HEAD + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n", False),
+    "many_headers": (lambda data: _HEAD + b"X-Many: 1\r\n" * 100 + b"\r\n", False),
+}
+
+
 class LocalEndpoint:
     """Threaded HTTP/1.1 endpoint that plays a script of replies.
 
     Each request takes the next step of ``script`` (``"ok"`` once it runs
     out): ``ok``, ``http500``, ``bad_json``, ``bad_shape``, ``null_content``
     (a JSON null for the content, as sent for a refusal), ``slow`` (replies
-    after ``slow_s``) or ``drop`` (replies, then closes the connection without
-    saying so).  A prompt that ``slow_if`` holds for is a ``slow`` step
-    whatever the script says.  An ``ok`` reply carries ``answer(prompt)``
-    after ``delay_s``.  It counts requests, connections, finished connections
+    after ``slow_s``), ``drop`` (replies, then closes the connection without
+    saying so), ``close`` (replies with ``Connection: close``, yet keeps the
+    connection open) or one of ``RAW_REPLIES``.  A prompt that ``slow_if``
+    holds for is a ``slow`` step whatever the script says.  An ``ok`` reply
+    carries ``answer(prompt)`` after ``delay_s``.  With a server-side ``tls``
+    context it speaks HTTPS.  It counts requests, connections, finished connections
     and the most requests it was ever answering at once.
     """
 
     def __init__(self, script=(), slow_s=1.0, delay_s=0.0,
-                 answer=lambda prompt: GOOD_REPLY, slow_if=lambda prompt: False):
+                 answer=lambda prompt: GOOD_REPLY, slow_if=lambda prompt: False, tls=None):
         self.script = list(script)
         self.requests = 0
         self.connections = 0
@@ -122,9 +159,17 @@ class LocalEndpoint:
                 elif step == "drop":
                     self.close_connection = True
                 data = body.encode("utf-8")
+                if step in RAW_REPLIES:
+                    write, self.close_connection = RAW_REPLIES[step]
+                    self.wfile.write(write(data))
+                    return
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                if step == "close":
+                    self.send_header("Connection", "close")
+                    # yet the server keeps it open, so only the client can end it
+                    self.close_connection = False
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -138,6 +183,10 @@ class LocalEndpoint:
                 pass  # a client that gave up on a slow reply closed the socket
 
         self._server = Server(("127.0.0.1", 0), Handler)
+        self.scheme = "http"
+        if tls is not None:
+            self._server.socket = tls.wrap_socket(self._server.socket, server_side=True)
+            self.scheme = "https"
         # a short poll, so that shutdown does not wait out the default 0.5 s
         self._thread = threading.Thread(
             target=self._server.serve_forever, args=(0.01,), daemon=True
@@ -146,7 +195,7 @@ class LocalEndpoint:
     @property
     def base_url(self) -> str:
         host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
+        return f"{self.scheme}://{host}:{port}"
 
     def wait_all_finished(self, timeout_s=5.0) -> bool:
         with self._lock:
@@ -279,6 +328,44 @@ def test_dropped_kept_alive_connection_is_resent_once(endpoint_factory):
     assert endpoint.connections == 2
 
 
+@pytest.mark.parametrize(
+    "step, connections",
+    [("chunked", 1), ("continue", 1), ("http10", 2), ("http10_sized", 2), ("close", 2)],
+)
+def test_each_reply_form_is_read(endpoint_factory, step, connections):
+    endpoint = endpoint_factory(script=[step])
+    client = client_for(endpoint)
+    try:
+        assert client.complete("first") == GOOD_REPLY
+        # after a reply that ends the connection, the next call opens another
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.prompts == ["first", "second"]
+    assert endpoint.connections == connections
+
+
+@pytest.mark.parametrize(
+    "step, fault",
+    [("cut", "reply cut off after"), ("bad_status", "bad status line"),
+     ("long_header", "reply line longer than 65536 bytes"),
+     ("many_headers", "more than 100 reply headers")],
+)
+def test_broken_reply_raises_and_drops_the_connection(endpoint_factory, step, fault):
+    endpoint = endpoint_factory(script=[step])
+    client = client_for(endpoint, timeout_ms=2000)
+    try:
+        with pytest.raises(LlmError, match=f"request failed: {fault}"):
+            client.complete("first")
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    # neither sent again nor sent on the broken connection
+    assert endpoint.prompts == ["first", "second"]
+    assert endpoint.connections == 2
+    assert endpoint.wait_all_finished()
+
+
 def test_refused_connection_raises():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -294,11 +381,110 @@ def test_refused_connection_raises():
 )
 def test_unsupported_base_url_raises(base_url):
     client = ChatCompletionClient(LlmEndpointConfig(base_url=base_url))
-    # an older urlsplit accepts [zz], and then the connection fails instead;
-    # a port that is not a number passes urlsplit and is refused by the connection
+    # an older urlsplit accepts [zz], and then the connection fails instead
     with pytest.raises(LlmError):
         client.complete("x")
     client.close()
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    ["ftp://127.0.0.1", "http://", "http://:8080", "http://127.0.0.1:65536",
+     "http://user:pw@127.0.0.1:9", "http://user@127.0.0.1:9", "http://127.0.0.1:9/v 1",
+     "http://127.0.0.1:9/v\x001", "http://127.0.0.1:9/v\x7f1", "http://127.0.0.1:9/v\u00e91",
+     "http://b\u00fccher.example"],
+)
+def test_base_url_is_refused_before_any_connection(base_url, monkeypatch):
+    def no_connection(*args, **kwargs):
+        raise AssertionError("a refused base_url opened a connection")
+
+    monkeypatch.setattr(socket, "create_connection", no_connection)
+    client = ChatCompletionClient(LlmEndpointConfig(base_url=base_url))
+    with pytest.raises(LlmError, match="unsupported base_url"):
+        client.complete("x")
+    client.close()
+
+
+@pytest.mark.parametrize("key", ["sk-abc\n", "sk-abc\r\nX-Injected: 1", "sk-\u20ac"])
+def test_api_key_a_header_cannot_carry_is_exit_three(
+    endpoint_factory, tmp_path, capsys, monkeypatch, key
+):
+    endpoint = endpoint_factory()
+    monkeypatch.setenv("TRANSPORT_TEST_KEY", key)
+    scenario = tmp_path / "live.ini"
+    scenario.write_text(
+        "[population]\nnum_ues = 2\nllm = 1\ngreedy = 1\n"
+        f"[llm]\nbase_url = {endpoint.base_url}\napi_key_env_var = TRANSPORT_TEST_KEY\n"
+    )
+    code = main(["run", "--config", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "TRANSPORT_TEST_KEY holds a character a header cannot carry" in err
+    assert "Traceback" not in err
+    assert "sk-" not in err
+    assert endpoint.requests == 0
+
+
+@pytest.fixture
+def certificate(tmp_path):
+    """``make(alt_name)`` writes a throwaway self-signed certificate; it gives (cert, key)."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is not installed")
+
+    def make(alt_name):
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+             "-nodes", "-days", "2", "-subj", "/CN=hetmarket test", "-addext",
+             f"subjectAltName={alt_name}", "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True,
+        )
+        return cert, key
+
+    return make
+
+
+def tls_endpoint(endpoint_factory, cert, key):
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    return endpoint_factory(tls=context)
+
+
+def test_https_calls_share_one_verified_connection(endpoint_factory, certificate, monkeypatch):
+    cert, key = certificate("IP:127.0.0.1")
+    endpoint = tls_endpoint(endpoint_factory, cert, key)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    client = client_for(endpoint)
+    try:
+        assert client.complete("first") == GOOD_REPLY
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.base_url.startswith("https://")
+    assert endpoint.requests == 2
+    assert endpoint.connections == 1
+
+
+@pytest.mark.parametrize(
+    "alt_name, trusted", [("IP:127.0.0.1", False), ("DNS:other.invalid", True)],
+    ids=["untrusted", "another-host"],
+)
+def test_https_certificate_that_fails_verification_raises(
+    endpoint_factory, certificate, monkeypatch, alt_name, trusted
+):
+    cert, key = certificate(alt_name)
+    endpoint = tls_endpoint(endpoint_factory, cert, key)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    client = client_for(endpoint)
+    try:
+        with pytest.raises(LlmError, match="request failed: .*CERTIFICATE_VERIFY_FAILED"):
+            client.complete("x")
+    finally:
+        client.close()
+    assert endpoint.requests == 0
 
 
 def test_close_lets_the_server_handler_finish(endpoint_factory):
@@ -543,4 +729,6 @@ def test_cli_import_leaves_out_process_and_thread_pools():
 
 def test_cli_import_leaves_out_the_http_stack():
     # a client imports it where it opens its first connection
-    assert loaded_modules({"http.client", "ssl", "email", "urllib.parse"}) == "[]"
+    assert loaded_modules(
+        {"http.client", "ssl", "email", "urllib.parse", "socket", "selectors"}
+    ) == "[]"
