@@ -312,9 +312,10 @@ def cmd_run(args: argparse.Namespace, config: SimulationConfig) -> None:
         parts = os.path.join(scratch, "rounds.jsonl")
         metrics = run_simulation(config, functools.partial(write_rounds_part, parts))
         write_rounds_jsonl(os.path.join(args.out, "rounds.jsonl"), parts, config.runs)
-    if args.format in ("csv", "both"):
+    written = _artifacts(args)
+    if "metrics.csv" in written:
         write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
-    if args.format in ("json", "both"):
+    if "summary.json" in written:
         write_summary_json(os.path.join(args.out, "summary.json"), config, metrics)
     _print_strategy_table(metrics)
     print(f"wrote {args.out}/")
@@ -410,6 +411,18 @@ def _print_comparison(title: str, seeds: list[dict[str, StrategySummary]]) -> No
             )
 
 
+def _artifacts(args: argparse.Namespace) -> list[str]:
+    """The names of the files the command, with its ``--format``, writes in ``--out``."""
+    if args.command == "sweep":
+        return ["sweep.csv"]
+    names = ["rounds.jsonl"]
+    if args.format in ("csv", "both"):
+        names.append("metrics.csv")
+    if args.format in ("json", "both"):
+        names.append("summary.json")
+    return names
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -439,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError([f"cannot make --out directory: {exc}"]) from exc
+        paths = [os.path.join(args.out, name) for name in _artifacts(args)]
+        taken = [f"cannot write {path}: it is a directory" for path in paths if os.path.isdir(path)]
+        if taken:
+            raise ConfigurationError(taken)
         if args.command == "run":
             cmd_run(args, config)
         else:

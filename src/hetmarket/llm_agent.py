@@ -158,10 +158,21 @@ class ChatCompletionClient:
         return line
 
     def _exactly(self, size: int) -> bytes:
-        data = self._reader.read(size)
-        if len(data) != size:
-            raise ValueError(f"reply cut off after {len(data)} of {size} bytes")
-        return data
+        """The next ``size`` bytes, read in pieces of at most 64 KiB.
+
+        A read allocates the size it asks for up front, so a reply that
+        announces a huge body and then ends is found cut off, not read into
+        a buffer of its announced size.
+        """
+        pieces = []
+        left = size
+        while left:
+            piece = self._reader.read(min(left, 65536))
+            if not piece:
+                raise ValueError(f"reply cut off after {size - left} of {size} bytes")
+            pieces.append(piece)
+            left -= len(piece)
+        return b"".join(pieces)
 
     def _read_reply(self) -> tuple[int, bytes]:
         """The next final reply's status and body; ends the connection if the reply does."""
@@ -386,32 +397,27 @@ def foresight_decide(
     Ordinarily enters a round only when the best expected utility clears a
     proportional share of the remaining budget, and never bids more per unit
     than the budget spread over the rounds it still expects to enter.  Once
-    the loss streak saturates, the surplus threshold is dropped and service
-    itself becomes the goal: the agent switches to the most winnable bid the
-    pacing envelope allows, still skipping rounds its price model calls
-    hopeless rather than burning entrance fees on them.
+    the loss streak saturates, the surplus threshold is dropped, and when no
+    bid of positive utility fits the pacing envelope, service itself becomes
+    the goal: the agent switches to the most winnable bid the envelope
+    allows, still skipping rounds its price model calls hopeless rather than
+    burning entrance fees on them.
     """
-    best = grid_argmax(observation)
-    if best is None:
-        return ABSTAIN
-    utility, bid, view = best
     remaining = max(1, observation.rounds_remaining)
     pace_cap = observation.budget / max(1.0, policy.pacing_fraction * remaining)
     starving = (
         observation.urgency.consecutive_losses >= observation.urgency.saturation_losses
     )
-    if not starving and (
-        utility <= 0.0
-        or utility < policy.threshold_fraction * observation.budget / remaining
-    ):
-        return ABSTAIN
-    if utility > 0.0:
+    best = grid_argmax(observation)
+    if best is not None:
+        utility, bid, view = best
         paced = min(bid, pace_cap)
-        if paced >= view.reserve_price:
+        threshold = policy.threshold_fraction * observation.budget / remaining
+        if (starving or utility >= threshold) and paced >= view.reserve_price:
             return BidDecision(station_id=view.station_id, per_unit_bid=paced)
-        if not starving:
-            return ABSTAIN
-    # saturated loss streak with no profitable entry: chase service instead
+    if not starving:
+        return ABSTAIN
+    # saturated loss streak with no paced entry of positive utility: chase service
     choice = _most_winnable_bid(observation, pace_cap)
     if choice is None:
         return ABSTAIN

@@ -253,10 +253,11 @@ def per_unit_budget_cap(budget: float, fee: float, demand: int) -> float:
 def grid_argmax(
     observation: MarketObservation,
 ) -> tuple[float, float, StationView] | None:
-    """Best (expected utility, bid, station) over every station's bid grid.
+    """Best (expected utility, bid, station) among bids whose utility is above 0.
 
     Ties prefer the cheaper bid, then the lower station id.  None when no
-    station admits any affordable grid point.
+    station has an affordable grid point of positive utility; a station
+    whose value is no more than its mean price is skipped unscored.
     """
     best: tuple[float, float, StationView] | None = None
     best_key: tuple[float, float, float] | None = None
@@ -264,8 +265,11 @@ def grid_argmax(
     # the order of the stations
     for view in observation.stations:
         prices = view.price_history
-        cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
         value = channel_valuation(observation.urgency, view.rate_mbps)
+        surplus = value - prices.mean()
+        if surplus <= 0.0:
+            continue
+        cap = per_unit_budget_cap(observation.budget, observation.entrance_fee, view.demand)
         last = prices.last
         bounds = grid_bounds(value, last, view.reserve_price, cap)
         if bounds is None:
@@ -273,40 +277,36 @@ def grid_argmax(
         # utility is the win probability times the surplus over the mean
         # price.  The probability never falls as the bid rises, and a product
         # with a fixed factor rounds in order, so the utility is monotone in
-        # the bid and the cheaper bid wins a tie: with no surplus the cheapest
-        # grid point is best, and with one the cheapest that reaches the
-        # dearest point's utility
-        surplus = value - prices.mean()
+        # the bid: the best is the dearest point's, at the cheapest point
+        # that reaches it
         win = prices.win_probability
         competitors = observation.competitors[view.station_id]
         low, high = bounds
+        top = win(high, competitors, view.capacity) * surplus
+        if top <= 0.0:
+            continue
         bid = low
-        utility = win(low, competitors, view.capacity) * surplus
-        if surplus > 0.0:
-            top = win(high, competitors, view.capacity) * surplus
-            if top != utility:
-                # the first point between the grid's ends that reaches the top
-                grid = candidate_bids(value, last, view.reserve_price, cap)
-                first = bisect_left(
-                    grid, True, 1, len(grid) - 1,
-                    key=lambda b: win(b, competitors, view.capacity) * surplus == top,
-                )
-                bid, utility = grid[first], top
-        key = (utility, -bid, -view.station_id)
+        if win(low, competitors, view.capacity) * surplus != top:
+            # the first point between the grid's ends that reaches the top
+            grid = candidate_bids(value, last, view.reserve_price, cap)
+            first = bisect_left(
+                grid, True, 1, len(grid) - 1,
+                key=lambda b: win(b, competitors, view.capacity) * surplus == top,
+            )
+            bid = grid[first]
+        key = (top, -bid, -view.station_id)
         if best_key is None or key > best_key:
             best_key = key
-            best = (utility, bid, view)
+            best = (top, bid, view)
     return best
 
 
 def greedy_decide(observation: MarketObservation) -> BidDecision:
-    """Bid wherever expected utility is maximal, abstain unless it is positive."""
+    """Bid wherever expected utility is maximal, abstain when none is positive."""
     best = grid_argmax(observation)
     if best is None:
         return ABSTAIN
-    utility, bid, view = best
-    if utility <= 0.0:
-        return ABSTAIN
+    _, bid, view = best
     return BidDecision(station_id=view.station_id, per_unit_bid=bid)
 
 

@@ -86,6 +86,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_vcg([], capacity=0, reserve=1.0)
 
+    def test_rejects_negative_reserve(self):
+        requests = [AuctionRequest(bidder_id=1, quantity=1, per_unit_bid=2.0)]
+        with pytest.raises(ValueError, match="reserve cannot be negative"):
+            run_vcg(requests, capacity=1, reserve=-0.5)
+
     def test_rejects_duplicate_bidders(self):
         requests = [
             AuctionRequest(bidder_id=1, quantity=1, per_unit_bid=2.0),

@@ -200,9 +200,9 @@ class TestRunCommand:
         out = tmp_path / "out"
         out.mkdir()
         if failing == "directory":
-            # a path the command never wrote is left as it is
+            # refused before any run, and left as it is
             (out / "rounds.jsonl").mkdir()
-            raised = pytest.raises(IsADirectoryError)
+            raised = contextlib.nullcontext()
         else:
             # the rounds.jsonl of an earlier command is kept, byte for byte
             (out / "rounds.jsonl").write_bytes(b'{"round": 1, "run": 0}\n')
@@ -232,8 +232,10 @@ class TestRunCommand:
             raised = pytest.raises(OSError, match="No space left")
         before = entries(out)
         with raised:
-            run_cli("run", "--preset", "scenario1", "--offline", "--runs", "4",
-                    "--episodes", "5", "--jobs", jobs, "--out", str(out))
+            code = run_cli("run", "--preset", "scenario1", "--offline", "--runs", "4",
+                           "--episodes", "5", "--jobs", jobs, "--out", str(out))
+        if failing == "directory":
+            assert code == 2
         # no part, no scratch directory and no half-joined file is left
         assert entries(out) == before
 
@@ -1088,6 +1090,51 @@ class TestExitCodes:
         assert str(out) in captured.err
         assert len(captured.err.splitlines()) == 1
         assert out.read_text() == "a file\n"
+
+    @pytest.mark.parametrize(
+        "command, names, extra",
+        [
+            ("run", ["rounds.jsonl"], ["--episodes", "3"]),
+            ("run", ["metrics.csv"], ["--episodes", "3"]),
+            ("run", ["summary.json"], ["--episodes", "3", "--format", "json"]),
+            ("run", ["rounds.jsonl", "metrics.csv", "summary.json"], ["--episodes", "3"]),
+            ("sweep", ["sweep.csv"], ["--horizons", "3", "--seeds", "2"]),
+        ],
+    )
+    def test_directory_at_an_artifact_name_is_exit_two_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, names, extra
+    ):
+        def explode(self):
+            raise AssertionError("a run was played")
+
+        monkeypatch.setattr(SimulationRun, "execute", explode)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in names:
+            (out / name).mkdir()
+        (out / "notes.txt").write_text("an earlier file\n")
+        before = entries(out)
+        code = run_cli(command, "--preset", "scenario1", "--offline", "--out", str(out), *extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line per directory, in the order the command writes the files
+        assert captured.err.splitlines() == [
+            f"config error: cannot write {out / name}: it is a directory" for name in names
+        ]
+        assert entries(out) == before
+
+    def test_a_directory_at_a_name_the_format_skips_is_left_alone(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").mkdir()
+        code = run_cli("run", "--preset", "scenario1", "--offline", "--episodes", "3",
+                       "--format", "json", "--out", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.csv", "rounds.jsonl", "summary.json",
+        ]
+        assert (out / "metrics.csv").is_dir()
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):

@@ -472,10 +472,34 @@ class TestGreedy:
         assert decision.station_id == 0
         assert decision.per_unit_bid == pytest.approx(2.0)
 
-    def test_abstains_when_mean_price_exceeds_value(self):
+    def test_abstains_when_mean_price_exceeds_value(self, monkeypatch):
+        # the station is skipped before its grid is bounded or a probability looked up
+        def unreachable(*args):
+            raise AssertionError("a station with no surplus was scored")
+
+        monkeypatch.setattr(strategy, "per_unit_budget_cap", unreachable)
+        monkeypatch.setattr(strategy, "grid_bounds", unreachable)
+        monkeypatch.setattr(EmpiricalPriceModel, "win_probability", unreachable)
         v = view(reserve=0.5, rate=1.0, capacity=1, history=[2.0] * 5)
-        decision = greedy_decide(observation([v], competitors={0: 4}))
-        assert decision.abstained
+        obs = observation([v], competitors={0: 4})
+        assert grid_argmax(obs) is None
+        assert greedy_decide(obs).abstained
+
+    def test_abstains_when_the_dearest_affordable_bid_cannot_win(self):
+        # a surplus of 5, but every rival outbids the cap of 2.0: one lookup
+        looked_up = []
+        lookup = EmpiricalPriceModel.win_probability
+
+        def counted(model, *args):
+            looked_up.append(args)
+            return lookup(model, *args)
+
+        v = view(reserve=0.5, rate=10.0, capacity=1, history=[5.0] * 10)
+        obs = observation([v], budget=2.1, fee=0.1, competitors={0: 4})
+        with mock.patch.object(EmpiricalPriceModel, "win_probability", counted):
+            assert grid_argmax(obs) is None
+        assert looked_up == [(2.0, 4, 1)]
+        assert greedy_decide(obs).abstained
 
     def test_abstains_when_nothing_affordable(self):
         v = view(reserve=2.0, demand=2)
@@ -674,8 +698,8 @@ def prior_or_history(v):
 
 
 def reference_grid_argmax(obs):
-    """Every station's grid scored by ``expected_utility``; ties to the
-    cheaper bid, then the lower station id."""
+    """Every station's grid scored by ``expected_utility``, keeping the points
+    of positive utility; ties to the cheaper bid, then the lower station id."""
     scored = []
     for v in obs.stations:
         prices = prior_or_history(v)
@@ -685,7 +709,8 @@ def reference_grid_argmax(obs):
         for bid in grid:
             competitors = obs.competitors[v.station_id]
             utility = expected_utility(bid, value, prices, competitors, v.capacity)
-            scored.append(((utility, -bid, -v.station_id), (utility, bid, v)))
+            if utility > 0.0:
+                scored.append(((utility, -bid, -v.station_id), (utility, bid, v)))
     return max(scored, key=lambda item: item[0])[1] if scored else None
 
 
@@ -696,26 +721,42 @@ def test_grid_argmax_equals_the_reference_argmax(obs):
 
 @given(obs=market_observations() | crowded_observations())
 def test_grid_argmax_looks_up_one_or_a_few_probabilities(obs):
-    # A station whose surplus is not positive costs one lookup, at the
-    # cheapest grid point; otherwise both ends and a bisection of the grid
-    # between them.
+    # A station with no surplus costs no grid and no lookup.  Otherwise the
+    # dearest grid point is looked up first, and a station it cannot win at
+    # costs nothing more; the rest cost the cheapest point and a bisection of
+    # the grid between the two.
     looked_up = Counter()
+    bounded = []
     lookup = EmpiricalPriceModel.win_probability
 
     def counted(model, *args):
         looked_up[id(model)] += 1
         return lookup(model, *args)
 
-    with mock.patch.object(EmpiricalPriceModel, "win_probability", counted):
+    def counted_bounds(*args):
+        bounded.append(args)
+        return grid_bounds(*args)
+
+    with mock.patch.object(EmpiricalPriceModel, "win_probability", counted), \
+            mock.patch.object(strategy, "grid_bounds", counted_bounds):
         grid_argmax(obs)
+    with_surplus = 0
     for v in obs.stations:
         lookups = looked_up[id(v.price_history)]
-        if budget_cap(obs, v) < v.reserve_price:
+        prices = v.price_history
+        value = channel_valuation(obs.urgency, v.rate_mbps)
+        if value <= prices.mean():
             assert lookups == 0
-        elif channel_valuation(obs.urgency, v.rate_mbps) <= v.price_history.mean():
+            continue
+        with_surplus += 1
+        bounds = grid_bounds(value, prices.last, v.reserve_price, budget_cap(obs, v))
+        if bounds is None:
+            assert lookups == 0
+        elif prices.win_probability(bounds[1], obs.competitors[v.station_id], v.capacity) == 0:
             assert lookups == 1
         else:
             assert 2 <= lookups <= 2 + math.ceil(math.log2(strategy.GRID_SIZE))
+    assert len(bounded) == with_surplus
 
 
 @given(obs=market_observations(), pace_cap=st.floats(0.0, 20.0))

@@ -62,19 +62,34 @@ def _sized(data, sent=None):
     return _HEAD + b"Content-Length: %d\r\n\r\n" % len(data) + data[:sent]
 
 
+# more bytes than a 47-bit address space holds: a client that allocates a
+# body's announced size before reading it fails at once
+HUGE = 10**15
+
 # replies written byte for byte: step -> (the reply's bytes from the body's, whether
 # the server then closes the connection); where it does not, only the client can
-# end the connection.  The last four are broken.
+# end the connection.  The first five are well formed; the rest are broken.
 RAW_REPLIES = {
     "chunked": (_chunked, False),
     "http10": (lambda data: b"HTTP/1.0 200 OK\r\n\r\n" + data, True),
     # an HTTP/1.0 reply ends the connection even when it carries a length
     "http10_sized": (lambda data: _sized(data).replace(b"HTTP/1.1", b"HTTP/1.0", 1), False),
     "continue": (lambda data: b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(data), False),
+    # no body and no length, yet the connection stays usable
+    "no_content": (lambda data: b"HTTP/1.1 204 No Content\r\n\r\n", False),
     "cut": (lambda data: _sized(data, len(data) // 2), True),
+    "head_cut": (lambda data: _HEAD, True),
     "bad_status": (lambda data: b"HTTP/1.1 two hundred\r\n\r\n", False),
     "long_header": (lambda data: _HEAD + b"X-Long: " + b"a" * 65536 + b"\r\n\r\n", False),
     "many_headers": (lambda data: _HEAD + b"X-Many: 1\r\n" * 100 + b"\r\n", False),
+    "bad_length": (lambda data: _HEAD + b"Content-Length: 12a\r\n\r\n" + data, False),
+    "negative_chunk": (
+        lambda data: _HEAD + b"Transfer-Encoding: chunked\r\n\r\n-5\r\n" + data, False
+    ),
+    "huge_length": (lambda data: _HEAD + b"Content-Length: %d\r\n\r\n" % HUGE + data, True),
+    "huge_chunk": (
+        lambda data: _HEAD + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n" % HUGE + data, True
+    ),
 }
 
 
@@ -347,9 +362,14 @@ def test_each_reply_form_is_read(endpoint_factory, step, connections):
 
 @pytest.mark.parametrize(
     "step, fault",
-    [("cut", "reply cut off after"), ("bad_status", "bad status line"),
+    [("cut", "reply cut off after"), ("head_cut", "reply head cut off"),
+     ("bad_status", "bad status line"),
      ("long_header", "reply line longer than 65536 bytes"),
-     ("many_headers", "more than 100 reply headers")],
+     ("many_headers", "more than 100 reply headers"),
+     ("bad_length", "bad Content-Length b'12a'"),
+     ("negative_chunk", "negative chunk size -5"),
+     ("huge_length", f"reply cut off after [0-9]+ of {HUGE} bytes"),
+     ("huge_chunk", f"reply cut off after [0-9]+ of {HUGE + 2} bytes")],
 )
 def test_broken_reply_raises_and_drops_the_connection(endpoint_factory, step, fault):
     endpoint = endpoint_factory(script=[step])
@@ -364,6 +384,19 @@ def test_broken_reply_raises_and_drops_the_connection(endpoint_factory, step, fa
     assert endpoint.prompts == ["first", "second"]
     assert endpoint.connections == 2
     assert endpoint.wait_all_finished()
+
+
+def test_no_content_reply_raises_and_the_connection_stays_usable(endpoint_factory):
+    endpoint = endpoint_factory(script=["no_content"])
+    client = client_for(endpoint)
+    try:
+        with pytest.raises(LlmError, match="HTTP 204"):
+            client.complete("first")
+        assert client.complete("second") == GOOD_REPLY
+    finally:
+        client.close()
+    assert endpoint.prompts == ["first", "second"]
+    assert endpoint.connections == 1
 
 
 def test_refused_connection_raises():
@@ -654,6 +687,33 @@ def test_timed_out_prompt_falls_back_in_ue_order(endpoint_factory, tmp_path):
     assert fell_back.quantity == run.ues[slow_ue].by_station[expected.station_id].demand
     # the first try and its one retry (max_retries = 1), each timed out
     assert endpoint.prompts.count(slow_prompt) == 2
+
+
+def test_llm_ues_below_the_fee_send_no_request(endpoint_factory, tmp_path, monkeypatch):
+    # every live llm UE starts each run short of the fee, while the greedy
+    # UEs keep the market open: the run plays every round and asks nothing
+    endpoint = endpoint_factory(answer=varied_answer)
+    made = SimulationRun.__init__
+
+    def short_of_the_fee(self, *args):
+        made(self, *args)
+        for r in self.ues:
+            if r.strategy == engine.LLM:
+                r.budget = self.fee / 2
+
+    monkeypatch.setattr(SimulationRun, "__init__", short_of_the_fee)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(live_scenario(tmp_path, endpoint, runs=2)),
+                 "--seed", "1", "--out", str(out)])
+    assert code == 0
+    # the endpoint probe, and nothing after it
+    assert endpoint.prompts == ["Reply with the single word: ready"]
+    lines = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
+    assert len(lines) == 2 * 6
+    llm = [ue for line in lines for ue in line["ues"] if ue["strategy"] == engine.LLM]
+    assert len(llm) == 2 * 6 * 6
+    assert all(ue["abstained"] and not ue["fallback"] for ue in llm)
+    assert lane_threads() == []
 
 
 def lane_threads():
