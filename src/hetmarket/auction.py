@@ -65,7 +65,9 @@ def run_vcg(
     clearing price reported to everyone is the highest rejected per-unit bid
     among reserve-meeting claims, falling back to the reservation price when
     nothing was rejected; a partially filled bidder's unserved units count as
-    rejected claims at its own bid.
+    rejected claims at its own bid.  When no request meets the reserve,
+    nothing is sorted or cleared: once the arguments and the ids are
+    checked, the outcome is empty maps and the reservation price.
     """
     if capacity < 1:
         raise ValueError("capacity must be at least 1")
@@ -78,6 +80,8 @@ def run_vcg(
         seen.add(req.bidder_id)
 
     eligible = [r for r in requests if r.per_unit_bid >= reserve]
+    if not eligible:
+        return AuctionOutcome(clearing_price=reserve)
     # falling bids, lower ids first among equal ones: a bidder's claims are
     # equal, so expanding the sorted requests gives the claims in sorted order
     eligible.sort(key=attrgetter("bidder_id"))

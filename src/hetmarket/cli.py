@@ -167,7 +167,10 @@ def write_summary_json(path: str, config: SimulationConfig, metrics: MetricsRepo
 
 def _json_map(values: dict) -> str:
     """An int-keyed map as a JSON object, its keys as text sorted as text
-    ("10" before "2"), as ``sort_keys`` orders str keys."""
+    ("10" before "2"), as ``sort_keys`` orders str keys.  An empty map, as
+    every map of an auction that nobody won is, is ``{}`` with no sort."""
+    if not values:
+        return "{}"
     items = sorted(zip(map(str, values), values.values()))
     return "{" + ", ".join([f'"{k}": {_finite_repr(v)}' for k, v in items]) + "}"
 
@@ -199,32 +202,34 @@ def _ue_json(r: UeRoundRecord) -> str:
     )
 
 
-def _abstention_json(r: AbstentionRecord, kept: dict[int, list]) -> str:
+def _abstention_json(r: AbstentionRecord, kept: dict[int, tuple]) -> str:
     """The template of ``_ue_json`` with the eight fixed values filled in.
 
-    ``kept[ue_id]`` is ``[budget, its text, value factor, its text]`` of the
-    UE's last abstention.  Its text is reused while the record holds the same
-    float object, which an abstaining UE's budget and a saturated value factor
+    ``kept[ue_id]`` is ``(budget, value factor, fallback, strategy, head,
+    tail)`` of the UE's last abstention, where ``head`` and ``tail`` are its
+    whole text before and after ``losses_after``, the one field that moves
+    every round.  They are reused while the record holds the same budget
+    object, the same value-factor object, the same ``fallback`` and the same
+    ``strategy``, as an abstaining UE's budget and a saturated value factor
     do; identity, unlike equality, also tells 0.0 from -0.0.
     """
-    texts = kept.get(r.ue_id)
-    if texts is None:
-        texts = kept[r.ue_id] = [None, "", None, ""]
     budget = r.budget_after
-    if texts[0] is not budget:
-        texts[1] = _finite_repr(budget)
-        texts[0] = budget
     factor = r.value_factor
-    if texts[2] is not factor:
-        texts[3] = _finite_repr(factor)
-        texts[2] = factor
-    return (
-        f'{{"abstained": true, "budget_after": {texts[1]}, "channels_won": 0,'
-        f' "fallback": {"true" if r.fallback else "false"}, "fee_paid": 0.0,'
-        f' "gross_utility": 0.0, "losses_after": {r.losses_after!r}, "per_unit_bid": 0.0,'
-        f' "per_unit_payment": 0.0, "quantity": 0, "station_id": null,'
-        f' "strategy": "{r.strategy}", "ue_id": {r.ue_id!r}, "value_factor": {texts[3]}}}'
-    )
+    texts = kept.get(r.ue_id)
+    if (texts is None or texts[0] is not budget or texts[1] is not factor
+            or texts[2] is not r.fallback or texts[3] is not r.strategy):
+        head = (
+            f'{{"abstained": true, "budget_after": {_finite_repr(budget)}, "channels_won": 0,'
+            f' "fallback": {"true" if r.fallback else "false"}, "fee_paid": 0.0,'
+            f' "gross_utility": 0.0, "losses_after": '
+        )
+        tail = (
+            f', "per_unit_bid": 0.0, "per_unit_payment": 0.0, "quantity": 0,'
+            f' "station_id": null, "strategy": "{r.strategy}", "ue_id": {r.ue_id!r},'
+            f' "value_factor": {_finite_repr(factor)}}}'
+        )
+        texts = kept[r.ue_id] = (budget, factor, r.fallback, r.strategy, head, tail)
+    return f"{texts[4]}{r.losses_after!r}{texts[5]}"
 
 
 def _station_json(s: StationRoundRecord) -> str:
@@ -240,7 +245,7 @@ def _station_json(s: StationRoundRecord) -> str:
 
 
 def round_line(
-    run_index: int, seed: int, log: RoundLog, kept: dict[int, list] | None = None
+    run_index: int, seed: int, log: RoundLog, kept: dict[int, tuple] | None = None
 ) -> str:
     """One ``rounds.jsonl`` line, equal to ``json.dumps`` with ``sort_keys``
     of the round's object: its keys, their order and its number forms.
@@ -249,7 +254,7 @@ def round_line(
     strategy is one of the ``STRATEGIES`` names.  Every float is written by
     ``_finite_repr``, as ``repr``, json's form for a finite float; a
     non-finite float has no JSON form, so a round that holds one raises
-    ``ValueError``.  ``kept`` holds the abstentions' float texts of earlier
+    ``ValueError``.  ``kept`` holds the abstentions' line texts of earlier
     rounds of the same run, one entry per UE id (see ``_abstention_json``).
     """
     if kept is None:
@@ -272,7 +277,7 @@ def round_line(
 
 def write_rounds_part(path: str, run_index: int, seed: int, rounds: Iterable[RoundLog]) -> None:
     """One line per round of one run, as it is played, to ``<path>.<run_index>``."""
-    kept: dict[int, list] = {}
+    kept: dict[int, tuple] = {}
     with open(f"{path}.{run_index}", "w", encoding="utf-8") as handle:
         for log in rounds:
             handle.write(round_line(run_index, seed, log, kept))
@@ -443,19 +448,25 @@ def main(argv: list[str] | None = None) -> int:
         # a bad config must not reach the endpoint probe's socket; with bad
         # flags there are no cells, and the config itself is checked
         validate_all(cells or [config], problems)
-        endpoint_problem = _check_endpoint(config)
-        if endpoint_problem is not None:
-            print(endpoint_problem, file=sys.stderr)
-            return EXIT_ENDPOINT
-        # an unusable --out stops the command before it plays any run
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigurationError([f"cannot make --out directory: {exc}"]) from exc
+        # nor must an --out that checks which write nothing show unusable: a
+        # file at its name, or a directory at an artifact's
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigurationError(
+                [f"cannot make --out directory: {args.out} exists and is not a directory"]
+            )
         paths = [os.path.join(args.out, name) for name in _artifacts(args)]
         taken = [f"cannot write {path}: it is a directory" for path in paths if os.path.isdir(path)]
         if taken:
             raise ConfigurationError(taken)
+        endpoint_problem = _check_endpoint(config)
+        if endpoint_problem is not None:
+            print(endpoint_problem, file=sys.stderr)
+            return EXIT_ENDPOINT
+        # an --out that cannot be made stops the command before it plays any run
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError([f"cannot make --out directory: {exc}"]) from exc
         if args.command == "run":
             cmd_run(args, config)
         else:

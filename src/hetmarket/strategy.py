@@ -97,12 +97,18 @@ def win_probability_given_cdf(
     Competitor bids are modeled as independent draws from the observed price
     distribution; a draw counts against us only when strictly above our bid.
     ``cdf_at_bid`` is a float or a ``Fraction``, read as its exact ratio
-    ``leq / den``.  Exactly 1.0 with more units than competitors; otherwise
-    the binomial sum is an integer over ``den**competitors``, formed in
-    integers and rounded once.  The exact sum rises with the CDF value and
-    rounding keeps order, so the result never falls as the bid rises.
+    ``leq / den``, whose denominator is positive; its range is checked on
+    those integers, so a ``Fraction`` is never compared.  Exactly 1.0 with
+    more units than competitors; otherwise the binomial sum is an integer
+    over ``den**competitors``, formed in integers and rounded once.  The
+    exact sum rises with the CDF value and rounding keeps order, so the
+    result never falls as the bid rises.
     """
-    if not 0 <= cdf_at_bid <= 1:
+    try:
+        leq, den = cdf_at_bid.as_integer_ratio()
+    except (ValueError, OverflowError):  # NaN, and the infinities
+        raise ValueError("cdf value must lie in [0, 1]") from None
+    if not 0 <= leq <= den:
         raise ValueError("cdf value must lie in [0, 1]")
     if competitors < 0:
         raise ValueError("competitors cannot be negative")
@@ -110,7 +116,6 @@ def win_probability_given_cdf(
         raise ValueError("capacity must be at least 1")
     if capacity > competitors:
         return 1.0
-    leq, den = cdf_at_bid.as_integer_ratio()
     above = den - leq
     # sum over j < capacity of comb(n, j) * above**j * leq**(n - j), with
     # leq**(n - capacity + 1) taken out and the rest in Horner form

@@ -81,6 +81,49 @@ class TestWorkedExamples:
         assert outcome.clearing_price == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize(
+    "rows, reserve",
+    [
+        ([(2, 1.5), (1, 0.3), (4, 1.9999999999999998)], 2.0),
+        ([(1, 0.0), (3, 0.25)], 0.5),
+        ([], 2.0),
+        ([], 0.0),
+    ],
+    ids=["below-reserve", "below-small-reserve", "no-requests", "no-requests-zero-reserve"],
+)
+def test_an_auction_no_request_can_win_clears_at_the_reserve(rows, reserve):
+    requests = make_requests(rows)
+    outcome = run_vcg(requests, capacity=3, reserve=reserve)
+    # the oracles' outcome: no welfare to gain, so no winner and no payment,
+    # and no claim to reject, so the clearing price is the reserve
+    best, without = bruteforce_welfare(requests, 3, reserve)
+    assert best == 0.0
+    assert set(without.values()) <= {0.0}
+    assert filtered_externality_payments(requests, 3, reserve) == {}
+    assert outcome == AuctionOutcome(
+        allocations={}, per_unit_payments={}, clearing_price=reserve, seller_utility_terms={}
+    )
+    assert outcome.clearing_price is reserve
+
+
+@pytest.mark.parametrize(
+    "requests, capacity, reserve, problem",
+    [
+        # the two requests of bidder 0 are both below the reserve
+        (make_requests([(1, 0.5)]) * 2, 3, 2.0, "duplicate bidder id 0"),
+        (make_requests([(1, 0.5)]), 0, 2.0, "capacity must be at least 1"),
+        ([], 0, 2.0, "capacity must be at least 1"),
+        ([], 3, -2.0, "reserve cannot be negative"),
+    ],
+    ids=["duplicate-ids", "no-capacity", "no-capacity-no-requests", "negative-reserve"],
+)
+def test_an_auction_no_request_can_win_still_checks_its_arguments(
+    requests, capacity, reserve, problem
+):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        run_vcg(requests, capacity, reserve)
+
+
 class TestValidation:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

@@ -559,6 +559,24 @@ def test_kept_text_holds_one_entry_per_ue_however_long_the_run(tmp_path):
     assert 0 < len(kept_maps[0]) <= config.population.num_ues
 
 
+@pytest.mark.parametrize("name, value", [
+    ("budget_after", 3.0), ("value_factor", 0.5), ("fallback", True), ("strategy", "greedy"),
+])
+def test_kept_abstention_text_is_made_anew_when_a_kept_field_changes(name, value):
+    # the UE abstains twice with the same objects in every field but one, so
+    # text kept from the first round would carry the old value into the second
+    first = AbstentionRecord(4, "myopic", False, 2.0, 1.25, 1)
+    second = dataclasses.replace(first, losses_after=2, **{name: value})
+    kept = {}
+    for round_index, record in enumerate((first, second), 1):
+        log = RoundLog(round_index, (record,), ())
+        expected = json.dumps({
+            "run": 0, "seed": 1, "round": round_index, "ues": [json_object(record)],
+            "stations": [],
+        }, sort_keys=True)
+        assert round_line(0, 1, log, kept) == expected
+
+
 # 30 UEs with oracle competitor counts, as in the CI cross-version check
 ORACLE_INI = """\
 [population]
@@ -606,7 +624,10 @@ jobs = 1
 """
 
 # sha256 of the artifacts of ``run ... --offline``: for each preset at
-# ``--seed 1 --runs 2 --episodes 40``, for ORACLE_INI at ``--seed 1 --runs 3``,
+# ``--seed 1 --runs 2 --episodes 40``, for scenario1 at full size, ``--seed 2
+# --runs 20 --episodes 160`` (the size of the cli_artifacts benchmark, whose
+# UE records are nearly all abstentions and whose auctions mostly have no
+# request at the reserve), for ORACLE_INI at ``--seed 1 --runs 3``,
 # for CROWD_INI at ``--seed 1103``, where a greedy UE's win probability
 # rounds to 1.0 a grid point below the top of its grid, and for HORIZON_INI at
 # ``--seed 1``.  The preset digests
@@ -614,13 +635,20 @@ jobs = 1
 # text; the oracle ones while an empty price model still raised and a second
 # model held the reserve prior that decides round 1 of every policy that reads
 # prices; the crowd ones while the auction still sorted every unit claim; the
-# horizon ones while the parts of rounds.jsonl were still joined in --out.  A
+# horizon ones while the parts of rounds.jsonl were still joined in --out; the
+# full-size ones while an abstention's kept text was its two floats alone and
+# an auction with no request at the reserve was still sorted and cleared.  A
 # change to how rounds are played or written that moves a byte of them fails here
 PINNED_DIGESTS = {
     "scenario1": {
         "rounds.jsonl": "7f1ee368678544aa89599d379612d9c64bbf3a7dcc83d48c67a8318186826366",
         "metrics.csv": "1e3f82d5449593a405659efd6dd574b84628b79c3ace84df1986e8f11c7e7233",
         "summary.json": "f6e0252bd17d8a8c132f43e18869b4f00b56af035b1caa52f1d62d385325bfd4",
+    },
+    "scenario1_full": {
+        "rounds.jsonl": "89a8edbbac1b9ea276d58acaca013978a8caade18ba943928733e0c418693f4d",
+        "metrics.csv": "1c618419f65a0abc4adb3c933bdee28bfb4e3df7df21079a3994a123116d6390",
+        "summary.json": "71b2b355b85f990c431f321b316533004c6a4070032279059ed9777a6f091167",
     },
     "scenario2": {
         "rounds.jsonl": "0fd087d4ac16af7603eb5e812eb4a72abe483c44298bebddd0c04ff41e00103c",
@@ -648,6 +676,12 @@ INLINE_INI = {
     "crowd": (CROWD_INI, "1103", "1"),
     "horizon": (HORIZON_INI, "1", "1"),
 }
+# the preset each other pin runs, and its flags
+PRESET_RUNS = {
+    "scenario1": ("scenario1", ("--seed", "1", "--runs", "2", "--episodes", "40")),
+    "scenario2": ("scenario2", ("--seed", "1", "--runs", "2", "--episodes", "40")),
+    "scenario1_full": ("scenario1", ("--seed", "2", "--runs", "20", "--episodes", "160")),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
@@ -660,40 +694,43 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, name):
         config = load_scenario_file(str(path))
         source = ("--config", str(path), "--seed", seed, "--runs", runs)
     else:
-        config = preset(name)
-        source = ("--preset", name, "--seed", "1", "--runs", "2", "--episodes", "40")
+        preset_name, flags = PRESET_RUNS[name]
+        config = preset(preset_name)
+        source = ("--preset", preset_name, *flags)
     assert run_cli("run", *source, "--offline", "--out", str(out)) == 0
     # the run left the abstention every policy shares as it was
     assert ABSTAIN == BidDecision(station_id=None)
-    rounds = [json.loads(line) for line in (out / "rounds.jsonl").read_text().splitlines()]
-    ues = [ue for record in rounds for ue in record["ues"]]
-    assert any(not ue["abstained"] for ue in ues)
-    # a greedy UE bids in round 1, where the reserve prior is all it reads
-    assert any(
-        not ue["abstained"] and ue["strategy"] == "greedy"
-        for record in rounds if record["round"] == 1 for ue in record["ues"]
-    )
+    # read a line at a time: the full-size rounds.jsonl is tens of MB
+    bid = greedy_bid_in_round_one = saturated = greedy_short_of_fee = False
+    requests = collections.Counter()
+    with open(out / "rounds.jsonl", encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            for ue in record["ues"]:
+                if not ue["abstained"]:
+                    bid = True
+                    requests[record["round"], ue["station_id"]] += 1
+                    # a greedy UE bids in round 1, where the reserve prior is all it reads
+                    greedy_bid_in_round_one |= (
+                        record["round"] == 1 and ue["strategy"] == "greedy"
+                    )
+                    continue
+                saturated |= (
+                    ue["losses_after"] > config.urgency.saturation_losses[0]
+                    and ue["value_factor"] == config.urgency.max_value_per_mbps[0]
+                )
+                greedy_short_of_fee |= (
+                    ue["strategy"] == "greedy"
+                    and ue["budget_after"] < config.auction.entrance_fee
+                )
+    assert bid and greedy_bid_in_round_one
     if name == "crowd":
         # some auction has more requests than channels
-        requests = collections.Counter(
-            (record["round"], ue["station_id"])
-            for record in rounds for ue in record["ues"] if not ue["abstained"]
-        )
         assert max(requests.values()) > config.topology.channels_per_station
     else:
         # the run holds both kinds of abstention the writer keeps text for: a
         # saturated urgency, and a greedy UE that cannot pay the fee
-        assert any(
-            ue["abstained"]
-            and ue["losses_after"] > config.urgency.saturation_losses[0]
-            and ue["value_factor"] == config.urgency.max_value_per_mbps[0]
-            for ue in ues
-        )
-        assert any(
-            ue["abstained"] and ue["strategy"] == "greedy"
-            and ue["budget_after"] < config.auction.entrance_fee
-            for ue in ues
-        )
+        assert saturated and greedy_short_of_fee
     digests = {
         file: hashlib.sha256((out / file).read_bytes()).hexdigest()
         for file in PINNED_DIGESTS[name]

@@ -296,8 +296,12 @@ class TestWinProbability:
             win_probability_given_cdf(1.5, 3, 1)
         with pytest.raises(ValueError):
             win_probability_given_cdf(Fraction(3, 2), 3, 1)
-        with pytest.raises(ValueError):
-            win_probability_given_cdf(math.nan, 3, 1)
+        # the range is checked on the value's integer ratio, which NaN and
+        # the infinities do not have, also where the answer is 1.0 unread
+        for cdf in (math.nan, math.inf, -math.inf, -0.5, Fraction(-1, 3)):
+            for competitors in (3, 0):
+                with pytest.raises(ValueError, match=r"cdf value must lie in \[0, 1\]"):
+                    win_probability_given_cdf(cdf, competitors, 1)
         with pytest.raises(ValueError):
             win_probability_given_cdf(0.5, -1, 1)
         with pytest.raises(ValueError):

@@ -578,6 +578,31 @@ def test_probe_answered_with_null_content_is_exit_three(endpoint_factory, tmp_pa
     assert endpoint.requests == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("taken", ["out", "artifact"], ids=["out-is-a-file", "artifact-is-a-dir"])
+def test_unusable_out_is_exit_two_before_the_endpoint_is_probed(
+    endpoint_factory, tmp_path, capsys, command, taken
+):
+    endpoint = endpoint_factory()
+    scenario = tmp_path / "live.ini"
+    scenario.write_text(
+        "[population]\nnum_ues = 2\nllm = 1\ngreedy = 1\n"
+        f"[llm]\nbase_url = {endpoint.base_url}\n"
+    )
+    out = tmp_path / "out"
+    if taken == "out":
+        out.write_text("a file\n")
+    else:
+        (out / ("rounds.jsonl" if command == "run" else "sweep.csv")).mkdir(parents=True)
+    extra = ["--episodes", "2"] if command == "run" else ["--horizons", "2", "--seeds", "1"]
+    code = main([command, "--config", str(scenario), *extra, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ")
+    assert len(err.splitlines()) == 1
+    assert endpoint.requests == 0
+
+
 def test_live_cli_run_closes_every_connection(endpoint_factory, tmp_path):
     endpoint = endpoint_factory()
     scenario = tmp_path / "live.ini"
