@@ -449,10 +449,14 @@ def main(argv: list[str] | None = None) -> int:
         # flags there are no cells, and the config itself is checked
         validate_all(cells or [config], problems)
         # nor must an --out that checks which write nothing show unusable: a
-        # file at its name, or a directory at an artifact's
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
+        # file at its name or at its nearest existing ancestor's, or a
+        # directory at an artifact's
+        existing = args.out
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
             raise ConfigurationError(
-                [f"cannot make --out directory: {args.out} exists and is not a directory"]
+                [f"cannot make --out directory: {existing} exists and is not a directory"]
             )
         paths = [os.path.join(args.out, name) for name in _artifacts(args)]
         taken = [f"cannot write {path}: it is a directory" for path in paths if os.path.isdir(path)]

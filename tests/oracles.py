@@ -2,7 +2,8 @@
 
 Everything in here trades speed for obviousness: the auction oracle
 enumerates every feasible allocation outright, the win-probability oracle
-simulates opponent draws instead of summing binomial terms, the decision
+lists every stronger/weaker outcome of the opponents' draws in exact
+rationals instead of summing binomial terms, the decision
 references evaluate every grid point without memo or shortcut or read the
 whole observation, and the per-user metrics are recounted from the round
 logs that ``play`` keeps.
@@ -16,10 +17,9 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from hetmarket.auction import AuctionRequest
 from hetmarket.engine import (
@@ -39,11 +39,12 @@ from hetmarket.valuation import UrgencyState
 
 
 @lru_cache(maxsize=None)
-def _allocation_table(quantities: tuple[int, ...], capacity: int) -> np.ndarray:
+def _allocation_table(
+    quantities: tuple[int, ...], capacity: int
+) -> tuple[tuple[int, ...], ...]:
     """All integer allocations w with 0 <= w_i <= q_i and sum(w) <= capacity."""
     axes = [range(min(q, capacity) + 1) for q in quantities]
-    rows = [row for row in itertools.product(*axes) if sum(row) <= capacity]
-    return np.array(rows, dtype=np.int64)
+    return tuple(row for row in itertools.product(*axes) if sum(row) <= capacity)
 
 
 def bruteforce_welfare(
@@ -58,14 +59,15 @@ def bruteforce_welfare(
     absent = {r.bidder_id: 0.0 for r in requests}
     if not eligible:
         return 0.0, absent
-    bids = np.array([r.per_unit_bid for r in eligible], dtype=np.float64)
+    bids = [r.per_unit_bid for r in eligible]
     table = _allocation_table(tuple(r.quantity for r in eligible), capacity)
-    values = table @ bids
-    best = float(values.max())
+    values = [math.fsum(won * bid for won, bid in zip(row, bids)) for row in table]
+    best = max(values)
     without = dict(absent)
     for column, request in enumerate(eligible):
-        mask = table[:, column] == 0
-        without[request.bidder_id] = float(values[mask].max())
+        without[request.bidder_id] = max(
+            value for row, value in zip(table, values) if row[column] == 0
+        )
     for request in requests:
         if request.per_unit_bid < reserve:
             # A bidder priced out by the reserve never affects the others.
@@ -115,27 +117,24 @@ def filtered_externality_payments(
     return payments
 
 
-def simulate_win_probability(
-    prices: Sequence[float],
-    bid: float,
-    competitors: int,
-    capacity: int,
-    draws: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of winning at least one unit.
+def exact_win_probability(
+    prices: Sequence[float], bid: float, competitors: int, capacity: int
+) -> Fraction:
+    """Exact chance of winning at least one unit, by listing every outcome.
 
-    Each competitor independently resamples one historical price; the
-    bidder is served whenever fewer than `capacity` of those samples
-    strictly exceed the bid.
+    Each competitor independently resamples one historical price, which is
+    stronger than the bid with chance ``p``, the share of prices strictly
+    above it.  Of the ``2**competitors`` stronger/weaker outcomes, those
+    with fewer than ``capacity`` stronger draws serve the bidder; their
+    chances are summed in rationals.
     """
-    if competitors <= 0 or capacity > competitors:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    pool = np.asarray(list(prices), dtype=np.float64)
-    samples = rng.choice(pool, size=(draws, competitors))
-    stronger = (samples > bid).sum(axis=1)
-    return float((stronger < capacity).mean())
+    p = Fraction(sum(price > bid for price in prices), len(prices))
+    total = Fraction(0)
+    for outcome in itertools.product((True, False), repeat=competitors):
+        stronger = sum(outcome)
+        if stronger < capacity:
+            total += p**stronger * (1 - p) ** (competitors - stronger)
+    return total
 
 
 def win_probability(

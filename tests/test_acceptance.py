@@ -35,8 +35,8 @@ from hetmarket.valuation import UrgencyState
 from oracles import (
     bruteforce_payment,
     bruteforce_welfare,
+    exact_win_probability,
     play,
-    simulate_win_probability,
     win_probability,
 )
 from test_engine import assert_round_conserves_money, rebuild_run
@@ -97,13 +97,13 @@ def test_ac01_vcg_matches_bruteforce_oracle():
     )
 
 
-def test_ac02_win_probability_matches_monte_carlo():
+def test_ac02_win_probability_matches_exact_enumeration():
     from hetmarket.strategy import win_probability_given_cdf
 
     hand_ok = win_probability_given_cdf(0.5, 5, 4) == 0.8125
     rng = random.Random(202)
     worst = 0.0
-    for case in range(50):
+    for _ in range(50):
         prices = [rng.uniform(0.1, 8.0) for _ in range(rng.randint(1, 25))]
         competitors = rng.randint(0, 10)
         capacity = rng.randint(1, 4)
@@ -112,16 +112,14 @@ def test_ac02_win_probability_matches_monte_carlo():
         else:
             bid = rng.uniform(0.0, 9.0)
         model = EmpiricalPriceModel(prices)
-        exact = win_probability(bid, competitors, capacity, model)
-        sampled = simulate_win_probability(
-            prices, bid, competitors, capacity, draws=100_000, seed=case
-        )
-        worst = max(worst, abs(exact - sampled))
+        closed_form = win_probability(bid, competitors, capacity, model)
+        enumerated = float(exact_win_probability(prices, bid, competitors, capacity))
+        worst = max(worst, abs(closed_form - enumerated))
     _verdict(
         2,
-        "closed-form win probability agrees with simulation",
-        hand_ok and worst <= 0.01,
-        f"hand case exact, worst gap {worst:.4f}",
+        "closed-form win probability agrees with exact enumeration",
+        hand_ok and worst == 0,
+        f"hand case exact, worst gap {worst!r}",
     )
 
 

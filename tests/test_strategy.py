@@ -40,10 +40,10 @@ from hetmarket.strategy import (
 from hetmarket.valuation import UrgencyState, channel_valuation
 
 from oracles import (
+    exact_win_probability,
     expected_utility,
     myopic_reference,
     play,
-    simulate_win_probability,
     win_probability,
 )
 
@@ -335,19 +335,20 @@ class TestWinProbability:
         p_high = win_probability(low + bump, competitors, capacity, model)
         assert 0.0 <= p_low <= p_high <= 1.0
 
-    def test_matches_monte_carlo(self):
-        cases = [
-            ([1.0, 2.0, 3.0, 4.0, 5.0], 2.5, 6, 2),
-            ([0.5, 0.5, 2.0], 0.5, 4, 3),
-            ([3.0], 2.9, 5, 1),
-        ]
-        for prices, bid, competitors, capacity in cases:
-            model = EmpiricalPriceModel(prices)
-            exact = win_probability(bid, competitors, capacity, model)
-            sampled = simulate_win_probability(
-                prices, bid, competitors, capacity, draws=40_000, seed=7
-            )
-            assert exact == pytest.approx(sampled, abs=0.01)
+    @given(drawn=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=25).flatmap(
+               # some bids sit exactly on an observed price
+               lambda prices: st.tuples(st.just(prices),
+                                        st.sampled_from(prices) | st.floats(0.0, 9.0))),
+           competitors=st.integers(0, 10), capacity=st.integers(1, 4))
+    @example(drawn=([1.0, 2.0, 3.0, 4.0, 5.0], 2.5), competitors=6, capacity=2)
+    @example(drawn=([0.5, 0.5, 2.0], 0.5), competitors=4, capacity=3)
+    @example(drawn=([3.0], 2.9), competitors=5, capacity=1)
+    def test_matches_exact_enumeration(self, drawn, competitors, capacity):
+        prices, bid = drawn
+        model = EmpiricalPriceModel(prices)
+        assert win_probability(bid, competitors, capacity, model) == float(
+            exact_win_probability(prices, bid, competitors, capacity)
+        )
 
 
 class TestExpectedUtility:

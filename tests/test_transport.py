@@ -579,7 +579,11 @@ def test_probe_answered_with_null_content_is_exit_three(endpoint_factory, tmp_pa
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("taken", ["out", "artifact"], ids=["out-is-a-file", "artifact-is-a-dir"])
+@pytest.mark.parametrize(
+    "taken",
+    ["out", "ancestor", "artifact"],
+    ids=["out-is-a-file", "out-inside-a-file", "artifact-is-a-dir"],
+)
 def test_unusable_out_is_exit_two_before_the_endpoint_is_probed(
     endpoint_factory, tmp_path, capsys, command, taken
 ):
@@ -592,6 +596,9 @@ def test_unusable_out_is_exit_two_before_the_endpoint_is_probed(
     out = tmp_path / "out"
     if taken == "out":
         out.write_text("a file\n")
+    elif taken == "ancestor":
+        out.write_text("a file\n")
+        out = out / "sub"
     else:
         (out / ("rounds.jsonl" if command == "run" else "sweep.csv")).mkdir(parents=True)
     extra = ["--episodes", "2"] if command == "run" else ["--horizons", "2", "--seeds", "1"]
