@@ -110,15 +110,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> SimulationConfig:
-    config = preset(args.preset) if args.preset else load_scenario_file(args.config)
+def _load_config(
+    args: argparse.Namespace,
+) -> tuple[SimulationConfig, list[str], frozenset[str]]:
+    """The config after the flags' overrides, the scenario file's problems,
+    and the keys whose values it could not read and no flag set.
+
+    A file whose syntax is sound is read past its unknown keys and
+    unreadable values; any other unreadable file raises ConfigurationError.
+    """
+    problems: list[str] = []
+    unread: frozenset[str] = frozenset()
+    if args.preset:
+        config = preset(args.preset)
+    else:
+        try:
+            config = load_scenario_file(args.config)
+        except ConfigurationError as exc:
+            if exc.config is None:
+                raise
+            config, problems, unread = exc.config, exc.problems, exc.unread
     # ``--episodes`` and ``--runs`` are flags of ``run`` alone
     overrides = {
         name: getattr(args, name)
         for name in ("seed", "episodes", "jobs", "runs")
         if getattr(args, name, None) is not None
     }
-    return dataclasses.replace(config, offline=bool(args.offline), **overrides)
+    config = dataclasses.replace(config, offline=bool(args.offline), **overrides)
+    return config, problems, unread - overrides.keys()
 
 
 def _check_endpoint(config: SimulationConfig) -> str | None:
@@ -435,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         horizons, problems = _sweep_horizons(args) if args.command == "sweep" else ([], [])
         try:
-            config = _load_config(args)
+            config, file_problems, unread = _load_config(args)
         except ConfigurationError as exc:
             # a file that cannot be read does not hide the flags' problems
             raise ConfigurationError([*problems, *exc.problems]) from None
@@ -446,8 +465,9 @@ def main(argv: list[str] | None = None) -> int:
             for offset in range(args.seeds)
         ]
         # a bad config must not reach the endpoint probe's socket; with bad
-        # flags there are no cells, and the config itself is checked
-        validate_all(cells or [config], problems)
+        # flags there are no cells, and the config itself is checked.  An
+        # unreadable value does not hide the rules the other values break
+        validate_all(cells or [config], [*problems, *file_problems], unread)
         # nor must an --out that checks which write nothing show unusable: a
         # file at its name or at its nearest existing ancestor's, or a
         # directory at an artifact's

@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 import threading
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
@@ -79,10 +80,23 @@ LIVE_LANES = 4
 
 
 class ConfigurationError(ValueError):
-    """One or more configuration problems, each listed in ``problems``."""
+    """One or more configuration problems, each listed in ``problems``.
 
-    def __init__(self, problems: Sequence[str]):
+    A scenario text whose syntax is sound but which has unknown keys or
+    unreadable values also carries ``config``: the text as read, without
+    the unknown keys and with each key in ``unread`` at its default, so the
+    rules on the other values can still be checked.
+    """
+
+    def __init__(
+        self,
+        problems: Sequence[str],
+        config: SimulationConfig | None = None,
+        unread: frozenset[str] = frozenset(),
+    ):
         self.problems = list(problems)
+        self.config = config
+        self.unread = unread
         super().__init__("; ".join(self.problems))
 
 
@@ -761,9 +775,31 @@ def _execute_run(
     return run.per_ue()
 
 
-def validate_all(configs: Sequence[SimulationConfig], problems: Sequence[str] = ()) -> None:
-    """Raise one ConfigurationError listing ``problems`` and the configs' own, once each."""
-    problems = [*problems, *(problem for config in configs for problem in config.validate())]
+# the words a rule line uses for a scenario key it does not name
+RULE_WORDS = {
+    **{strategy: "strategy counts" for strategy in STRATEGIES},
+    "qos_classes_mbps": "service class",
+}
+
+
+def validate_all(
+    configs: Sequence[SimulationConfig],
+    problems: Sequence[str] = (),
+    unread: frozenset[str] = frozenset(),
+) -> None:
+    """Raise one ConfigurationError listing ``problems`` and the configs' own, once each.
+
+    A scenario key in ``unread`` holds its default, not the value its file
+    failed to give, so a rule line that names it is left out, also by the
+    words a rule uses for it in ``RULE_WORDS``.
+    """
+    names = {*unread, *(RULE_WORDS[key] for key in unread if key in RULE_WORDS)}
+    named = re.compile("|".join(rf"\b{re.escape(name)}\b" for name in names)) if names else None
+    problems = [
+        *problems,
+        *(problem for config in configs for problem in config.validate()
+          if named is None or not named.search(problem)),
+    ]
     if problems:
         raise ConfigurationError(list(dict.fromkeys(problems)))
 

@@ -42,6 +42,10 @@ FORMAT_REMINDER = (
 )
 
 
+# the most bytes a reply body may hold; a chat reply is a few KiB
+BODY_CAP = 1 << 20
+
+
 class LlmError(RuntimeError):
     """Transport or protocol failure talking to the endpoint."""
 
@@ -72,7 +76,8 @@ class ChatCompletionClient:
     The client keeps one connection, and one buffered reader on it, alive
     across requests; ``close`` ends both.  Each request goes out in a single
     write.  A reply's body is read by ``Content-Length``, by chunked transfer
-    coding, or up to the server's close (HTTP/1.0, or neither header); interim
+    coding, or up to the server's close (HTTP/1.0, or neither header), and
+    a body of more than ``BODY_CAP`` bytes fails the request; interim
     ``1xx`` replies are skipped, and a reply that says ``Connection: close``
     ends the connection.  ``https`` is verified by the default TLS context,
     which honours ``SSL_CERT_FILE``.  Every socket operation times out after
@@ -158,21 +163,15 @@ class ChatCompletionClient:
         return line
 
     def _exactly(self, size: int) -> bytes:
-        """The next ``size`` bytes, read in pieces of at most 64 KiB.
+        """The next ``size`` bytes; the reply is cut off if the server ends it first.
 
-        A read allocates the size it asks for up front, so a reply that
-        announces a huge body and then ends is found cut off, not read into
-        a buffer of its announced size.
+        A read allocates the size it asks for up front, so only a size
+        within the body cap is asked for.
         """
-        pieces = []
-        left = size
-        while left:
-            piece = self._reader.read(min(left, 65536))
-            if not piece:
-                raise ValueError(f"reply cut off after {size - left} of {size} bytes")
-            pieces.append(piece)
-            left -= len(piece)
-        return b"".join(pieces)
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise ValueError(f"reply cut off after {len(data)} of {size} bytes")
+        return data
 
     def _read_reply(self) -> tuple[int, bytes]:
         """The next final reply's status and body; ends the connection if the reply does."""
@@ -198,11 +197,16 @@ class ChatCompletionClient:
             else:
                 raise ValueError("more than 100 reply headers")
         length = headers.get(b"content-length")
+        over_cap = f"reply body longer than {BODY_CAP} bytes"
         if b"chunked" in headers.get(b"transfer-encoding", b""):
             chunks = []
+            total = 0
             while size := int(self._line().split(b";", 1)[0], 16):
                 if size < 0:
                     raise ValueError(f"negative chunk size {size}")
+                total += size
+                if total > BODY_CAP:
+                    raise ValueError(over_cap)
                 chunks.append(self._exactly(size + 2)[:size])
             while self._line() not in (b"\r\n", b"\n", b""):  # the trailer
                 pass
@@ -212,9 +216,13 @@ class ChatCompletionClient:
         elif length is not None:
             if not length.isdigit():
                 raise ValueError(f"bad Content-Length {length[:80]!r}")
+            if int(length) > BODY_CAP:
+                raise ValueError(over_cap)
             body = self._exactly(int(length))
         else:  # the body ends where the server closes the connection
-            body = self._reader.read()
+            body = self._reader.read(BODY_CAP + 1)
+            if len(body) > BODY_CAP:
+                raise ValueError(over_cap)
             self.close()
         if parts[0] == b"HTTP/1.0" or b"close" in headers.get(b"connection", b""):
             self.close()

@@ -118,7 +118,10 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
     One fold from ``SimulationConfig()`` sets each key's value at its path as it
     is read.  No rule on the values is checked here: that is
     ``SimulationConfig.validate``'s, which the caller runs on the config it
-    plays, after its own overrides.
+    plays, after its own overrides.  An unknown section or key is skipped and
+    an unreadable value left at its default, so when the text's syntax is
+    sound the error carries that config and the unreadable keys, and the
+    caller can check the rules on the rest too.
     """
     # no header names the empty section, so [DEFAULT] is a section like any
     # other, not one whose keys are copied into every section
@@ -152,6 +155,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
 
     config = SimulationConfig()
     problems: list[str] = []  # unknown sections and keys, unreadable values
+    unread: set[str] = set()  # keys whose values are unreadable, left at their defaults
     for section in parser.sections():
         keys = _KEYS.get(section)
         if keys is None:
@@ -165,6 +169,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
                 value = _parse(raw, _field(config, keys[key]))
             except ValueError:
                 problems.append(f"{source}: bad value {raw!r} for '{key}' in [{section}]")
+                unread.add(key)
                 continue
             config = _with(config, keys[key], value)
     # a section the text leaves out defaults every one of its keys
@@ -172,14 +177,14 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SimulationConf
         for key, path in keys.items():
             if not parser.has_option(section, key) and key != MYOPIC:
                 log.info("%s: [%s] %s defaulted to %r", source, section, key, _field(config, path))
-    if problems:
-        raise ConfigurationError(problems)
 
     if not parser.has_option("population", MYOPIC):
         explicit = sum(_field(config, _COUNTS + s) for s in (GREEDY, LLM, FORESIGHT))
         myopic = max(0, config.population.num_ues - explicit)
         config = _with(config, _COUNTS + MYOPIC, myopic)
         log.info("%s: [population] myopic defaulted to %d", source, myopic)
+    if problems:
+        raise ConfigurationError(problems, config, frozenset(unread))
     return config
 
 

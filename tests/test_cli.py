@@ -933,6 +933,58 @@ class TestExitCodes:
         assert lines == [f"config error: {line.format(path=path)}" for line in expected]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("run", ["--episodes", "3"]), ("sweep", ["--horizons", "3", "--seeds", "2"])],
+    )
+    def test_unreadable_value_does_not_hide_other_keys_rules(
+        self, tmp_path, capsys, command, extra
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text("[population]\nnum_ues = many\n[topology]\nbandwidth_hz = -1\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--config", str(path), "--offline", "--out", str(out), *extra)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {path}: bad value 'many' for 'num_ues' in [population]",
+            "config error: bandwidth_hz must be positive",
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the sum's line names num_ues, held at its default of 40
+            "[population]\nnum_ues = many\ngreedy = 50\n",
+            # a count is named in the rules as one of the strategy counts
+            "[population]\nnum_ues = 10\nmyopic = 3\ngreedy = lots\n",
+            # two base values for the two classes meant, not the default three
+            "[population]\nqos_classes_mbps = 2, x\n[valuation]\nbase_value_per_mbps = 1, 2\n",
+        ],
+        ids=["num_ues", "a-count", "the-classes"],
+    )
+    def test_rule_lines_on_an_unreadable_key_are_left_out(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "3",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "bad value" in lines[0]
+
+    def test_a_flag_over_an_unreadable_key_is_checked(self, tmp_path, capsys):
+        # --episodes replaces the file's unreadable value, so its rule stands
+        path = tmp_path / "bad.ini"
+        path.write_text("[simulation]\nepisodes = few\n")
+        code = run_cli("run", "--config", str(path), "--offline", "--episodes", "0",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {path}: bad value 'few' for 'episodes' in [simulation]",
+            "config error: episodes must be at least 1",
+        ]
+
     def test_sweep_takes_no_episodes(self, tmp_path, capsys):
         # each horizon is a cell's episodes, so sweep has no --episodes to ignore
         out = tmp_path / "out"

@@ -261,6 +261,22 @@ class TestRejection:
         assert "'num_ues'" in str(err.value)
         assert "many" in str(err.value)
 
+    def test_unreadable_value_is_left_at_its_default(self):
+        # the error carries the rest of the text as read, so its rules can
+        # still be checked
+        text = "[population]\nnum_ues = many\nbudget = 3.5\nqos = 2\n"
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario_text(text)
+        assert len(err.value.problems) == 2
+        assert err.value.unread == {"num_ues"}
+        population = err.value.config.population
+        assert (population.num_ues, population.budget) == (40, 3.5)
+
+    def test_broken_syntax_carries_no_config(self):
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario_text("num_ues = 40\n")
+        assert err.value.config is None
+
     def test_problems_accumulate(self):
         text = "[population]\nnum_ues = many\nqos = 2\n\n[turbo]\nboost = 1\n"
         with pytest.raises(ConfigurationError) as err:

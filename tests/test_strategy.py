@@ -44,6 +44,7 @@ from oracles import (
     expected_utility,
     myopic_reference,
     play,
+    reference_candidate_bids,
     win_probability,
 )
 
@@ -361,6 +362,20 @@ class TestExpectedUtility:
         assert expected_utility(4.0, 1.0, model, 1, 1) < 0.0
 
 
+@st.composite
+def grid_argument_tuples(draw):
+    """(valuation, last price, reserve, cap) that often land on the grid's
+    edge cases: a zero of either sign, subnormal anchors, a valuation equal
+    to the last price, a reserve of 0.0, and a cap equal to the reserve,
+    below it, or below both anchors."""
+    anchor = st.floats(0.0, 10.0) | st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e-320)
+    valuation = draw(anchor)
+    last = draw(st.just(valuation) | anchor)
+    reserve = draw(st.just(0.0) | st.floats(0.0, 4.0))
+    cap = draw(st.just(reserve) | st.floats(0.0, 12.0) | st.floats(0.0, 1e-320))
+    return valuation, last, reserve, cap
+
+
 class TestCandidateBids:
     def test_grid_brackets_valuation_and_clearing(self):
         grid = candidate_bids(5.0, 2.5, 1.0, 10.0)
@@ -387,6 +402,22 @@ class TestCandidateBids:
             assert reserve <= bid <= cap
         clipped_value = min(max(valuation, reserve), cap)
         assert any(b == pytest.approx(clipped_value, abs=1e-12) for b in grid)
+
+    @given(args=grid_argument_tuples())
+    @example(args=(5.0, 2.5, 0.0, 10.0))
+    @example(args=(5.0, 2.5, 3.0, 3.0))
+    @example(args=(4.0, 2.0, 1.0, 0.5))
+    @example(args=(2.0, 2.0, 0.5, 10.0))
+    @example(args=(5.0, 0.3, 1.0, 10.0))
+    # both anchors above the cap, so hi is below lo
+    @example(args=(9.3, 8.4, 1.2, 1.7))
+    # a last price of -0.0 on a reserve of 0.0: the grid keeps the anchor's zero
+    @example(args=(1.0, -0.0, 0.0, 2.0))
+    # subnormal anchors, where k * span / 8 is not k * (span / 8)
+    @example(args=(5e-323, 0.0, 0.0, 1.0))
+    def test_grid_equals_the_reference_bit_for_bit(self, args):
+        assert ([p.hex() for p in candidate_bids(*args)]
+                == [p.hex() for p in reference_candidate_bids(*args)])
 
 
 class TestGridBounds:

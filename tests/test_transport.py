@@ -24,6 +24,7 @@ from hetmarket import engine
 from hetmarket.cli import main
 from hetmarket.engine import SimulationRun, spawn_run_seeds
 from hetmarket.llm_agent import (
+    BODY_CAP,
     ChatCompletionClient,
     LlmEndpointConfig,
     LlmError,
@@ -91,6 +92,16 @@ RAW_REPLIES = {
         lambda data: _HEAD + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n" % HUGE + data, True
     ),
 }
+# a good body padded with JSON whitespace to the body cap, or one byte past
+# it, in each framing: by length, chunked, and up to the server's close
+for _name, _size in (("at_cap", BODY_CAP), ("over_cap", BODY_CAP + 1)):
+    RAW_REPLIES.update({
+        f"{_name}_sized": (lambda data, size=_size: _sized(data.ljust(size)), False),
+        f"{_name}_chunked": (lambda data, size=_size: _chunked(data.ljust(size)), False),
+        f"{_name}_to_close": (
+            lambda data, size=_size: b"HTTP/1.0 200 OK\r\n\r\n" + data.ljust(size), True
+        ),
+    })
 
 
 class LocalEndpoint:
@@ -368,8 +379,8 @@ def test_each_reply_form_is_read(endpoint_factory, step, connections):
      ("many_headers", "more than 100 reply headers"),
      ("bad_length", "bad Content-Length b'12a'"),
      ("negative_chunk", "negative chunk size -5"),
-     ("huge_length", f"reply cut off after [0-9]+ of {HUGE} bytes"),
-     ("huge_chunk", f"reply cut off after [0-9]+ of {HUGE + 2} bytes")],
+     ("huge_length", f"reply body longer than {BODY_CAP} bytes"),
+     ("huge_chunk", f"reply body longer than {BODY_CAP} bytes")],
 )
 def test_broken_reply_raises_and_drops_the_connection(endpoint_factory, step, fault):
     endpoint = endpoint_factory(script=[step])
@@ -383,6 +394,23 @@ def test_broken_reply_raises_and_drops_the_connection(endpoint_factory, step, fa
     # neither sent again nor sent on the broken connection
     assert endpoint.prompts == ["first", "second"]
     assert endpoint.connections == 2
+    assert endpoint.wait_all_finished()
+
+
+@pytest.mark.parametrize("framing", ["sized", "chunked", "to_close"])
+def test_reply_body_is_read_up_to_the_cap_and_refused_past_it(endpoint_factory, framing):
+    endpoint = endpoint_factory(script=[f"at_cap_{framing}", f"over_cap_{framing}"])
+    client = client_for(endpoint, timeout_ms=2000)
+    try:
+        assert client.complete("first") == GOOD_REPLY
+        with pytest.raises(LlmError, match=f"request failed: reply body longer than {BODY_CAP}"):
+            client.complete("second")
+        assert client.complete("third") == GOOD_REPLY
+    finally:
+        client.close()
+    # the refused reply is not asked for again, and its connection is dropped
+    assert endpoint.prompts == ["first", "second", "third"]
+    assert endpoint.connections == (3 if framing == "to_close" else 2)
     assert endpoint.wait_all_finished()
 
 
@@ -542,8 +570,10 @@ def observation():
 
 
 @pytest.mark.parametrize(
-    "script", [["http500", "bad_shape"], ["null_content", "null_content"]],
-    ids=["http500-bad_shape", "null_content-twice"],
+    "script",
+    [["http500", "bad_shape"], ["null_content", "null_content"],
+     ["over_cap_sized", "over_cap_to_close"]],
+    ids=["http500-bad_shape", "null_content-twice", "over_cap-twice"],
 )
 def test_llm_decide_falls_back_to_greedy_after_retries(endpoint_factory, script):
     endpoint = endpoint_factory(script=script)
